@@ -147,7 +147,7 @@ def averaged_tv_bound(params: BoundParams) -> float:
 def coupled_variance_bound(params: BoundParams) -> float:
     """Second moment of the difference of the two time averages of ``f``.
 
-    Value: ``4 |f|_*^2 ( e^2/s^2 + 2/(n^2 s^2) + 2 a^2 / (n s^4) )`` with
+    Value: ``4 |f|_*^2 ( e^2/s^2 + 2/(n^2 s^2) + 2 alpha^2 / (n s^4) )`` with
     ``s = alpha + epsilon``.
     """
     s = _require_cross(params)

@@ -236,14 +236,6 @@ def _cmd_sharpness(args, out_dir):
     return code, ["sharpness.csv"], None
 
 
-def _write_sweep_csv(path, rows):
-    lines = ["replicate,q,epsilon,alpha,ratio"]
-    lines += [f"{r.replicate},{r.q},{_fmt(r.epsilon)},{_fmt(r.alpha)},{_fmt(r.ratio)}"
-              for r in rows]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _cmd_gp_sweep(args, out_dir):
     if args.full_scale:
         n = args.n if args.n is not None else 1000
@@ -254,15 +246,12 @@ def _cmd_gp_sweep(args, out_dir):
         m = args.m if args.m is not None else 5
         replicates = args.replicates if args.replicates is not None else 20
     config = GPConfig(n=n, m=m, seed=args.seed)
-    partial = []
-    try:
-        rows = figure_sweep(config, replicates, eps_threshold=args.eps_threshold,
-                            qmax=args.qmax, row_sink=partial.extend)
-    except Exception:
-        # flush whatever replicates completed before re-raising
-        _write_sweep_csv(os.path.join(out_dir, "sweep.csv"), sorted(partial))
-        raise
-    _write_sweep_csv(os.path.join(out_dir, "sweep.csv"), rows)
+    rows = figure_sweep(config, replicates, eps_threshold=args.eps_threshold, qmax=args.qmax)
+    lines = ["replicate,q,epsilon,alpha,ratio"]
+    lines += [f"{r.replicate},{r.q},{_fmt(r.epsilon)},{_fmt(r.alpha)},{_fmt(r.ratio)}"
+              for r in rows]
+    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     snap = config_snapshot(config)
     snap["replicates"] = int(replicates)
     snap["eps_threshold"] = float(args.eps_threshold)

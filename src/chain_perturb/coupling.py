@@ -205,8 +205,7 @@ def product_kernel_row(P_eps, P, xi) -> ProbDist:
 
 def _inverse_cdf(weights, u):
     # Half-open convention [F(x-), F(x)): state x is selected for u in that interval.
-    cdf = np.cumsum(weights)
-    return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
+    return int(np.searchsorted(_cdf(weights), u, side="right"))
 
 
 def coupled_step(recipe: CouplingRecipe, u_couple, u1, u2):
@@ -243,22 +242,28 @@ class _PairTables:
         neg = np.clip(b - a, 0.0, None).reshape(-1, S)
         self.n_states = S
         self.rho = m.sum(axis=1)
-        self.q_cdf = np.cumsum(_safe_normalize(m), axis=1)
-        self.r_cdf = np.cumsum(_safe_normalize(pos), axis=1)
-        self.rt_cdf = np.cumsum(_safe_normalize(neg), axis=1)
+        self.q_cdf = _cdf(m)
+        self.r_cdf = _cdf(pos)
+        self.rt_cdf = _cdf(neg)
 
 
-def _safe_normalize(rows):
-    # Zero-mass rows are never sampled; fill them with uniform so cumsum stays valid.
-    s = rows.sum(axis=1, keepdims=True)
-    out = np.full_like(rows, 1.0 / rows.shape[1])
-    np.divide(rows, s, out=out, where=s > 0.0)
-    return out
+def _cdf(rows):
+    """Row CDFs of unnormalised nonnegative weights (last axis).
+
+    Each row is divided by its own last cumulative sum, so the last state
+    with mass and every zero-mass state after it sit at exactly 1.0: a
+    uniform ``u < 1`` can never select past the support.  Rows without mass
+    (never sampled) become all ones.
+    """
+    cdf = np.cumsum(rows, axis=-1)
+    cdf[cdf[..., -1] == 0.0] = 1.0
+    cdf /= cdf[..., -1:].copy()
+    return cdf
 
 
 def _pick(cdf_rows, u):
-    idx = (cdf_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cdf_rows.shape[1] - 1)
+    # number of CDF entries at or below u: the half-open inverse CDF, row-wise
+    return (cdf_rows <= u[:, None]).sum(axis=1)
 
 
 def _as_initial(value, n_states):
@@ -307,9 +312,7 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
         we = init_e if kind_e == "dist" else np.eye(S)[init_e]
         wb = init_b if kind_b == "dist" else np.eye(S)[init_b]
         rho0, m0, pos0, neg0 = _row_decomposition(we, wb)
-        q0 = np.cumsum(_safe_normalize(m0[None, :]), axis=1)[0]
-        r0 = np.cumsum(_safe_normalize(pos0[None, :]), axis=1)[0]
-        rt0 = np.cumsum(_safe_normalize(neg0[None, :]), axis=1)[0]
+        q0, r0, rt0 = _cdf(m0), _cdf(pos0), _cdf(neg0)
     tables = _PairTables(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
     if batch_size is None:
@@ -326,9 +329,9 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
         if sample_init:
             u0, u1, u2 = U[:, 0, 0], U[:, 0, 1], U[:, 0, 2]
             coupled = u0 < rho0
-            common = _pick(np.broadcast_to(q0, (count, S)), u1)
-            left = _pick(np.broadcast_to(r0, (count, S)), u1)
-            right = _pick(np.broadcast_to(rt0, (count, S)), u2)
+            common = _pick(q0, u1)
+            left = _pick(r0, u1)
+            right = _pick(rt0, u2)
             xe[:, 0] = np.where(coupled, common, left)
             xb[:, 0] = np.where(coupled, common, right)
             offset = 1

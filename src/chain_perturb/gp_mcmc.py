@@ -10,6 +10,13 @@ because rows of either matrix depend only on the current length-scale atom,
 the closeness constants of the pair reduce to maxima over ``m x m`` row
 pairs and are computed exactly.
 
+In the eigenbasis of each length-scale Gram matrix the Woodbury quadratic
+form and log-determinant at every rank are prefix sums over one spectrum, so
+the rank sweep builds all truncations, and the full-rank table, from one
+eigendecomposition per atom.  The dense Cholesky path
+(:func:`marginal_log_likelihood`, :func:`exact_log_table`) stays as an
+independent reference for the exact kernel.
+
 All likelihood arithmetic is done in log space with log-sum-exp
 normalization; raw ratios underflow already at moderate data sizes.
 """
@@ -17,9 +24,7 @@ normalization; raw ratios underflow already at moderate data sizes.
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -267,7 +272,8 @@ def _gram_list(config):
 
 def _eigen_cache(config, grams=None):
     """Per length-scale atom: eigenvalues descending (clipped) and matching vectors."""
-    grams = grams if grams is not None else _gram_list(config)
+    if grams is None:  # one n x n Gram matrix alive at a time
+        grams = (gram_matrix(x1, config.points) for x1 in config.grid_x1)
     cache = []
     for g in grams:
         vals, vecs = np.linalg.eigh(g)
@@ -290,71 +296,50 @@ def exact_log_table(config, z, grams=None) -> np.ndarray:
     return ll
 
 
-def _exact_tables_batch(config, Z, grams=None) -> np.ndarray:
-    """Exact log-likelihood tables for many datasets, one factorization per grid point.
-
-    ``Z`` is a list of observation vectors; returns shape
-    ``(len(Z), m, m)``.  Values match :func:`exact_log_table` (same
-    factorization, matrix right-hand side).
-    """
-    grams = grams if grams is not None else _gram_list(config)
-    m, n = int(config.m), int(config.n)
-    Zm = np.stack(Z, axis=1)
-    quad_scale = 0.5 * (config.prior_a + n)
-    ll = np.empty((len(Z), m, m))
-    for i1 in range(m):
-        for i2, x2 in enumerate(config.grid_x2):
-            B = np.eye(n) + x2 * grams[i1]
-            try:
-                fac = scipy.linalg.cho_factor(B)
-            except scipy.linalg.LinAlgError as exc:
-                raise NumericalFailureError(f"covariance not positive definite: {exc}") from exc
-            logdet = 2.0 * float(np.log(np.diag(fac[0])).sum())
-            quad = (Zm * scipy.linalg.cho_solve(fac, Zm)).sum(axis=0)
-            ll[:, i1, i2] = -0.5 * logdet - quad_scale * np.log(config.prior_b + quad)
-    return ll
-
-
 def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
-    """Low-rank log-likelihood table at rank ``q``.
+    """Low-rank log-likelihood table ``ll[i1, i2]`` at rank ``q``.
 
     Evaluates the Woodbury identities in the eigenbasis, where the inner
     ``q x q`` matrix is diagonal: with projections ``c_i = u_i'z``,
 
     ``quad = z'z - sum_{i<q} l_i c_i^2 / (1/x2 + l_i)``,
-    ``logdet = sum_{i<q} log(1 + x2 l_i)``.
+    ``logdet = sum_{i<q} log(1 + x2 l_i)``,
+
+    so every rank is a prefix sum over one spectrum.  ``q`` may also be an
+    array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks above
+    ``n`` give the full-rank table.
     """
+    ranks = np.asarray(q, dtype=int)
+    if np.any(ranks < 1):
+        raise ValueError(f"ranks must be >= 1, got {q!r}")
     cache = eigen_cache if eigen_cache is not None else _eigen_cache(config)
     z = np.asarray(z, dtype=float)
     n = z.size
-    zz = float(z @ z)
-    m = int(config.m)
-    ll = np.empty((m, m))
-    for i1 in range(m):
-        vals, vecs = cache[i1]
-        lv = vals[: int(q)]
-        coef_sq = (vecs[:, : int(q)].T @ z) ** 2
-        for i2, x2 in enumerate(config.grid_x2):
-            quad = zz - float((lv * coef_sq / (1.0 / x2 + lv)).sum())
-            logdet = float(np.log1p(x2 * lv).sum())
-            ll[i1, i2] = -0.5 * logdet - 0.5 * (config.prior_a + n) * math.log(config.prior_b + quad)
-    return ll
+    x2 = np.asarray(config.grid_x2, dtype=float)[:, None]
+    scale = 0.5 * (config.prior_a + n)
+    ll = np.empty((n, int(config.m), x2.shape[0]))
+    for i1, (vals, vecs) in enumerate(cache):
+        coef_sq = (vecs.T @ z) ** 2
+        quad = z @ z - np.cumsum(vals * coef_sq / (1.0 / x2 + vals), axis=1)
+        logdet = np.cumsum(np.log1p(x2 * vals), axis=1)
+        ll[:, i1, :] = (-0.5 * logdet - scale * np.log(config.prior_b + quad)).T
+    return ll[np.minimum(ranks, n) - 1]
 
 
 def _conditional_tables(ll):
-    # r[i1, y2]: resample the amplitude atom given the length-scale atom;
-    # s[y1, y2]: resample the length-scale atom given the (new) amplitude atom.
+    # r[..., i1, y2]: resample the amplitude atom given the length-scale atom;
+    # s[..., y1, y2]: resample the length-scale atom given the (new) amplitude atom.
     if not np.all(np.isfinite(ll)):
         raise NumericalFailureError("log-likelihood table contains non-finite entries")
-    r = np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
-    s = np.exp(ll - logsumexp(ll, axis=0, keepdims=True))
+    r = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
+    s = np.exp(ll - logsumexp(ll, axis=-2, keepdims=True))
     return r, s
 
 
 def _rows_by_x1(ll):
-    """Distinct transition rows as (m, m, m): entry [i1, j1, j2] = s[j1,j2] r[i1,j2]."""
+    """Distinct transition rows as (..., m, m, m): entry [..., i1, j1, j2] = s[j1,j2] r[i1,j2]."""
     r, s = _conditional_tables(ll)
-    return s[None, :, :] * r[:, None, :]
+    return s[..., None, :, :] * r[..., :, None, :]
 
 
 def gibbs_transition_matrix(config, z, rank=None) -> FiniteKernel:
@@ -375,14 +360,21 @@ def gibbs_transition_matrix(config, z, rank=None) -> FiniteKernel:
     return FiniteKernel(P, state_labels=labels)
 
 
-def _tv_tables(T_a, T_b):
-    # max over i1 of row TV, and max over i1, j1 pairs of cross TV
-    m = T_a.shape[0]
-    flat_a = T_a.reshape(m, -1)
-    flat_b = T_b.reshape(m, -1)
-    local = 0.5 * np.abs(flat_a - flat_b).sum(axis=1).max()
-    cross = 0.5 * np.abs(flat_a[:, None, :] - flat_b[None, :, :]).sum(axis=2).max()
-    return float(local), float(cross)
+def _local_tv(T_a, T_b):
+    # max over i1 of the TV between row i1 of T_a and row i1 of T_b, per leading rank
+    m = T_b.shape[0]
+    flat_a = T_a.reshape(T_a.shape[:-3] + (m, m * m))
+    return 0.5 * np.abs(flat_a - T_b.reshape(m, m * m)).sum(axis=-1).max(axis=-1)
+
+
+def _cross_tv(T_a, T_b):
+    # max over (i1, j1) of the TV between row i1 of T_a and row j1 of T_b, per
+    # leading rank; one i1 at a time keeps memory at K m^3, not K m^4
+    m = T_b.shape[0]
+    flat_a = T_a.reshape(T_a.shape[:-3] + (m, m * m))
+    flat_b = T_b.reshape(m, m * m)
+    return np.max([0.5 * np.abs(flat_a[..., i1, None, :] - flat_b).sum(axis=-1).max(axis=-1)
+                   for i1 in range(m)], axis=0)
 
 
 def epsilon_alpha_for_gp(config, z, q, grams=None, eigen_cache=None):
@@ -390,87 +382,68 @@ def epsilon_alpha_for_gp(config, z, q, grams=None, eigen_cache=None):
 
     Exploits the row structure: rows depend only on the length-scale atom, so
     the maxima over the ``m^2 x m^2`` state space reduce to ``m x m`` row
-    pairs.  Returns ``(epsilon, alpha)``.
+    pairs.  The exact side comes from dense factorizations, independently of
+    the eigen tables :func:`figure_sweep` uses.  Returns ``(epsilon, alpha)``.
     """
     grams = grams if grams is not None else _gram_list(config)
     cache = eigen_cache if eigen_cache is not None else _eigen_cache(config, grams)
     T = _rows_by_x1(exact_log_table(config, z, grams=grams))
     Te = _rows_by_x1(lowrank_log_table(config, z, q, eigen_cache=cache))
-    local, cross = _tv_tables(Te, T)
-    return local, 1.0 - cross
-
-
-def _sweep_one(config, replicate, z, T_exact, cache, q_iter, eps_threshold, adaptive):
-    rows = []
-    for q in q_iter:
-        Te = _rows_by_x1(lowrank_log_table(config, z, q, eigen_cache=cache))
-        local, cross = _tv_tables(Te, T_exact)
-        alpha = 1.0 - cross
-        s = alpha + local
-        ratio = 0.0 if local == 0.0 else local / s
-        rows.append(SweepRow(replicate, int(q), local, alpha, ratio))
-        if adaptive and local < eps_threshold:
-            break
-    return rows
-
-
-def _thread_cap():
-    env = os.environ.get("CHAIN_PERTURB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    return float(_local_tv(Te, T)), 1.0 - float(_cross_tv(Te, T))
 
 
 def figure_sweep(config, replicates, q_list=None, eps_threshold=1e-10,
-                 qmax=None, threads=None, row_sink=None) -> list[SweepRow]:
+                 qmax=None) -> list[SweepRow]:
     """Closeness constants of the Gibbs pair as a function of the truncation rank.
 
     For each replicate dataset and each rank ``q`` (1 upward, stopping once
     ``epsilon`` drops below ``eps_threshold``, or exactly ``q_list`` if
     given), records ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
-    Replicates run in parallel up to the CHAIN_PERTURB_THREADS cap; rows come
-    back in (replicate, q) order regardless of scheduling.  Replicates where
-    ``epsilon`` is not monotone in ``q`` are flagged with a warning, not an
-    error.
-
-    ``row_sink``, if given, receives each replicate's rows as soon as that
-    replicate finishes (completion order under threads): callers can flush
-    partial results even if a later replicate fails.
+    Every rank of a replicate, and the full-rank table that is its exact
+    side, are slices of one table of prefix sums over the cached eigenpairs
+    (:func:`lowrank_log_table`); ranks above ``n`` give the full-rank rows.
+    ``epsilon`` is computed for all ranks, the adaptive stop cuts them, and
+    ``alpha`` is computed only up to the largest rank kept, so memory stays
+    ``O(n m^3)`` whatever ``qmax``.  Rows come in (replicate, q) order.
+    Replicates where ``epsilon`` is not monotone in ``q`` are flagged with a
+    warning, not an error.
     """
     if int(replicates) < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    grams = _gram_list(config)
-    cache = _eigen_cache(config, grams)
-    Z = [generate_data(config, r) for r in range(int(replicates))]
-    exact = [_rows_by_x1(ll) for ll in _exact_tables_batch(config, Z, grams=grams)]
-    if q_list is not None:
-        q_iter = [int(q) for q in q_list]
-        adaptive = False
-    else:
-        q_iter = range(1, int(qmax if qmax is not None else config.n) + 1)
-        adaptive = True
-
-    def job(r):
-        rows = _sweep_one(config, r, Z[r], exact[r], cache, q_iter, eps_threshold, adaptive)
-        if row_sink is not None:
-            row_sink(rows)
-        return rows
-
-    n_threads = threads if threads is not None else _thread_cap()
-    if n_threads > 1 and int(replicates) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            per_rep = list(pool.map(job, range(int(replicates))))
-    else:
-        per_rep = [job(r) for r in range(int(replicates))]
-    wobbly = [rows[0].replicate for rows in per_rep
-              if any(b.epsilon > a.epsilon for a, b in zip(rows, rows[1:]))]
+    cache = _eigen_cache(config)
+    n = int(config.n)
+    adaptive = q_list is None
+    if adaptive:
+        q_list = range(1, int(qmax if qmax is not None else n) + 1)
+    qs = np.array([int(q) for q in q_list], dtype=int)
+    if np.any(qs < 1):
+        raise ValueError(f"ranks must be >= 1, got {q_list!r}")
+    table = np.minimum(qs, n) - 1  # rank-table row of each requested rank
+    rows, wobbly = [], []
+    for rep in range(int(replicates)):
+        ll = lowrank_log_table(config, generate_data(config, rep), np.arange(1, n + 1),
+                               eigen_cache=cache)
+        T = _rows_by_x1(ll)
+        eps = _local_tv(T, T[-1])[table]
+        keep = len(qs)
+        if adaptive:
+            below = np.flatnonzero(eps < eps_threshold)
+            keep = int(below[0]) + 1 if below.size else keep
+        eps = eps[:keep]
+        top = int(table[:keep].max(initial=-1)) + 1
+        alpha = 1.0 - _cross_tv(T[:top], T[-1])[table[:keep]]
+        for q, e, a in zip(qs, eps, alpha):
+            rows.append(SweepRow(rep, int(q), float(e), float(a),
+                                 0.0 if e == 0.0 else float(e / (a + e))))
+        if np.any(eps[1:] > eps[:-1]):
+            wobbly.append(rep)
     if wobbly:
         warnings.warn(
             f"epsilon not monotone in q for replicates {wobbly}; rows kept as computed",
             RuntimeWarning,
             stacklevel=2,
         )
-    return [row for rows in per_rep for row in rows]
+    return rows
 
 
 def config_snapshot(config: GPConfig) -> dict:

@@ -29,7 +29,7 @@ from .bounds import (
     decoupling_time_bound,
     path_law_bound,
 )
-from .coupling import iter_coupled_batches
+from .coupling import _cdf, _pick, iter_coupled_batches
 from .errors import DimensionMismatchError, NumericalFailureError
 from .kernels import (
     FiniteKernel,
@@ -198,15 +198,13 @@ def _coupled_batches(config: ExperimentConfig):
 # single-chain simulation (for the base-chain tail and the path-law estimate)
 
 def _iter_chain_batches(kernel, x0, n, n_traj, seed, tag, batch_size=None):
-    K = as_kernel(kernel)
-    S = len(K)
-    cdf = np.cumsum(K.rows, axis=1)
+    cdf = _cdf(as_kernel(kernel).rows)
     if isinstance(x0, (int, np.integer)):
         init = int(x0)
         init_cdf = None
         steps = n
     else:
-        init_cdf = np.cumsum(as_dist(x0).weights)
+        init_cdf = _cdf(as_dist(x0).weights)
         steps = n + 1
     if batch_size is None:
         batch_size = max(1, min(int(n_traj), 3_000_000 // max(steps, 1)))
@@ -221,12 +219,11 @@ def _iter_chain_batches(kernel, x0, n, n_traj, seed, tag, batch_size=None):
         if init_cdf is None:
             states[:, 0] = init
         else:
-            states[:, 0] = np.minimum((init_cdf[None, :] <= U[:, 0, None]).sum(axis=1), S - 1)
+            states[:, 0] = _pick(init_cdf, U[:, 0])
             offset = 1
         cur = states[:, 0].copy()
         for k in range(n):
-            rows = cdf[cur]
-            cur = np.minimum((rows <= U[:, offset + k, None]).sum(axis=1), S - 1).astype(np.int32)
+            cur = _pick(cdf[cur], U[:, offset + k]).astype(np.int32)
             states[:, k + 1] = cur
         yield start, states
 

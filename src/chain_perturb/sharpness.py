@@ -7,7 +7,9 @@ and the cross constant is ``2 beta - eps``.  Powers of the perturbed matrix
 have a closed form through the eigenpair ``(1, 1 - 2 beta)``, which makes the
 TV distance between the stationary law ``(1/2, 1/2)`` and the time-averaged
 perturbed law exactly computable -- and it coincides with the generic
-averaged-TV certificate at every horizon.
+averaged-TV certificate at every horizon.  The certification checks the
+certificate against the averaged law propagated step by step through the
+perturbed matrix, not against the closed form, so a wrong certificate fails.
 
 The closed forms are pure algebra and stay valid for ``eps`` up to
 ``2 beta``; the perturbed matrix is a stochastic matrix only for
@@ -122,26 +124,45 @@ def exact_averaged_tv(inst: SharpnessInstance) -> float:
     return ratio + (inst.initial_tv - ratio) * w
 
 
+def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
+    """Averaged TV for horizons 1..n_max, by propagating ``(gamma, 1-gamma)``.
+
+    Plain vector-matrix products, so it also holds for ``epsilon > beta``,
+    where the perturbed matrix has a negative entry.
+    """
+    P = perturbed_matrix(beta, epsilon)
+    law = np.array([gamma, 1.0 - gamma])
+    total = np.zeros(2)
+    tv = np.empty(int(n_max))
+    for k in range(int(n_max)):
+        total += law
+        tv[k] = 0.5 * np.abs(total / (k + 1) - 0.5).sum()
+        law = law @ P
+    return tv
+
+
 def certify_tightness(inst: SharpnessInstance, tol=1e-12):
-    """Compare the exact averaged TV against the generic certificate.
+    """Compare the propagated averaged TV against the generic certificate.
 
     Returns ``(ok, gap)`` with ``gap = |exact - bound|``; the bound is
     evaluated at the pair's own constants (``alpha = 2 beta - epsilon``) and
     ``p0 = gamma - 1/2``.
     """
+    exact = _propagated_averaged_tv(inst.beta, inst.epsilon, inst.gamma, inst.n)[-1]
     params = BoundParams(epsilon=inst.epsilon, n=inst.n, alpha=inst.alpha, p0=inst.initial_tv)
-    gap = abs(exact_averaged_tv(inst) - averaged_tv_bound(params))
+    gap = abs(float(exact) - averaged_tv_bound(params))
     return gap <= tol, gap
 
 
 def tightness_table(beta, epsilon, gamma, n_max):
     """Rows ``(n, exact_tv, bound, gap)`` for horizons 1..n_max."""
+    exact = _propagated_averaged_tv(beta, epsilon, gamma, n_max)
     rows = []
     for n in range(1, int(n_max) + 1):
         inst = SharpnessInstance(beta=beta, epsilon=epsilon, gamma=gamma, n=n)
-        exact = exact_averaged_tv(inst)
         bound = averaged_tv_bound(
             BoundParams(epsilon=epsilon, n=n, alpha=inst.alpha, p0=inst.initial_tv)
         )
-        rows.append((n, exact, bound, abs(exact - bound)))
+        tv = float(exact[n - 1])
+        rows.append((n, tv, bound, abs(tv - bound)))
     return rows

@@ -21,6 +21,7 @@ from chain_perturb import (
     tv_distance,
     write_batch_summary,
 )
+from chain_perturb.coupling import _cdf, _inverse_cdf, _pick
 from helpers import random_kernel, random_pair
 
 FLIP_PAIR = kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
@@ -167,6 +168,21 @@ class TestCoupledStep:
         freq = counts / draws
         tol = 4.0 * np.sqrt(exact * (1 - exact) / draws) + 1e-9
         assert np.all(np.abs(freq - exact) <= tol)
+
+
+class TestSamplingSupport:
+    ROW = np.array([0.6, 0.9, 0.3, 0.0])  # unnormalised, last state without mass
+    U_MAX = np.nextafter(1.0, 0.0)
+
+    def test_largest_uniform_stays_on_support(self):
+        assert _inverse_cdf(self.ROW, self.U_MAX) == 2
+        np.testing.assert_array_equal(_pick(_cdf(self.ROW[None, :]), np.array([self.U_MAX])), [2])
+
+    def test_cdf_ends_at_exactly_one(self):
+        cdf = _cdf(np.stack([self.ROW, np.zeros(4)]))
+        np.testing.assert_array_equal(cdf[0, 2:], [1.0, 1.0])
+        np.testing.assert_array_equal(cdf[1], np.ones(4))
+        assert _pick(cdf, np.array([0.0, self.U_MAX]))[1] == 0
 
 
 class TestSimulateCoupled:

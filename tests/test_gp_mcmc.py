@@ -173,14 +173,6 @@ class TestMarginalLogLikelihood:
         val = marginal_log_likelihood(x1, x2, z, pts, prior_b=b, prior_a=a)
         assert val == pytest.approx(expected, rel=1e-12)
 
-    def test_batched_exact_tables_agree(self):
-        from chain_perturb.gp_mcmc import _exact_tables_batch
-        cfg = GPConfig(n=25, m=3, seed=17)
-        Z = [generate_data(cfg, r) for r in range(4)]
-        batch = _exact_tables_batch(cfg, Z)
-        for r, z in enumerate(Z):
-            np.testing.assert_allclose(batch[r], exact_log_table(cfg, z), atol=1e-10)
-
     def test_table_builders_agree_with_pointwise(self):
         cfg = GPConfig(n=20, m=3, seed=13)
         z = generate_data(cfg, 1)
@@ -284,22 +276,34 @@ class TestFigureSweep:
             rows = figure_sweep(cfg, 1, q_list=[1, 5, 20])
         assert [r.q for r in rows] == [1, 5, 20]
 
-    def test_deterministic_across_thread_counts(self):
-        cfg = GPConfig(n=20, m=2, seed=5)
+    def test_matches_cholesky_oracle(self):
+        cfg = GPConfig(n=24, m=3, seed=4)
+        qs = [1, cfg.n // 3, cfg.n]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            serial = figure_sweep(cfg, 3, q_list=[1, 4], threads=1)
-            parallel = figure_sweep(cfg, 3, q_list=[1, 4], threads=3)
-        assert serial == parallel
+            rows = figure_sweep(cfg, 2, q_list=qs)
+        assert [(r.replicate, r.q) for r in rows] == [(rep, q) for rep in (0, 1) for q in qs]
+        for r in rows:
+            eps, alpha = epsilon_alpha_for_gp(cfg, generate_data(cfg, r.replicate), r.q)
+            assert abs(r.epsilon - eps) <= 1e-10
+            assert abs(r.alpha - alpha) <= 1e-10
 
-    def test_env_variable_caps_threads(self, monkeypatch):
-        monkeypatch.setenv("CHAIN_PERTURB_THREADS", "2")
-        from chain_perturb.gp_mcmc import _thread_cap
-        assert _thread_cap() == 2
-        cfg = GPConfig(n=15, m=2, seed=6)
+    def test_ranks_above_n_give_full_rank_rows(self):
+        cfg = GPConfig(n=12, m=2, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            capped = figure_sweep(cfg, 2, q_list=[1, 3])
-            monkeypatch.delenv("CHAIN_PERTURB_THREADS")
-            free = figure_sweep(cfg, 2, q_list=[1, 3])
-        assert capped == free
+            listed = figure_sweep(cfg, 1, q_list=[12, 13, 40])
+            capped = figure_sweep(cfg, 1, eps_threshold=0.0, qmax=15)
+        assert [r.q for r in listed] == [12, 13, 40]
+        assert listed[1][2:] == listed[0][2:] and listed[2][2:] == listed[0][2:]
+        assert [r.q for r in capped] == list(range(1, 16))
+        assert all(r[2:] == listed[0][2:] for r in capped[11:])
+        np.testing.assert_array_equal(lowrank_log_table(cfg, generate_data(cfg, 0), 40),
+                                      lowrank_log_table(cfg, generate_data(cfg, 0), 12))
+
+    def test_rejects_rank_zero(self):
+        cfg = GPConfig(n=10, m=2, seed=1)
+        with pytest.raises(ValueError):
+            figure_sweep(cfg, 1, q_list=[0, 2])
+        with pytest.raises(ValueError):
+            lowrank_log_table(cfg, generate_data(cfg, 0), 0)

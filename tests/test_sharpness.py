@@ -111,6 +111,23 @@ class TestTightness:
                         ok, gap = certify_tightness(inst)
                         assert ok, f"gap {gap} at {inst}"
 
+    def test_wrong_initial_tv_fails(self, monkeypatch):
+        # the certificate evaluated at a wrong p0 must not certify
+        inst = SharpnessInstance(beta=0.3, epsilon=0.05, gamma=0.9, n=10)
+        assert certify_tightness(inst)[0]
+        monkeypatch.setattr(SharpnessInstance, "initial_tv", property(lambda self: 0.3))
+        ok, gap = certify_tightness(inst)
+        assert not ok and gap > 1e-3
+        assert all(g > 1e-3 for *_, g in tightness_table(0.3, 0.05, 0.9, 10))
+
+    def test_propagation_matches_closed_form(self):
+        # epsilon > beta: the matrix has a negative entry, the algebra still holds
+        for beta, eps in ((0.25, 0.1), (0.2, 0.39)):
+            rows = tightness_table(beta, eps, 0.9, 60)
+            for n, exact, _, _ in rows:
+                inst = SharpnessInstance(beta=beta, epsilon=eps, gamma=0.9, n=n)
+                assert exact == pytest.approx(exact_averaged_tv(inst), abs=1e-13)
+
     def test_table_shape(self):
         rows = tightness_table(0.3, 0.05, 0.9, 10)
         assert len(rows) == 10
