@@ -55,10 +55,7 @@ from .coupling import (
     BoundingChain,
     CoupledBatch,
     CoupledTrajectory,
-    CouplingRecipe,
     bounding_chain_exact_occupation,
-    build_recipe,
-    coupled_step,
     iter_coupled_batches,
     product_kernel_row,
     simulate_coupled,
@@ -82,7 +79,7 @@ from .montecarlo import (
     empirical_tail,
     expected_hitting_time,
     initial_disagreement_prob,
-    run_experiment,
+    run_experiments,
 )
 from .sharpness import (
     SharpnessInstance,

@@ -25,7 +25,7 @@ from .kernels import (
     kernel_from_json,
     local_epsilon,
 )
-from .montecarlo import ExperimentConfig, StoppingRule, run_experiment
+from .montecarlo import ExperimentConfig, StoppingRule, run_experiments
 from .sharpness import tightness_table
 from .gp_mcmc import GPConfig, config_snapshot, figure_sweep
 
@@ -206,7 +206,7 @@ def _experiment_setup(path):
 
 def _cmd_verify(args, out_dir):
     config, experiments, lam, doc = _experiment_setup(args.config)
-    results = [run_experiment(name, config, lam=lam) for name in experiments]
+    results = run_experiments(experiments, config, lam=lam)
     lines = ["name,estimate,std_error,bound,satisfied,replicates"]
     for r in results:
         lines.append(",".join([

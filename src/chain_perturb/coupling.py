@@ -8,11 +8,15 @@ each); the same uniform drives a two-state chain whose state-1 occupation
 dominates the disagreement indicator pathwise, because ``rho >= 1 - epsilon``
 on the diagonal and ``rho >= alpha`` off it.
 
+The two marginals of the coupled run are exact ``P_eps``- and ``P``-chains,
+so this stepper is the package's only sampler: single-chain statistics read
+one marginal of a coupled run.
+
 RNG contract: trajectory ``i`` under master seed ``s`` owns the substream
 ``SeedSequence(entropy=s, spawn_key=(i,))`` and consumes exactly three
 uniforms per step (plus one extra triple up front when the initial states are
 sampled from distributions), so batches are reproducible bit-for-bit and safe
-to generate in parallel.
+to generate in parallel.  No other substream is ever drawn.
 """
 
 from __future__ import annotations
@@ -34,13 +38,10 @@ from .kernels import (
 )
 
 __all__ = [
-    "CouplingRecipe",
     "BoundingChain",
     "CoupledTrajectory",
     "CoupledBatch",
-    "build_recipe",
     "product_kernel_row",
-    "coupled_step",
     "simulate_coupled",
     "simulate_coupled_batch",
     "iter_coupled_batches",
@@ -48,24 +49,6 @@ __all__ = [
     "two_state_poisson",
     "write_batch_summary",
 ]
-
-
-@dataclass(frozen=True)
-class CouplingRecipe:
-    """Minimum-overlap split of one pair of rows.
-
-    ``rho`` is the shared mass; ``q_dist`` the normalized pointwise minimum;
-    ``r_dist`` / ``r_tilde_dist`` the normalized positive parts of
-    ``row_eps - row`` and ``row - row_eps`` (disjoint supports).  Degenerate
-    cases keep only the parts that can be sampled: ``fully_coupled`` has no
-    leftover parts, ``fully_decoupled`` has no shared part.
-    """
-
-    rho: float
-    q_dist: ProbDist | None
-    r_dist: ProbDist | None
-    r_tilde_dist: ProbDist | None
-    degenerate: str  # "none" | "fully_coupled" | "fully_decoupled"
 
 
 @dataclass(frozen=True)
@@ -150,38 +133,16 @@ class CoupledBatch:
 
 
 def _row_decomposition(p, q):
-    """Pointwise-minimum split of two probability vectors: (rho, min, pos, neg)."""
+    """Pointwise-minimum split of probability vectors (last axis): (rho, min, pos, neg).
+
+    ``rho = sum(min)`` is the shared mass; ``pos`` and ``neg`` are the
+    positive parts of ``p - q`` and ``q - p``, with disjoint supports.
+    Broadcasts over leading axes.
+    """
     m = np.minimum(p, q)
     pos = np.clip(p - q, 0.0, None)
     neg = np.clip(q - p, 0.0, None)
-    return float(m.sum()), m, pos, neg
-
-
-def build_recipe(P_eps, P, xi1, xi2) -> CouplingRecipe:
-    """Minimum-overlap recipe for the state pair ``(xi1, xi2)``.
-
-    ``xi1`` indexes the row of the approximating kernel, ``xi2`` the row of
-    the base kernel.  The invariants ``rho = 1 - tv`` and the exact marginal
-    reconstruction ``rho Q + (1-rho) R = row`` hold at machine precision.
-    """
-    A = as_kernel(P_eps)
-    B = as_kernel(P)
-    if len(A) != len(B):
-        raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
-    p = A.rows[xi1]
-    q = B.rows[xi2]
-    rho, m, pos, neg = _row_decomposition(p, q)
-    if pos.sum() == 0.0 and neg.sum() == 0.0:
-        return CouplingRecipe(1.0, ProbDist(p), None, None, "fully_coupled")
-    if rho == 0.0:
-        return CouplingRecipe(0.0, None, ProbDist(p), ProbDist(q), "fully_decoupled")
-    return CouplingRecipe(
-        rho,
-        ProbDist(m / rho),
-        ProbDist(pos / pos.sum()),
-        ProbDist(neg / neg.sum()),
-        "none",
-    )
+    return m.sum(axis=-1), m, pos, neg
 
 
 def product_kernel_row(P_eps, P, xi) -> ProbDist:
@@ -189,43 +150,21 @@ def product_kernel_row(P_eps, P, xi) -> ProbDist:
 
     Returns a distribution over ``n*n`` outcomes, pair ``(i, j)`` at flat
     index ``i * n + j`` where ``i`` is the next state of the approximating
-    chain and ``j`` the next state of the base chain.  The two marginals
-    reproduce the corresponding kernel rows exactly, and the diagonal carries
-    mass ``rho`` (the leftover parts have disjoint supports).
+    chain and ``j`` the next state of the base chain.  It is
+    ``diag(min) + outer(pos, neg) / (1 - rho)``, built from the same split
+    the simulator samples, so the two marginals reproduce the kernel rows and
+    the diagonal carries mass ``rho`` (the leftover parts have disjoint
+    supports).
     """
-    rec = build_recipe(P_eps, P, xi[0], xi[1])
-    n = len(as_kernel(P))
-    joint = np.zeros((n, n))
-    if rec.q_dist is not None:
-        joint[np.diag_indices(n)] += rec.rho * rec.q_dist.weights
-    if rec.r_dist is not None:
-        joint += (1.0 - rec.rho) * np.outer(rec.r_dist.weights, rec.r_tilde_dist.weights)
+    A = as_kernel(P_eps)
+    B = as_kernel(P)
+    if len(A) != len(B):
+        raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
+    rho, m, pos, neg = _row_decomposition(A.rows[xi[0]], B.rows[xi[1]])
+    joint = np.diag(m)
+    if rho < 1.0:
+        joint += np.outer(pos, neg) / (1.0 - rho)
     return ProbDist(joint.ravel())
-
-
-def _inverse_cdf(weights, u):
-    # Half-open convention [F(x-), F(x)): state x is selected for u in that interval.
-    return int(np.searchsorted(_cdf(weights), u, side="right"))
-
-
-def coupled_step(recipe: CouplingRecipe, u_couple, u1, u2):
-    """One joint move from a recipe, driven by three uniforms in [0, 1).
-
-    Returns ``(next_eps, next_base)``: a common state drawn from the shared
-    component when ``u_couple < rho``, otherwise independent draws from the
-    two leftover parts.  The output law equals :func:`product_kernel_row`.
-    """
-    if recipe.degenerate == "fully_coupled":
-        nxt = _inverse_cdf(recipe.q_dist.weights, u1)
-        return nxt, nxt
-    if recipe.degenerate == "fully_decoupled":
-        return (_inverse_cdf(recipe.r_dist.weights, u1),
-                _inverse_cdf(recipe.r_tilde_dist.weights, u2))
-    if u_couple < recipe.rho:
-        nxt = _inverse_cdf(recipe.q_dist.weights, u1)
-        return nxt, nxt
-    return (_inverse_cdf(recipe.r_dist.weights, u1),
-            _inverse_cdf(recipe.r_tilde_dist.weights, u2))
 
 
 class _PairTables:
@@ -235,16 +174,16 @@ class _PairTables:
 
     def __init__(self, rows_eps, rows_base):
         S = rows_eps.shape[0]
-        a = rows_eps[:, None, :]
-        b = rows_base[None, :, :]
-        m = np.minimum(a, b).reshape(-1, S)
-        pos = np.clip(a - b, 0.0, None).reshape(-1, S)
-        neg = np.clip(b - a, 0.0, None).reshape(-1, S)
+        rho, m, pos, neg = _row_decomposition(rows_eps[:, None, :], rows_base[None, :, :])
         self.n_states = S
-        self.rho = m.sum(axis=1)
-        self.q_cdf = _cdf(m)
-        self.r_cdf = _cdf(pos)
-        self.rt_cdf = _cdf(neg)
+        self.rho = rho.reshape(-1)
+        # One CDF at a time, each part released once its CDF exists, so at
+        # most four S^3 arrays are alive during the build.
+        self.q_cdf = _cdf(m.reshape(-1, S))
+        del m
+        self.r_cdf = _cdf(pos.reshape(-1, S))
+        del pos
+        self.rt_cdf = _cdf(neg.reshape(-1, S))
 
 
 def _cdf(rows):
@@ -267,16 +206,20 @@ def _pick(cdf_rows, u):
 
 
 def _as_initial(value, n_states):
-    """Normalize an initial condition to ('state', int) or ('dist', weights)."""
+    """Normalize an initial condition to ``(state, weights)``.
+
+    A state index (range-checked) gives ``(index, one-hot weights)``; a
+    distribution gives ``(None, weights)``.
+    """
     if isinstance(value, (int, np.integer)):
         v = int(value)
         if not 0 <= v < n_states:
             raise ValueError(f"initial state {v} outside 0..{n_states - 1}")
-        return "state", v
+        return v, np.eye(n_states)[v]
     w = as_dist(value).weights
     if w.size != n_states:
         raise DimensionMismatchError(f"initial law on {w.size} states, kernel on {n_states}")
-    return "dist", w
+    return None, w
 
 
 def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
@@ -305,12 +248,10 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
             f"epsilon={eps:g} > 1 - alpha={1.0 - alp:g}: dominating chain unavailable"
         )
     S = len(A)
-    kind_e, init_e = _as_initial(x0_eps, S)
-    kind_b, init_b = _as_initial(x0, S)
-    sample_init = kind_e == "dist" or kind_b == "dist"
+    init_e, we = _as_initial(x0_eps, S)
+    init_b, wb = _as_initial(x0, S)
+    sample_init = init_e is None or init_b is None
     if sample_init:
-        we = init_e if kind_e == "dist" else np.eye(S)[init_e]
-        wb = init_b if kind_b == "dist" else np.eye(S)[init_b]
         rho0, m0, pos0, neg0 = _row_decomposition(we, wb)
         q0, r0, rt0 = _cdf(m0), _cdf(pos0), _cdf(neg0)
     tables = _PairTables(A.rows, B.rows)

@@ -1,14 +1,19 @@
 """Simulation harness comparing empirical averages against the closed-form certificates.
 
-Each ``empirical_*`` operation simulates the coupled pair (or a single chain),
-estimates the quantity a certificate bounds, and returns a
-:class:`VerificationResult` whose ``satisfied`` flag applies a one-sided
-``estimate <= bound + 3 * std_error`` test: the bounds are truths about
-expectations, so the slack only absorbs Monte Carlo noise.
+Each ``empirical_*`` operation estimates the quantity a certificate bounds
+and returns a :class:`VerificationResult` whose ``satisfied`` flag applies a
+one-sided ``estimate <= bound + 3 * std_error`` test: the bounds are truths
+about expectations, so the slack only absorbs Monte Carlo noise.
+
+Every check reads the coupled stepper of :mod:`.coupling`; single-chain
+checks read one of its marginals, which are exact ``P``- and
+``P_eps``-chains.  A check reduces each batch to per-replicate values, so
+:func:`run_experiments` steps the coupled chain once per horizon for any set
+of checks, in memory O(batch + replicates).
 
 Everything is reproducible bit-for-bit from ``(master_seed, config)``:
-coupled runs consume per-trajectory substreams ``spawn_key=(i,)``, auxiliary
-single-chain runs use ``spawn_key=(tag, i)`` with distinct tags per role.
+trajectory ``i`` consumes the substream ``spawn_key=(i,)``, whichever checks
+read it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,12 +35,11 @@ from .bounds import (
     decoupling_time_bound,
     path_law_bound,
 )
-from .coupling import _cdf, _pick, iter_coupled_batches
+from .coupling import _as_initial, iter_coupled_batches
 from .errors import DimensionMismatchError, NumericalFailureError
 from .kernels import (
     FiniteKernel,
     StateFunction,
-    as_dist,
     as_kernel,
     as_state_function,
     cross_doeblin_constant,
@@ -61,13 +66,9 @@ __all__ = [
     "empirical_bounding_decoupling",
     "empirical_path_law_distance",
     "almost_sure_envelope_check",
-    "run_experiment",
+    "run_experiments",
     "EXPERIMENT_NAMES",
 ]
-
-# spawn_key tags for auxiliary single-chain streams (coupled runs use (i,)).
-_TAG_BASE = 1
-_TAG_EPS = 2
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ class ExperimentConfig:
             raise DimensionMismatchError(
                 f"kernels live on {len(self.p_eps)} vs {len(self.p)} states"
             )
+        _as_initial(self.x0_eps, len(self.p))
+        _as_initial(self.x0, len(self.p))
         if int(self.n) < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if int(self.replicates) < 1:
@@ -156,20 +159,14 @@ def _result(name, values, bound):
     )
 
 
-def _initial_weights(value, n_states):
-    if isinstance(value, (int, np.integer)):
-        w = np.zeros(n_states)
-        w[int(value)] = 1.0
-        return w
-    return as_dist(value).weights
-
-
 def initial_disagreement_prob(config: ExperimentConfig) -> float:
     """P(X_0 != X_0^eps) under the maximal coupling of the initial laws (their TV distance)."""
-    if isinstance(config.x0_eps, (int, np.integer)) and isinstance(config.x0, (int, np.integer)):
-        return float(int(config.x0_eps) != int(config.x0))
     S = len(config.p)
-    return tv_distance(_initial_weights(config.x0_eps, S), _initial_weights(config.x0, S))
+    state_e, w_e = _as_initial(config.x0_eps, S)
+    state_b, w_b = _as_initial(config.x0, S)
+    if state_e is not None and state_b is not None:
+        return float(state_e != state_b)
+    return tv_distance(w_e, w_b)
 
 
 def closeness_params(config: ExperimentConfig, f_star=None) -> BoundParams:
@@ -187,45 +184,33 @@ def closeness_params(config: ExperimentConfig, f_star=None) -> BoundParams:
     )
 
 
-def _coupled_batches(config: ExperimentConfig):
-    return iter_coupled_batches(
-        config.p_eps, config.p, config.x0_eps, config.x0,
-        int(config.n), int(config.replicates), config.master_seed,
-    )
+class _Check(NamedTuple):
+    """One check over a coupled run of ``horizon`` steps.
+
+    ``per_batch`` maps a :class:`CoupledBatch` to one value (or row of
+    values) per trajectory; ``finish`` turns the values of all replicates,
+    in trajectory order, into the check's result.
+    """
+
+    horizon: int
+    per_batch: Callable
+    finish: Callable
 
 
-# ---------------------------------------------------------------------------
-# single-chain simulation (for the base-chain tail and the path-law estimate)
-
-def _iter_chain_batches(kernel, x0, n, n_traj, seed, tag, batch_size=None):
-    cdf = _cdf(as_kernel(kernel).rows)
-    if isinstance(x0, (int, np.integer)):
-        init = int(x0)
-        init_cdf = None
-        steps = n
-    else:
-        init_cdf = _cdf(as_dist(x0).weights)
-        steps = n + 1
-    if batch_size is None:
-        batch_size = max(1, min(int(n_traj), 3_000_000 // max(steps, 1)))
-    for start in range(0, int(n_traj), batch_size):
-        count = min(batch_size, int(n_traj) - start)
-        U = np.empty((count, steps))
-        for j in range(count):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(tag, start + j))
-            U[j] = np.random.default_rng(ss).random(steps)
-        states = np.empty((count, n + 1), dtype=np.int32)
-        offset = 0
-        if init_cdf is None:
-            states[:, 0] = init
-        else:
-            states[:, 0] = _pick(init_cdf, U[:, 0])
-            offset = 1
-        cur = states[:, 0].copy()
-        for k in range(n):
-            cur = _pick(cdf[cur], U[:, offset + k]).astype(np.int32)
-            states[:, k + 1] = cur
-        yield start, states
+def _run_checks(config: ExperimentConfig, params: BoundParams, checks):
+    """Results of ``checks``, stepping the coupled chain once per distinct horizon."""
+    results = [None] * len(checks)
+    for horizon in dict.fromkeys(c.horizon for c in checks):
+        values = {i: [] for i, c in enumerate(checks) if c.horizon == horizon}
+        # batches arrive in trajectory order
+        for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
+                                          horizon, int(config.replicates), config.master_seed,
+                                          alpha=params.alpha, epsilon=params.epsilon):
+            for i, parts in values.items():
+                parts.append(checks[i].per_batch(batch))
+        for i, parts in values.items():
+            results[i] = checks[i].finish(np.concatenate(parts))
+    return results
 
 
 def _first_hit_times(states, targets):
@@ -260,90 +245,210 @@ def expected_hitting_time(P, targets, start=None):
             raise NumericalFailureError("hitting-time solve produced an invalid vector")
     if start is None:
         return times
-    if isinstance(start, (int, np.integer)):
-        return float(times[int(start)])
-    return float(_initial_weights(start, n) @ times)
+    state, weights = _as_initial(start, n)
+    return float(times[state] if state is not None else weights @ times)
 
 
 # ---------------------------------------------------------------------------
-# empirical checks
+# checks: each validates its inputs before anything is simulated
 
-def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:
-    """Mean over replicates of the disagreement fraction ``(1/n) sum_k 1{X_k != X_k^eps}``."""
+def _disagreement(config, params, lam):
     n = int(config.n)
-    per_rep = np.empty(int(config.replicates))
-    for batch in _coupled_batches(config):
-        per_rep[batch.first_index:batch.first_index + batch.n_traj] = \
-            batch.z[:, :n].mean(axis=1)
-    return _result("disagreement", per_rep, avg_disagreement_bound(closeness_params(config)))
+    bound = avg_disagreement_bound(params)
+    return _Check(n, lambda batch: batch.z[:, :n].mean(axis=1),
+                  lambda v: _result("disagreement", v, bound))
 
 
-def empirical_average_difference(config: ExperimentConfig) -> VerificationResult:
-    """Second moment of the difference of the two time averages of ``f``."""
+def _average_difference(config, params, lam):
     if config.f is None:
         raise ValueError("config.f is required for the average-difference check")
     fv = config.f.values
     n = int(config.n)
-    per_rep = np.empty(int(config.replicates))
-    for batch in _coupled_batches(config):
+    bound = coupled_variance_bound(params)
+
+    def per_batch(batch):
         diff = fv[batch.x[:, :n]].mean(axis=1) - fv[batch.x_eps[:, :n]].mean(axis=1)
-        per_rep[batch.first_index:batch.first_index + batch.n_traj] = diff ** 2
-    return _result("average_difference", per_rep,
-                   coupled_variance_bound(closeness_params(config)))
+        return diff ** 2
+
+    return _Check(n, per_batch, lambda v: _result("average_difference", v, bound))
 
 
-def empirical_tail(config: ExperimentConfig, lam) -> VerificationResult:
-    """Probability the disagreement fraction exceeds its concentration threshold."""
-    params = closeness_params(config)
+def _tail(config, params, lam):
     s = params.alpha + params.epsilon
     base_thr = params.epsilon / s + lam / math.sqrt(config.n)
     n = int(config.n)
-    per_rep = np.empty(int(config.replicates))
-    for batch in _coupled_batches(config):
+    bound = coupled_concentration_bound(lam, params)
+
+    def per_batch(batch):
         thr = base_thr + batch.z[:, 0] / (n * s)
-        per_rep[batch.first_index:batch.first_index + batch.n_traj] = \
-            batch.z[:, :n].mean(axis=1) >= thr
-    return _result("tail", per_rep, coupled_concentration_bound(lam, params))
+        return batch.z[:, :n].mean(axis=1) >= thr
+
+    return _Check(n, per_batch, lambda v: _result("tail", v, bound))
 
 
-def empirical_base_tail(config: ExperimentConfig, lam) -> VerificationResult:
-    """Single-chain analogue: deviation of the time average of ``f`` from ``mu f``."""
+def _base_tail(config, params, lam):
     if config.f is None:
         raise ValueError("config.f is required for the base tail check")
-    params = closeness_params(config)
     thr = base_concentration_threshold(lam, params)
     fv = config.f.values
     mu_f = float(invariant_measure(config.p).weights @ fv)
     n = int(config.n)
-    per_rep = np.empty(int(config.replicates))
-    for start, states in _iter_chain_batches(config.p, config.x0, n,
-                                             int(config.replicates),
-                                             config.master_seed, _TAG_BASE):
-        avg = fv[states[:, :n]].mean(axis=1)
-        per_rep[start:start + states.shape[0]] = np.abs(mu_f - avg) >= thr
-    return _result("base_tail", per_rep, base_concentration_bound(lam, params))
+    bound = base_concentration_bound(lam, params)
+    return _Check(n, lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
+                  lambda v: _result("base_tail", v, bound))
 
 
-def _decoupling_and_tau(config):
-    """Per-replicate first disagreement step and realized stopping time (-1 = not yet)."""
+def _stopping_rule(config, params):
     rule = config.stopping
     if rule is None:
         raise ValueError("config.stopping is required for decoupling checks")
-    if initial_disagreement_prob(config) != 0.0:
+    if params.p0 != 0.0:
         raise ValueError("decoupling checks require equal initial states/laws")
-    R = int(config.replicates)
-    s_eps = np.empty(R, dtype=np.int64)
-    tau = np.empty(R, dtype=np.int64)
-    sigma = np.empty(R, dtype=np.int64)
-    for batch in _coupled_batches(config):
-        sl = slice(batch.first_index, batch.first_index + batch.n_traj)
-        s_eps[sl] = _first_hit_times(batch.z, [1])
-        sigma[sl] = _first_hit_times(batch.y, [1])
+    if rule.kind == "deterministic" and int(rule.time) > int(config.n):
+        raise ValueError("deterministic stopping time exceeds the simulated horizon")
+    return rule
+
+
+def _decoupling(config, params, lam):
+    rule = _stopping_rule(config, params)
+    if rule.kind == "deterministic":
+        e_tau = float(rule.time)
+    else:
+        e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
+    bound = decoupling_time_bound(params.epsilon, e_tau)
+
+    def per_batch(batch):
+        # first disagreement step and realized stopping time (-1 = not yet)
         if rule.kind == "deterministic":
-            tau[sl] = int(rule.time)
+            tau = np.full(batch.n_traj, int(rule.time), dtype=np.int64)
         else:
-            tau[sl] = _first_hit_times(batch.x, rule.targets)
-    return s_eps, tau, sigma
+            tau = _first_hit_times(batch.x, rule.targets)
+        return np.stack([_first_hit_times(batch.z, [1]), tau], axis=1)
+
+    def finish(v):
+        s_eps, tau = v[:, 0], v[:, 1]
+        dec = np.where(s_eps >= 0, s_eps, np.iinfo(np.int64).max)
+        stop = np.where(tau >= 0, tau, np.iinfo(np.int64).max)
+        undetermined = (s_eps < 0) & (tau < 0)
+        events = np.where(undetermined, True, dec <= stop)
+        frac_und = float(undetermined.mean())
+        if frac_und > 0.0:
+            warnings.warn(
+                f"{frac_und:.2%} of replicates resolved neither event within the horizon; "
+                f"counted as decoupled, so the estimate is biased upward by at most that amount",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return _result("decoupling", events.astype(float), bound)
+
+    return _Check(int(config.n), per_batch, finish)
+
+
+def _bounding_decoupling(config, params, lam):
+    rule = config.stopping
+    if rule is None or rule.kind != "deterministic":
+        raise ValueError("bounding-chain decoupling needs a deterministic stopping rule")
+    _stopping_rule(config, params)
+    N = int(rule.time)
+    bound = decoupling_time_bound(params.epsilon, float(N))
+
+    def per_batch(batch):
+        sigma = _first_hit_times(batch.y, [1])
+        return (sigma >= 0) & (sigma <= N)
+
+    return _Check(int(config.n), per_batch, lambda v: _result("bounding_decoupling", v, bound))
+
+
+def _path_law(config, params, lam):
+    rule = config.stopping
+    if rule is None or rule.kind != "hitting":
+        raise ValueError("path-law check needs a hitting stopping rule")
+    if params.p0 != 0.0:
+        raise ValueError("path-law check requires equal initial laws")
+    e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
+    cap = max(int(config.n), int(math.ceil(50.0 * e_tau)))
+    bound = path_law_bound(params.epsilon, e_tau)
+
+    def per_batch(batch):
+        return np.stack([_first_hit_times(batch.x, rule.targets),
+                         _first_hit_times(batch.x_eps, rule.targets)], axis=1)
+
+    def finish(v):
+        tau_p, tau_q = v[:, 0], v[:, 1]
+        p_hat = np.bincount(tau_p[tau_p >= 0], minlength=cap + 1) / tau_p.size
+        q_hat = np.bincount(tau_q[tau_q >= 0], minlength=cap + 1) / tau_q.size
+        p_tail = float((tau_p < 0).mean())
+        q_tail = float((tau_q < 0).mean())
+        if p_tail > 0.0 or q_tail > 0.0:
+            warnings.warn(
+                f"hitting-time support truncated at {cap}: tail masses {p_tail:.3g} / {q_tail:.3g} "
+                "added to the TV estimate as a worst case",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        # Plug-in TV with the signs of p_hat - q_hat frozen, and the tails as the
+        # worst case +1 / -1: one term per replicate, whose mean is the plug-in
+        # estimate and whose spread gives the paired standard error.
+        signs = np.sign(p_hat - q_hat)
+        g_p = np.where(tau_p >= 0, signs[tau_p], 1.0)
+        g_q = np.where(tau_q >= 0, signs[tau_q], -1.0)
+        return _result("path_law", 0.5 * (g_p - g_q), bound)
+
+    return _Check(cap, per_batch, finish)
+
+
+_CHECKS = {
+    "disagreement": _disagreement,
+    "average_difference": _average_difference,
+    "tail": _tail,
+    "base_tail": _base_tail,
+    "decoupling": _decoupling,
+    "bounding_decoupling": _bounding_decoupling,
+    "path_law": _path_law,
+}
+
+EXPERIMENT_NAMES = tuple(_CHECKS)
+
+
+def run_experiments(names, config: ExperimentConfig, lam=1.0):
+    """Run the named checks on shared coupled runs; results in the order of ``names``.
+
+    Every check except ``path_law`` reads one run of horizon ``n``;
+    ``path_law`` reads a run of horizon ``cap`` (the same run when
+    ``cap == n``).  Unknown names and invalid configs are rejected before
+    anything is simulated.  ``lam`` only matters for the tail checks.  Each
+    result equals, bit for bit, the matching ``empirical_*`` call.
+    """
+    names = list(names)
+    unknown = [name for name in names if name not in _CHECKS]
+    if unknown:
+        raise ValueError(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(EXPERIMENT_NAMES)}")
+    params = closeness_params(config)
+    return _run_checks(config, params, [_CHECKS[name](config, params, lam) for name in names])
+
+
+def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:
+    """Mean over replicates of the disagreement fraction ``(1/n) sum_k 1{X_k != X_k^eps}``."""
+    return run_experiments(["disagreement"], config)[0]
+
+
+def empirical_average_difference(config: ExperimentConfig) -> VerificationResult:
+    """Second moment of the difference of the two time averages of ``f``."""
+    return run_experiments(["average_difference"], config)[0]
+
+
+def empirical_tail(config: ExperimentConfig, lam) -> VerificationResult:
+    """Probability the disagreement fraction exceeds its concentration threshold."""
+    return run_experiments(["tail"], config, lam)[0]
+
+
+def empirical_base_tail(config: ExperimentConfig, lam) -> VerificationResult:
+    """Single-chain analogue: deviation of the time average of ``f`` from ``mu f``.
+
+    Reads the base marginal ``X`` of the coupled run, an exact ``P``-chain.
+    """
+    return run_experiments(["base_tail"], config, lam)[0]
 
 
 def empirical_decoupling(config: ExperimentConfig) -> VerificationResult:
@@ -353,97 +458,27 @@ def empirical_decoupling(config: ExperimentConfig) -> VerificationResult:
     where neither event resolved within the horizon are counted as decoupled
     (one-sided safe) and a truncation warning reports the fraction.
     """
-    rule = config.stopping
-    s_eps, tau, _ = _decoupling_and_tau(config)
-    if rule.kind == "deterministic":
-        if int(rule.time) > int(config.n):
-            raise ValueError("deterministic stopping time exceeds the simulated horizon")
-        e_tau = float(rule.time)
-    else:
-        e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    dec = np.where(s_eps >= 0, s_eps, np.iinfo(np.int64).max)
-    stop = np.where(tau >= 0, tau, np.iinfo(np.int64).max)
-    undetermined = (s_eps < 0) & (tau < 0)
-    events = np.where(undetermined, True, dec <= stop)
-    frac_und = float(undetermined.mean())
-    if frac_und > 0.0:
-        warnings.warn(
-            f"{frac_und:.2%} of replicates resolved neither event within the horizon; "
-            f"counted as decoupled, so the estimate is biased upward by at most that amount",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    eps = local_epsilon(config.p_eps, config.p)
-    return _result("decoupling", events.astype(float), decoupling_time_bound(eps, e_tau))
+    return run_experiments(["decoupling"], config)[0]
 
 
 def empirical_bounding_decoupling(config: ExperimentConfig) -> VerificationResult:
     """P(dominating chain visits 1 within N steps); exact law is ``1 - (1-epsilon)^N``."""
-    rule = config.stopping
-    if rule is None or rule.kind != "deterministic":
-        raise ValueError("bounding-chain decoupling needs a deterministic stopping rule")
-    if int(rule.time) > int(config.n):
-        raise ValueError("deterministic stopping time exceeds the simulated horizon")
-    _, _, sigma = _decoupling_and_tau(config)
-    events = (sigma >= 0) & (sigma <= int(rule.time))
-    eps = local_epsilon(config.p_eps, config.p)
-    return _result("bounding_decoupling", events.astype(float),
-                   decoupling_time_bound(eps, float(rule.time)))
+    return run_experiments(["bounding_decoupling"], config)[0]
 
 
 def empirical_path_law_distance(config: ExperimentConfig) -> VerificationResult:
-    """TV distance between the hitting-time laws of the two chains, run independently.
+    """TV distance between the hitting-time laws of the two chains.
 
-    Estimated on support ``0..cap`` with ``cap = 50 E[tau]``, the tail mass of
-    both histograms added as a worst case; the two samples use uncoupled
-    streams because the claim concerns marginal laws.  Standard error by a
-    delta-method normal approximation with the observed signs.
+    Both laws are read from the two marginals of one coupled run of horizon
+    ``cap = max(n, 50 E[tau])``; the claim concerns marginal laws, and each
+    marginal is an exact chain.  The plug-in estimate on support ``0..cap``
+    adds the tail mass of both histograms as a worst case.  Its standard
+    error is the paired one of the per-replicate terms
+    ``0.5 (g_p(tau_p) - g_q(tau_q))`` with the signs ``g`` of the histogram
+    difference frozen (tails count +1 for ``p`` and -1 for ``q``); their
+    mean is the plug-in estimate.
     """
-    rule = config.stopping
-    if rule is None or rule.kind != "hitting":
-        raise ValueError("path-law check needs a hitting stopping rule")
-    if initial_disagreement_prob(config) != 0.0:
-        raise ValueError("path-law check requires equal initial laws")
-    e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    cap = max(int(config.n), int(math.ceil(50.0 * e_tau)))
-    R = int(config.replicates)
-
-    def histogram(kernel, tag):
-        counts = np.zeros(cap + 1)
-        overflow = 0
-        for _, states in _iter_chain_batches(kernel, config.x0, cap, R,
-                                             config.master_seed, tag):
-            hits = _first_hit_times(states, rule.targets)
-            overflow += int((hits < 0).sum())
-            got = hits[hits >= 0]
-            counts += np.bincount(got, minlength=cap + 1)
-        return counts / R, overflow / R
-
-    p_hat, p_tail = histogram(config.p, _TAG_BASE)
-    q_hat, q_tail = histogram(config.p_eps, _TAG_EPS)
-    if p_tail > 0.0 or q_tail > 0.0:
-        warnings.warn(
-            f"hitting-time support truncated at {cap}: tail masses {p_tail:.3g} / {q_tail:.3g} "
-            "added to the TV estimate as a worst case",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    tv_est = 0.5 * float(np.abs(p_hat - q_hat).sum()) + 0.5 * (p_tail + q_tail)
-    # Linear-functional variance with frozen signs (tail signs are the worst case +1/-1).
-    signs = np.sign(p_hat - q_hat)
-    lin_p = float(signs @ p_hat + p_tail)
-    lin_q = float(signs @ q_hat - q_tail)
-    se = 0.5 * math.sqrt(max(1.0 - lin_p ** 2, 0.0) / R + max(1.0 - lin_q ** 2, 0.0) / R)
-    eps = local_epsilon(config.p_eps, config.p)
-    bound = path_law_bound(eps, e_tau)
-    return VerificationResult(
-        name="path_law",
-        estimate=tv_est,
-        std_error=se,
-        bound=bound,
-        satisfied=tv_est <= bound + 3.0 * se,
-        replicates_used=R,
-    )
+    return run_experiments(["path_law"], config)[0]
 
 
 def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
@@ -468,45 +503,16 @@ def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
     params = closeness_params(config)
     ratio = params.epsilon / (params.alpha + params.epsilon)
     drift = 2.0 * np.sqrt(np.log(grid) / grid)
-    stats = np.empty(int(config.replicates))
-    stabilized = np.empty(int(config.replicates), dtype=bool)
     half = grid.size // 2
-    for batch in _coupled_batches(config):
+
+    def per_batch(batch):
         path = batch.y if use_bounding else batch.z
         csum = np.cumsum(path[:, :n], axis=1, dtype=np.float64)
-        avg = csum[:, grid - 1] / grid
-        k_hat = (avg - ratio - drift) * grid
-        sl = slice(batch.first_index, batch.first_index + batch.n_traj)
-        stats[sl] = k_hat.max(axis=1)
-        stabilized[sl] = k_hat[:, half:].max(axis=1) <= np.maximum(k_hat[:, :half].max(axis=1), 0.0)
-    return EnvelopeReport(stats=stats, stabilized=stabilized, grid=grid)
+        k_hat = (csum[:, grid - 1] / grid - ratio - drift) * grid
+        stable = k_hat[:, half:].max(axis=1) <= np.maximum(k_hat[:, :half].max(axis=1), 0.0)
+        return np.stack([k_hat.max(axis=1), stable], axis=1)
 
+    def finish(v):
+        return EnvelopeReport(stats=v[:, 0].copy(), stabilized=v[:, 1] > 0.0, grid=grid)
 
-EXPERIMENT_NAMES = (
-    "disagreement",
-    "average_difference",
-    "tail",
-    "base_tail",
-    "decoupling",
-    "bounding_decoupling",
-    "path_law",
-)
-
-
-def run_experiment(name, config: ExperimentConfig, lam=1.0) -> VerificationResult:
-    """Dispatch one named check; ``lam`` only matters for the tail checks."""
-    if name == "disagreement":
-        return empirical_disagreement(config)
-    if name == "average_difference":
-        return empirical_average_difference(config)
-    if name == "tail":
-        return empirical_tail(config, lam)
-    if name == "base_tail":
-        return empirical_base_tail(config, lam)
-    if name == "decoupling":
-        return empirical_decoupling(config)
-    if name == "bounding_decoupling":
-        return empirical_bounding_decoupling(config)
-    if name == "path_law":
-        return empirical_path_law_distance(config)
-    raise ValueError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENT_NAMES)}")
+    return _run_checks(config, params, [_Check(n, per_batch, finish)])[0]

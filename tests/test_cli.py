@@ -160,10 +160,11 @@ class TestVerify:
 
     def test_unsatisfied_exits_one(self, tmp_path, pair_file, monkeypatch):
         # wiring test: force an unsatisfied result through the dispatcher
-        def fake(name, config, lam=1.0):
-            return VerificationResult(name=name, estimate=1.0, std_error=0.0,
-                                      bound=0.0, satisfied=False, replicates_used=1)
-        monkeypatch.setattr(cli_mod, "run_experiment", fake)
+        def fake(names, config, lam=1.0):
+            return [VerificationResult(name=name, estimate=1.0, std_error=0.0,
+                                       bound=0.0, satisfied=False, replicates_used=1)
+                    for name in names]
+        monkeypatch.setattr(cli_mod, "run_experiments", fake)
         cfg = self.write_config(tmp_path, pair_file, experiments=["disagreement"])
         rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
         assert rc == 1
@@ -171,9 +172,9 @@ class TestVerify:
     def test_numerical_failure_exits_three(self, tmp_path, pair_file, monkeypatch):
         from chain_perturb import NumericalFailureError
 
-        def boom(name, config, lam=1.0):
+        def boom(names, config, lam=1.0):
             raise NumericalFailureError("synthetic")
-        monkeypatch.setattr(cli_mod, "run_experiment", boom)
+        monkeypatch.setattr(cli_mod, "run_experiments", boom)
         cfg = self.write_config(tmp_path, pair_file)
         rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
         assert rc == 3
@@ -183,6 +184,13 @@ class TestVerify:
         bad.write_text("{\"n\": 5}")
         rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(bad)])
         assert rc == 2
+
+    def test_start_outside_state_space_exits_two(self, tmp_path, pair_file, capsys):
+        cfg = self.write_config(tmp_path, pair_file, x0=5, x0_eps=5, experiments=["path_law"],
+                                stopping={"kind": "hitting", "targets": [1]})
+        rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
+        assert rc == 2
+        assert "initial state 5" in capsys.readouterr().err
 
 
 class TestGpSweep:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from chain_perturb import (
     FiniteKernel,
     InvalidRegimeError,
     bounding_chain_exact_occupation,
-    build_recipe,
-    coupled_step,
     cross_doeblin_constant,
     invariant_measure,
     kernel_pair,
@@ -21,35 +20,46 @@ from chain_perturb import (
     tv_distance,
     write_batch_summary,
 )
-from chain_perturb.coupling import _cdf, _inverse_cdf, _pick
+from chain_perturb.coupling import _PairTables, _cdf, _pick
 from helpers import random_kernel, random_pair
 
 FLIP_PAIR = kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
 
 
+def pair_tables(P_eps, P):
+    return _PairTables(P_eps.rows, P.rows)
+
+
+def weights(cdf_row):
+    """Probability vector of a sampling CDF row (zero-mass rows read as state 0)."""
+    return np.diff(cdf_row, prepend=0.0)
+
+
 class TestBuildRecipe:
+    """The minimum-overlap split of each state pair, as the simulator's tables hold it."""
+
     def test_identical_rows_fully_coupled(self):
         P = random_kernel(np.random.default_rng(0), 3)
-        rec = build_recipe(P, P, 1, 1)
-        assert rec.degenerate == "fully_coupled"
-        assert rec.rho == 1.0
-        assert rec.r_dist is None and rec.r_tilde_dist is None
-        np.testing.assert_allclose(rec.q_dist.weights, P.rows[1])
+        T = pair_tables(P, P)
+        k = 1 * 3 + 1
+        assert T.rho[k] == 1.0
+        np.testing.assert_array_equal(T.r_cdf[k], np.ones(3))   # no leftover mass
+        np.testing.assert_array_equal(T.rt_cdf[k], np.ones(3))
+        np.testing.assert_allclose(weights(T.q_cdf[k]), P.rows[1])
 
     def test_disjoint_rows_fully_decoupled(self):
         A = FiniteKernel(np.eye(2))
         B = FiniteKernel([[0.0, 1.0], [1.0, 0.0]])
-        rec = build_recipe(A, B, 0, 0)
-        assert rec.degenerate == "fully_decoupled"
-        assert rec.rho == 0.0
-        assert rec.q_dist is None
-        np.testing.assert_allclose(rec.r_dist.weights, [1.0, 0.0])
-        np.testing.assert_allclose(rec.r_tilde_dist.weights, [0.0, 1.0])
+        T = pair_tables(A, B)
+        assert T.rho[0] == 0.0
+        np.testing.assert_array_equal(T.q_cdf[0], np.ones(2))   # no shared mass
+        np.testing.assert_allclose(weights(T.r_cdf[0]), [1.0, 0.0])
+        np.testing.assert_allclose(weights(T.rt_cdf[0]), [0.0, 1.0])
+        np.testing.assert_array_equal(product_kernel_row(A, B, (0, 0)).weights, [0, 1, 0, 0])
 
     def test_flip_pair_diagonal_overlap(self):
         # rows (0.85, 0.15) vs (0.75, 0.25): overlap mass 0.9
-        rec = build_recipe(*FLIP_PAIR, 0, 0)
-        assert rec.rho == pytest.approx(0.9, abs=1e-15)
+        assert pair_tables(*FLIP_PAIR).rho[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_marginal_reconstruction(self):
         rng = np.random.default_rng(14)
@@ -57,25 +67,21 @@ class TestBuildRecipe:
             n = int(rng.integers(2, 7))
             P_eps, P = random_pair(rng, n, rng.uniform(0.05, 0.9))
             x, y = rng.integers(0, n, size=2)
-            rec = build_recipe(P_eps, P, x, y)
-            if rec.degenerate == "fully_coupled":
-                np.testing.assert_allclose(rec.q_dist.weights, P_eps.rows[x], atol=1e-12)
-                continue
-            rebuilt_eps = rec.rho * (rec.q_dist.weights if rec.q_dist else 0.0) \
-                + (1 - rec.rho) * rec.r_dist.weights
-            rebuilt_base = rec.rho * (rec.q_dist.weights if rec.q_dist else 0.0) \
-                + (1 - rec.rho) * rec.r_tilde_dist.weights
+            T = pair_tables(P_eps, P)
+            k = x * n + y
+            shared = T.rho[k] * weights(T.q_cdf[k])
+            rebuilt_eps = shared + (1 - T.rho[k]) * weights(T.r_cdf[k])
+            rebuilt_base = shared + (1 - T.rho[k]) * weights(T.rt_cdf[k])
             np.testing.assert_allclose(rebuilt_eps, P_eps.rows[x], atol=1e-12)
             np.testing.assert_allclose(rebuilt_base, P.rows[y], atol=1e-12)
 
     def test_leftover_supports_disjoint(self):
         rng = np.random.default_rng(19)
         P_eps, P = random_pair(rng, 5, 0.5)
-        for x in range(5):
-            for y in range(5):
-                rec = build_recipe(P_eps, P, x, y)
-                if rec.degenerate == "none":
-                    assert not np.any((rec.r_dist.weights > 0) & (rec.r_tilde_dist.weights > 0))
+        T = pair_tables(P_eps, P)
+        for k in range(25):
+            if 0.0 < T.rho[k] < 1.0:
+                assert not np.any((weights(T.r_cdf[k]) > 0) & (weights(T.rt_cdf[k]) > 0))
 
     def test_overlap_identity_three_ways(self):
         # shared mass equals 1 - TV equals 1 - positive-part mass, computed independently
@@ -84,10 +90,10 @@ class TestBuildRecipe:
             P_eps, P = random_pair(rng, 4, rng.uniform(0.1, 0.9))
             x, y = rng.integers(0, 4, size=2)
             p, q = P_eps.rows[x], P.rows[y]
-            rec = build_recipe(P_eps, P, x, y)
-            assert rec.rho == pytest.approx(1.0 - tv_distance(p, q), abs=1e-12)
-            assert rec.rho == pytest.approx(float(np.minimum(p, q).sum()), abs=1e-15)
-            assert rec.rho == pytest.approx(1.0 - float(np.clip(p - q, 0, None).sum()), abs=1e-12)
+            rho = pair_tables(P_eps, P).rho[x * 4 + y]
+            assert rho == pytest.approx(1.0 - tv_distance(p, q), abs=1e-12)
+            assert rho == pytest.approx(float(np.minimum(p, q).sum()), abs=1e-15)
+            assert rho == pytest.approx(1.0 - float(np.clip(p - q, 0, None).sum()), abs=1e-12)
 
     def test_overlap_lower_bounds(self):
         # rho >= 1 - eps on the diagonal, rho >= alpha everywhere
@@ -97,12 +103,22 @@ class TestBuildRecipe:
             P_eps, P = random_pair(rng, n, rng.uniform(0.05, 0.6))
             eps = local_epsilon(P_eps, P)
             alpha = cross_doeblin_constant(P_eps, P)
-            for x in range(n):
-                for y in range(n):
-                    rec = build_recipe(P_eps, P, x, y)
-                    assert rec.rho >= alpha - 1e-12
-                    if x == y:
-                        assert rec.rho >= 1.0 - eps - 1e-12
+            rho = pair_tables(P_eps, P).rho.reshape(n, n)
+            assert np.all(rho >= alpha - 1e-12)
+            assert np.all(np.diag(rho) >= 1.0 - eps - 1e-12)
+
+    def test_build_peak_memory(self):
+        # the build keeps at most four S^3 float arrays alive at once
+        rng = np.random.default_rng(61)
+        S = 100
+        P_eps, P = random_pair(rng, S, 0.1)
+        tracemalloc.start()
+        try:
+            pair_tables(P_eps, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * S ** 3 * 8
 
 
 class TestProductKernelRow:
@@ -126,11 +142,11 @@ class TestProductKernelRow:
     def test_diagonal_mass_equals_overlap(self):
         rng = np.random.default_rng(41)
         P_eps, P = random_pair(rng, 5, 0.4)
+        rho = pair_tables(P_eps, P).rho
         for x in range(5):
             for y in range(5):
-                rec = build_recipe(P_eps, P, x, y)
                 joint = product_kernel_row(P_eps, P, (x, y)).weights.reshape(5, 5)
-                assert float(np.trace(joint)) == pytest.approx(rec.rho, abs=1e-12)
+                assert float(np.trace(joint)) == pytest.approx(rho[x * 5 + y], abs=1e-12)
 
     def test_flip_pair_diagonal_mass(self):
         joint = product_kernel_row(*FLIP_PAIR, (0, 0)).weights.reshape(2, 2)
@@ -138,36 +154,49 @@ class TestProductKernelRow:
 
 
 class TestCoupledStep:
+    """One step of the coupled stepper, against the explicit pair kernel."""
+
     def test_fully_coupled_always_equal(self):
         P = random_kernel(np.random.default_rng(3), 3)
-        rec = build_recipe(P, P, 0, 0)
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a, b = coupled_step(rec, *rng.random(3))
-            assert a == b
+        batch = simulate_coupled_batch(P, P, 0, 0, 100, 20, seed=1)
+        np.testing.assert_array_equal(batch.x_eps, batch.x)
 
     def test_fully_decoupled_marginals(self):
         A = FiniteKernel(np.eye(2))
         B = FiniteKernel([[0.0, 1.0], [1.0, 0.0]])
-        rec = build_recipe(A, B, 0, 0)
-        for u in (0.0, 0.3, 0.99):
-            assert coupled_step(rec, u, u, u) == (0, 1)
+        batch = simulate_coupled_batch(A, B, 0, 0, 1, 50, seed=2)
+        np.testing.assert_array_equal(batch.x_eps[:, 1], 0)
+        np.testing.assert_array_equal(batch.x[:, 1], 1)
+
+    @staticmethod
+    def assert_law_matches_product_row(P_eps, P):
+        # one-step moves from runs started at every pair (each on its own seed),
+        # tallied per current pair against the exact joint law out of it,
+        # 4 sigma per outcome
+        S = len(P)
+        here, nxt = [], []
+        for start in range(S * S):
+            batch = simulate_coupled_batch(P_eps, P, *divmod(start, S), 10, 2500,
+                                           seed=123 + start)
+            here.append((batch.x_eps[:, :-1] * S + batch.x[:, :-1]).ravel())
+            nxt.append((batch.x_eps[:, 1:] * S + batch.x[:, 1:]).ravel())
+        here, nxt = np.concatenate(here), np.concatenate(nxt)
+        for pair in range(S * S):
+            exact = product_kernel_row(P_eps, P, divmod(pair, S)).weights
+            draws = int((here == pair).sum())
+            assert draws >= 1000
+            freq = np.bincount(nxt[here == pair], minlength=S * S) / draws
+            tol = 4.0 * np.sqrt(exact * (1 - exact) / draws) + 1e-9
+            assert np.all(np.abs(freq - exact) <= tol)
 
     def test_empirical_law_matches_product_row(self):
-        # 1e5 draws against the exact joint law, 4 sigma per outcome
-        P_eps, P = FLIP_PAIR
-        rec = build_recipe(P_eps, P, 0, 1)
-        exact = product_kernel_row(P_eps, P, (0, 1)).weights.reshape(2, 2)
-        rng = np.random.default_rng(123)
-        draws = 100_000
-        U = rng.random((draws, 3))
-        counts = np.zeros((2, 2))
-        for u0, u1, u2 in U:
-            i, j = coupled_step(rec, u0, u1, u2)
-            counts[i, j] += 1
-        freq = counts / draws
-        tol = 4.0 * np.sqrt(exact * (1 - exact) / draws) + 1e-9
-        assert np.all(np.abs(freq - exact) <= tol)
+        self.assert_law_matches_product_row(*FLIP_PAIR)
+
+    def test_leftover_draws_independent(self):
+        # leftover parts (0.1, 0.1, 0, 0) vs (0, 0, 0.1, 0.1): only independent
+        # leftover draws give the four off-diagonal pairs equal mass
+        self.assert_law_matches_product_row(FiniteKernel([[0.3, 0.3, 0.2, 0.2]] * 4),
+                                            FiniteKernel([[0.2, 0.2, 0.3, 0.3]] * 4))
 
 
 class TestSamplingSupport:
@@ -175,7 +204,6 @@ class TestSamplingSupport:
     U_MAX = np.nextafter(1.0, 0.0)
 
     def test_largest_uniform_stays_on_support(self):
-        assert _inverse_cdf(self.ROW, self.U_MAX) == 2
         np.testing.assert_array_equal(_pick(_cdf(self.ROW[None, :]), np.array([self.U_MAX])), [2])
 
     def test_cdf_ends_at_exactly_one(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import chain_perturb.montecarlo as mc
 from chain_perturb import (
     DimensionMismatchError,
     ExperimentConfig,
@@ -17,7 +18,7 @@ from chain_perturb import (
     expected_hitting_time,
     initial_disagreement_prob,
     kernel_pair,
-    run_experiment,
+    run_experiments,
     simulate_coupled_batch,
 )
 from helpers import random_pair
@@ -51,6 +52,13 @@ class TestConfigAndParams:
     def test_observable_size_checked(self):
         with pytest.raises(DimensionMismatchError):
             flip_config(f=[0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_start_index_range_checked(self, start):
+        with pytest.raises(ValueError):
+            flip_config(x0=start)
+        with pytest.raises(ValueError):
+            flip_config(x0_eps=start)
 
 
 class TestExpectedHittingTime:
@@ -86,6 +94,11 @@ class TestExpectedHittingTime:
             expected_hitting_time(P, [], 0)
         with pytest.raises(ValueError):
             expected_hitting_time(P, [5], 0)
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_bad_start(self, start):
+        with pytest.raises(ValueError):
+            expected_hitting_time(P, [1], start)
 
 
 class TestEmpiricalDisagreement:
@@ -158,10 +171,10 @@ class TestEmpiricalTails:
         assert res.satisfied
 
     def test_run_experiment_dispatch(self):
-        res = run_experiment("tail", flip_config(n=100, replicates=100), lam=3.0)
+        (res,) = run_experiments(["tail"], flip_config(n=100, replicates=100), lam=3.0)
         assert res.name == "tail"
         with pytest.raises(ValueError):
-            run_experiment("nonsense", flip_config())
+            run_experiments(["nonsense"], flip_config())
 
 
 class TestEmpiricalDecoupling:
@@ -235,6 +248,52 @@ class TestEmpiricalPathLaw:
             res = empirical_path_law_distance(cfg)
         assert res.bound == 1.0
         assert res.satisfied
+
+
+class TestRunExperiments:
+    CONFIG = dict(n=60, replicates=300, seed=3, f=[0.0, 1.0],
+                  stopping=StoppingRule(kind="hitting", targets=(1,)))
+
+    @pytest.fixture()
+    def sim_calls(self, monkeypatch):
+        calls = []
+        original = mc.iter_coupled_batches
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])  # horizon
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "iter_coupled_batches", counted)
+        return calls
+
+    def test_matches_single_checks_bit_for_bit(self):
+        cfg = flip_config(**self.CONFIG)
+        single = {
+            "disagreement": empirical_disagreement(cfg),
+            "average_difference": empirical_average_difference(cfg),
+            "tail": empirical_tail(cfg, 1.5),
+            "base_tail": empirical_base_tail(cfg, 1.5),
+            "decoupling": empirical_decoupling(cfg),
+            "path_law": empirical_path_law_distance(cfg),
+        }
+        together = run_experiments(list(single), cfg, lam=1.5)
+        assert [r.name for r in together] == list(single)
+        for res in together:
+            assert res == single[res.name]
+
+    def test_one_run_per_horizon(self, sim_calls):
+        cfg = flip_config(**self.CONFIG)  # path-law cap 50 E[tau] = 200 > n
+        run_experiments(["disagreement", "tail", "base_tail", "decoupling"], cfg)
+        assert sim_calls == [60]
+        run_experiments(["disagreement", "tail", "base_tail", "decoupling", "path_law"], cfg)
+        assert sim_calls == [60, 60, 200]
+
+    def test_unknown_name_rejected_before_simulating(self, sim_calls):
+        with pytest.raises(ValueError, match="nonsense"):
+            run_experiments(["disagreement", "nonsense"], flip_config(**self.CONFIG))
+        with pytest.raises(ValueError):
+            run_experiments(["disagreement", "average_difference"], flip_config())
+        assert sim_calls == []
 
 
 class TestEnvelope:
