@@ -295,13 +295,10 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
     if lam is not None:
         attempt("coupled_concentration", lambda: coupled_concentration_bound(lam, params), cap=True)
         attempt("base_concentration", lambda: base_concentration_bound(lam, params), cap=True)
-    try:
-        rows.append(_report("stationary_gap", stationary_gap_bound(params.epsilon, params.a), params, cap=True))
-    except InvalidRegimeError:
-        rows.append(_failed("stationary_gap", params))
+    attempt("stationary_gap", lambda: stationary_gap_bound(params.epsilon, params.a), cap=True)
     if expected_tau is not None:
-        rows.append(_report("decoupling_time", decoupling_time_bound(params.epsilon, expected_tau), params, cap=True))
-        rows.append(_report("path_law", path_law_bound(params.epsilon, expected_tau), params, cap=True))
+        attempt("decoupling_time", lambda: decoupling_time_bound(params.epsilon, expected_tau), cap=True)
+        attempt("path_law", lambda: path_law_bound(params.epsilon, expected_tau), cap=True)
     if lam is not None:
         try:
             rows.extend(remark_perturbation_bounds(params, params.f_star, lam))

@@ -13,9 +13,9 @@ pairs and are computed exactly.
 In the eigenbasis of each length-scale Gram matrix the Woodbury quadratic
 form and log-determinant at every rank are prefix sums over one spectrum, so
 the rank sweep builds all truncations, and the full-rank table, from one
-eigendecomposition per atom.  The dense Cholesky path
-(:func:`marginal_log_likelihood`, :func:`exact_log_table`) stays as an
-independent reference for the exact kernel.
+eigendecomposition per atom.  The dense path through numpy's Cholesky
+factorization (:func:`marginal_log_likelihood`, :func:`exact_log_table`)
+stays as an independent reference for the exact kernel.
 
 All likelihood arithmetic is done in log space with log-sum-exp
 normalization; raw ratios underflow already at moderate data sizes.
@@ -29,15 +29,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from .errors import InvalidRegimeError, NumericalFailureError
 from .kernels import FiniteKernel
 
 __all__ = [
     "GPConfig",
-    "GramMatrixError",
     "LowRankFactor",
     "SweepRow",
     "squared_distances",
@@ -54,8 +51,6 @@ __all__ = [
     "figure_sweep",
     "config_snapshot",
 ]
-
-GramMatrixError = NumericalFailureError  # factorization failures surface as numerical failures
 
 _DECAY_TARGET = 0.01   # correlation value the spatial kernel reaches ...
 _DECAY_FRACTION = 0.45  # ... at this fraction of the maximal squared distance
@@ -199,8 +194,8 @@ def woodbury_inverse(lam, c) -> np.ndarray:
     n, q = lam.shape
     inner = np.eye(q) / c + lam.T @ lam
     try:
-        core = scipy.linalg.solve(inner, lam.T, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
+        core = np.linalg.solve(inner, lam.T)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Woodbury inner solve failed: {exc}") from exc
     return np.eye(n) - lam @ core
 
@@ -218,15 +213,15 @@ def lowrank_logdet(lam, c) -> float:
 
 
 def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0,
-                            rank=None, gram=None, factor=None) -> float:
+                            rank=None, gram=None) -> float:
     """Log marginal likelihood of the data at one hyperparameter atom (up to a constant).
 
     ``-0.5 log det(I + x2 Sigma) - 0.5 (a + n) log(b + z'(I + x2 Sigma)^{-1} z)``,
     where the noise level has been integrated out against its inverse-Gamma
     prior.  With ``rank=q`` the Gram matrix is replaced by its top-q eigen
     truncation and both the quadratic form and the determinant go through the
-    Woodbury identities; ``gram``/``factor`` can be passed to reuse
-    precomputed pieces.
+    Woodbury identities; ``gram`` can be passed to reuse a precomputed Gram
+    matrix.
 
     The dropped proportionality constant cancels in every conditional the
     Gibbs kernels are built from.
@@ -235,29 +230,27 @@ def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0,
     n = z.size
     if prior_b <= 0.0 or prior_a <= 0.0:
         raise ValueError("prior parameters must be positive")
+    if gram is None:
+        gram = gram_matrix(x1, points)
     if rank is None:
-        if gram is None:
-            gram = gram_matrix(x1, points)
-        B = np.eye(n) + x2 * gram
         try:
-            fac = scipy.linalg.cho_factor(B)
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(np.eye(n) + x2 * gram)
+        except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"covariance not positive definite: {exc}") from exc
-        logdet = 2.0 * float(np.log(np.diag(fac[0])).sum())
-        quad = float(z @ scipy.linalg.cho_solve(fac, z))
+        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        w = np.empty(n)
+        for i in range(n):  # forward substitution for chol^{-1} z: O(n^2), a general solve O(n^3)
+            w[i] = (z[i] - chol[i, :i] @ w[:i]) / chol[i, i]
+        quad = float(w @ w)
     else:
         if x2 <= 0.0:
             raise InvalidRegimeError("low-rank engine needs a positive amplitude x2")
-        if factor is None:
-            if gram is None:
-                gram = gram_matrix(x1, points)
-            factor = low_rank_factor(gram, rank)
-        lam = factor.lam
+        lam = low_rank_factor(gram, rank).lam
         t = lam.T @ z
         inner = np.eye(lam.shape[1]) / x2 + lam.T @ lam
         try:
-            quad = float(z @ z - t @ scipy.linalg.solve(inner, t, assume_a="pos"))
-        except scipy.linalg.LinAlgError as exc:
+            quad = float(z @ z - t @ np.linalg.solve(inner, t))
+        except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"Woodbury inner solve failed: {exc}") from exc
         logdet = lowrank_logdet(lam, x2)
     return -0.5 * logdet - 0.5 * (prior_a + n) * math.log(prior_b + quad)
@@ -326,13 +319,19 @@ def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
     return ll[np.minimum(ranks, n) - 1]
 
 
+def logsumexp(a, axis):
+    """``log(sum(exp(a), axis))`` shifted by the maximum, keeping ``axis`` with length 1."""
+    top = a.max(axis=axis, keepdims=True)
+    return top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
+
+
 def _conditional_tables(ll):
     # r[..., i1, y2]: resample the amplitude atom given the length-scale atom;
     # s[..., y1, y2]: resample the length-scale atom given the (new) amplitude atom.
     if not np.all(np.isfinite(ll)):
         raise NumericalFailureError("log-likelihood table contains non-finite entries")
-    r = np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
-    s = np.exp(ll - logsumexp(ll, axis=-2, keepdims=True))
+    r = np.exp(ll - logsumexp(ll, axis=-1))
+    s = np.exp(ll - logsumexp(ll, axis=-2))
     return r, s
 
 

@@ -187,8 +187,9 @@ def tv_distance(p, q) -> float:
 
 
 def _pairwise_row_tv(A, B):
-    # (n, m) matrix of TV distances between every row of A and every row of B.
-    return 0.5 * np.abs(A[:, None, :] - B[None, :, :]).sum(axis=2)
+    # (n, m) matrix of TV distances between every row of A and every row of B,
+    # one row of A at a time so memory stays O(S^2).
+    return 0.5 * np.array([np.abs(row - B).sum(axis=1) for row in A])
 
 
 def doeblin_constant(P) -> float:

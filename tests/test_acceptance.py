@@ -102,7 +102,7 @@ def test_criterion_05_disagreement_bound():
                                   x0=min(1, n_states - 1))
         results.append(cp.empirical_disagreement(cfg))
     all_sat = all(r.satisfied for r in results)
-    # the bound is the dominating chain's exact occupation, algebraically
+    # the bound is the dominating chain's occupation of state 1, propagated step by step
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(200):
@@ -110,7 +110,12 @@ def test_criterion_05_disagreement_bound():
         eps = rng.uniform(0.0, min(0.5, 1.0 - alpha))
         p0 = rng.uniform(0.0, 1.0)
         n = int(rng.integers(1, 500))
-        occ = cp.bounding_chain_exact_occupation(cp.BoundingChain(alpha=alpha, epsilon=eps), p0, n)
+        T = cp.BoundingChain(alpha=alpha, epsilon=eps).transition
+        law, acc = np.array([1.0 - p0, p0]), 0.0
+        for _ in range(n):
+            acc += law[1]
+            law = law @ T
+        occ = acc / n
         bound = cp.avg_disagreement_bound(cp.BoundParams(epsilon=eps, n=n, alpha=alpha, p0=p0))
         worst = max(worst, abs(occ - bound))
     elapsed = time.monotonic() - t0

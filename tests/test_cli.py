@@ -1,11 +1,26 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from chain_perturb import VerificationResult, kernel_pair, kernel_to_json
 from chain_perturb.cli import main
 import chain_perturb.cli as cli_mod
+
+
+def test_import_needs_only_numpy():
+    # a fresh interpreter, so modules another test imported do not count
+    src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, chain_perturb, chain_perturb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 @pytest.fixture()

@@ -6,6 +6,7 @@ import pytest
 
 from chain_perturb import (
     GPConfig,
+    NumericalFailureError,
     cross_doeblin_constant,
     epsilon_alpha_for_gp,
     exact_log_table,
@@ -21,6 +22,7 @@ from chain_perturb import (
     squared_distances,
     woodbury_inverse,
 )
+from chain_perturb.gp_mcmc import logsumexp
 
 
 class TestConfig:
@@ -173,6 +175,12 @@ class TestMarginalLogLikelihood:
         val = marginal_log_likelihood(x1, x2, z, pts, prior_b=b, prior_a=a)
         assert val == pytest.approx(expected, rel=1e-12)
 
+    def test_exact_path_rejects_indefinite_covariance(self):
+        # I + x2 Sigma with x2 = -2 has eigenvalue 1 - 2 * lambda_max < 0
+        pts = np.array([0.0, 0.1, 0.2])
+        with pytest.raises(NumericalFailureError, match="not positive definite"):
+            marginal_log_likelihood(1.0, -2.0, np.ones(3), pts)
+
     def test_table_builders_agree_with_pointwise(self):
         cfg = GPConfig(n=20, m=3, seed=13)
         z = generate_data(cfg, 1)
@@ -307,3 +315,17 @@ class TestFigureSweep:
             figure_sweep(cfg, 1, q_list=[0, 2])
         with pytest.raises(ValueError):
             lowrank_log_table(cfg, generate_data(cfg, 0), 0)
+
+
+class TestLogSumExp:
+    def test_matches_direct_sum_and_keeps_axis(self):
+        a = np.random.default_rng(4).normal(size=(3, 4, 5))
+        for axis in (-1, -2):
+            expected = np.log(np.exp(a).sum(axis=axis, keepdims=True))
+            np.testing.assert_allclose(logsumexp(a, axis=axis), expected, rtol=1e-14)
+
+    def test_no_overflow_or_underflow(self):
+        a = np.array([[1000.0, 1000.0], [-1000.0, -1000.0 + math.log(3.0)]])
+        np.testing.assert_allclose(logsumexp(a, axis=-1),
+                                   [[1000.0 + math.log(2.0)], [-1000.0 + math.log(4.0)]],
+                                   rtol=1e-15)

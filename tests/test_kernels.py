@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ class TestClosenessConstants:
         P_eps, P = random_pair(rng, 4, 0.4)
         assert cross_doeblin_constant(P_eps, P) == pytest.approx(
             1.0 - brute_force_max_tv(P_eps.rows, P.rows), abs=1e-14)
+
+    def test_constants_memory_is_quadratic(self):
+        # S = 300: the all-pairs difference tensor alone would be 8 S^3 bytes (216 MB)
+        s = 300
+        P_eps, P = random_pair(np.random.default_rng(31), s, 0.2)
+        for fn, args in ((doeblin_constant, (P,)), (cross_doeblin_constant, (P_eps, P))):
+            tracemalloc.start()
+            try:
+                fn(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * s * s * 8, (fn.__name__, peak)
 
     def test_transfer_consistency_property(self):
         # alpha >= a - epsilon on random pairs
