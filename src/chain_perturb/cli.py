@@ -107,7 +107,7 @@ def _write_manifest(out_dir, command, snapshot, seed, outputs, started):
         "config": snapshot,
         "seed": seed,
         "version": __version__,
-        "duration_s": time.time() - started,
+        "duration_s": time.perf_counter() - started,
         "outputs": list(outputs),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
@@ -274,7 +274,7 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     out_dir = os.path.abspath(args.out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)

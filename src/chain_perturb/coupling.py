@@ -12,6 +12,13 @@ The two marginals of the coupled run are exact ``P_eps``- and ``P``-chains,
 so this stepper is the package's only sampler: single-chain statistics read
 one marginal of a coupled run.
 
+The split is held as sampling tables for the S diagonal pairs ``(x, x)``
+only, each part an S x S table of row CDFs; a coupled pair always sits on
+the diagonal.  A pair off the diagonal splits its two kernel rows in the step
+that needs them.  Every draw inverts a CDF row by binary search, O(log S) per
+trajectory and step, so the stepper's memory is O(S^2 + batch * S) plus the
+batch's uniforms and paths.
+
 RNG contract: trajectory ``i`` under master seed ``s`` owns the substream
 ``SeedSequence(entropy=s, spawn_key=(i,))`` and consumes exactly three
 uniforms per step (plus one extra triple up front when the initial states are
@@ -133,16 +140,16 @@ class CoupledBatch:
 
 
 def _row_decomposition(p, q):
-    """Pointwise-minimum split of probability vectors (last axis): (rho, min, pos, neg).
+    """Pointwise-minimum split of probability vectors (last axis): ``(rho, parts)``.
 
-    ``rho = sum(min)`` is the shared mass; ``pos`` and ``neg`` are the
-    positive parts of ``p - q`` and ``q - p``, with disjoint supports.
+    ``parts`` stacks, on a new leading axis, the pointwise minimum ``min``
+    and the positive parts ``pos`` and ``neg`` of ``p - q`` and ``q - p``,
+    which have disjoint supports; ``rho = sum(min)`` is the shared mass.
     Broadcasts over leading axes.
     """
     m = np.minimum(p, q)
-    pos = np.clip(p - q, 0.0, None)
-    neg = np.clip(q - p, 0.0, None)
-    return m.sum(axis=-1), m, pos, neg
+    parts = np.stack([m, np.maximum(p - q, 0.0), np.maximum(q - p, 0.0)])
+    return m.sum(axis=-1), parts
 
 
 def product_kernel_row(P_eps, P, xi) -> ProbDist:
@@ -160,30 +167,22 @@ def product_kernel_row(P_eps, P, xi) -> ProbDist:
     B = as_kernel(P)
     if len(A) != len(B):
         raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
-    rho, m, pos, neg = _row_decomposition(A.rows[xi[0]], B.rows[xi[1]])
+    rho, (m, pos, neg) = _row_decomposition(A.rows[xi[0]], B.rows[xi[1]])
     joint = np.diag(m)
     if rho < 1.0:
         joint += np.outer(pos, neg) / (1.0 - rho)
     return ProbDist(joint.ravel())
 
 
-class _PairTables:
-    """Flattened per-pair CDF tables for the vectorized simulator."""
+def _split(rows_eps, rows_base):
+    """Sampling form of the split of R paired rows: ``(rho, cdf)``.
 
-    __slots__ = ("rho", "q_cdf", "r_cdf", "rt_cdf", "n_states")
-
-    def __init__(self, rows_eps, rows_base):
-        S = rows_eps.shape[0]
-        rho, m, pos, neg = _row_decomposition(rows_eps[:, None, :], rows_base[None, :, :])
-        self.n_states = S
-        self.rho = rho.reshape(-1)
-        # One CDF at a time, each part released once its CDF exists, so at
-        # most four S^3 arrays are alive during the build.
-        self.q_cdf = _cdf(m.reshape(-1, S))
-        del m
-        self.r_cdf = _cdf(pos.reshape(-1, S))
-        del pos
-        self.rt_cdf = _cdf(neg.reshape(-1, S))
+    ``rho`` (R,) is the shared mass of each row pair; ``cdf`` (3, R, S) holds
+    the row CDFs (:func:`_cdf`) of the shared part and of the two leftover
+    parts.
+    """
+    rho, parts = _row_decomposition(rows_eps, rows_base)
+    return rho, _cdf(parts)
 
 
 def _cdf(rows):
@@ -192,7 +191,7 @@ def _cdf(rows):
     Each row is divided by its own last cumulative sum, so the last state
     with mass and every zero-mass state after it sit at exactly 1.0: a
     uniform ``u < 1`` can never select past the support.  Rows without mass
-    (never sampled) become all ones.
+    (never sampled) become all ones.  Every row is nondecreasing.
     """
     cdf = np.cumsum(rows, axis=-1)
     cdf[cdf[..., -1] == 0.0] = 1.0
@@ -200,9 +199,45 @@ def _cdf(rows):
     return cdf
 
 
-def _pick(cdf_rows, u):
-    # number of CDF entries at or below u: the half-open inverse CDF, row-wise
-    return (cdf_rows <= u[:, None]).sum(axis=1)
+def _pick(cdf, rows, u):
+    """Half-open inverse CDF: the number of entries of row ``rows[i]`` at or below ``u[i]``.
+
+    The rows are those of ``cdf`` along its last axis, numbered in C order
+    (``cdf.reshape(-1, S)``).  A branchless binary search, O(log S) per
+    draw; it equals the linear count ``(cdf[rows] <= u[:, None]).sum(axis=1)``
+    because every row is nondecreasing.
+    """
+    S = cdf.shape[-1]
+    flat = cdf.reshape(-1)
+    base = rows * S
+    h = 1 << (S.bit_length() - 1)
+    # The first probe leaves at most h candidate counts above pos - base;
+    # each later probe halves them: entry pos + step - 1 is at or below u
+    # exactly when the count is at least pos - base + step.
+    pos = base + np.where(flat[base + (S - h)] <= u, S - h + 1, 0)
+    step = h >> 1
+    while step:
+        pos += step * (flat[pos + (step - 1)] <= u)
+        step >>= 1
+    return pos - base
+
+
+_LEFTOVER = np.array([[1], [2]])  # the leftover part of each chain in a split's cdf
+
+
+def _draw(split, rows, u):
+    """Next pair of states from rows ``rows`` of ``split``, with uniforms ``u`` (count, 3).
+
+    ``u[:, 0]`` decides whether the pair moves together.  A coupled pair
+    reads the shared part with ``u[:, 1]`` for both chains; otherwise the
+    approximating chain reads its leftover part with ``u[:, 1]`` and the base
+    chain its own with ``u[:, 2]``.  Both chains are one binary search.
+    """
+    rho, cdf = split
+    coupled = u[:, 0] < rho[rows]
+    part = np.where(coupled, 0, _LEFTOVER)
+    nxt_e, nxt_b = _pick(cdf, rows + rho.size * part, np.where(coupled, u[:, 1], u[:, 1:].T))
+    return nxt_e, nxt_b
 
 
 def _as_initial(value, n_states):
@@ -252,58 +287,55 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
     init_b, wb = _as_initial(x0, S)
     sample_init = init_e is None or init_b is None
     if sample_init:
-        rho0, m0, pos0, neg0 = _row_decomposition(we, wb)
-        q0, r0, rt0 = _cdf(m0), _cdf(pos0), _cdf(neg0)
-    tables = _PairTables(A.rows, B.rows)
+        init_split = _split(we[None, :], wb[None, :])
+    # A coupled pair sits on the diagonal, so only the S diagonal splits are
+    # tabulated; a decoupled pair splits its two rows when it steps.
+    diag = _split(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
     if batch_size is None:
         batch_size = max(1, min(int(n_traj), 1_500_000 // max(steps, 1)))
     for start in range(0, int(n_traj), batch_size):
         count = min(batch_size, int(n_traj) - start)
-        U = np.empty((count, steps, 3))
-        for j in range(count):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(start + j,))
-            U[j] = np.random.default_rng(ss).random((steps, 3))
+        U = _uniforms(seed, start, count, steps)
         xe = np.empty((count, n + 1), dtype=np.int32)
         xb = np.empty((count, n + 1), dtype=np.int32)
-        offset = 0
         if sample_init:
-            u0, u1, u2 = U[:, 0, 0], U[:, 0, 1], U[:, 0, 2]
-            coupled = u0 < rho0
-            common = _pick(q0, u1)
-            left = _pick(r0, u1)
-            right = _pick(rt0, u2)
-            xe[:, 0] = np.where(coupled, common, left)
-            xb[:, 0] = np.where(coupled, common, right)
-            offset = 1
+            cur_e, cur_b = _draw(init_split, np.zeros(count, dtype=np.intp), U[:, 0])
+            U = U[:, 1:]
         else:
-            xe[:, 0] = init_e
-            xb[:, 0] = init_b
+            cur_e = np.full(count, init_e, dtype=np.intp)
+            cur_b = np.full(count, init_b, dtype=np.intp)
+        xe[:, 0] = cur_e
+        xb[:, 0] = cur_b
         y = np.empty((count, n + 1), dtype=np.int8)
-        y[:, 0] = (xe[:, 0] != xb[:, 0])
-        cur_e = xe[:, 0].copy()
-        cur_b = xb[:, 0].copy()
-        cur_y = y[:, 0].astype(np.int8)
+        cur_y = (cur_e != cur_b).astype(np.int8)
+        y[:, 0] = cur_y
         for k in range(n):
-            u0 = U[:, offset + k, 0]
-            u1 = U[:, offset + k, 1]
-            u2 = U[:, offset + k, 2]
-            pair = cur_e * S + cur_b
-            coupled = u0 < tables.rho[pair]
-            common = _pick(tables.q_cdf[pair], u1)
-            left = _pick(tables.r_cdf[pair], u1)
-            right = _pick(tables.rt_cdf[pair], u2)
-            cur_e = np.where(coupled, common, left).astype(np.int32)
-            cur_b = np.where(coupled, common, right).astype(np.int32)
+            u = U[:, k]
+            off = np.flatnonzero(cur_e != cur_b)
+            nxt_e, nxt_b = _draw(diag, cur_e, u)
+            if off.size:
+                split = _split(A.rows[cur_e[off]], B.rows[cur_b[off]])
+                nxt_e[off], nxt_b[off] = _draw(split, np.arange(off.size), u[off])
+            cur_e, cur_b = nxt_e, nxt_b
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
-            stay = np.where(cur_y == 0, u0 < 1.0 - eps, u0 < alp)
+            stay = np.where(cur_y == 0, u[:, 0] < 1.0 - eps, u[:, 0] < alp)
             cur_y = np.where(stay, 0, 1).astype(np.int8)
             xe[:, k + 1] = cur_e
             xb[:, k + 1] = cur_b
             y[:, k + 1] = cur_y
         z = (xe != xb).astype(np.int8)
         yield CoupledBatch(x_eps=xe, x=xb, z=z, y=y, first_index=start, seed=seed)
+
+
+def _uniforms(seed, start, count, steps):
+    """Uniforms ``(count, steps, 3)`` of trajectories ``start .. start+count-1``, one substream each."""
+    U = np.empty((count, steps, 3))
+    for j in range(count):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(start + j,))
+        U[j] = np.random.default_rng(ss).random((steps, 3))
+    return U
 
 
 def simulate_coupled_batch(P_eps, P, x0_eps, x0, n, n_traj, seed,

@@ -234,7 +234,9 @@ def expected_hitting_time(P, targets, start=None):
     if targets[0] < 0 or targets[-1] >= n:
         raise ValueError(f"targets outside 0..{n - 1}")
     times = np.zeros(n)
-    others = np.setdiff1d(np.arange(n), targets)
+    off_target = np.ones(n, dtype=bool)
+    off_target[targets] = False
+    others = np.flatnonzero(off_target)
     if others.size:
         A = np.eye(others.size) - K.rows[np.ix_(others, others)]
         try:

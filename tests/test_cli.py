@@ -1,8 +1,11 @@
 import csv
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +59,16 @@ class TestConstants:
         assert manifest["outputs"] == ["constants.csv"]
         assert (out / "constants.csv").exists()
         assert "version" in manifest and "duration_s" in manifest
+
+    def test_manifest_duration_survives_clock_steps(self, tmp_path, pair_file, monkeypatch):
+        # the wall clock stepping back (an NTP correction, say) must not
+        # reach the recorded duration
+        wall = itertools.count(1e9, -1000.0)
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        out = tmp_path / "out"
+        main(["--out-dir", str(out), "constants", "--pair", str(pair_file)])
+        duration = json.loads((out / "manifest.json").read_text())["duration_s"]
+        assert math.isfinite(duration) and duration >= 0.0
 
     def test_missing_pair_file_is_usage_error(self, tmp_path):
         rc = main(["--out-dir", str(tmp_path), "constants", "--pair", str(tmp_path / "nope.json")])

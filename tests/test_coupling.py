@@ -8,6 +8,7 @@ from chain_perturb import (
     BoundingChain,
     FiniteKernel,
     InvalidRegimeError,
+    as_dist,
     bounding_chain_exact_occupation,
     cross_doeblin_constant,
     invariant_measure,
@@ -20,14 +21,24 @@ from chain_perturb import (
     tv_distance,
     write_batch_summary,
 )
-from chain_perturb.coupling import _PairTables, _cdf, _pick
+from chain_perturb import coupling
+from chain_perturb.coupling import _cdf, _pick, _split
 from helpers import random_kernel, random_pair
 
 FLIP_PAIR = kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
 
 
-def pair_tables(P_eps, P):
-    return _PairTables(P_eps.rows, P.rows)
+class PairSplit:
+    """The split the stepper samples for the pair (x, y): a diagonal table row, or a per-step split."""
+
+    def __init__(self, P_eps, P, x, y):
+        if x == y:
+            split, row = _split(P_eps.rows, P.rows), x
+        else:
+            split, row = _split(P_eps.rows[[x]], P.rows[[y]]), 0
+        rho, cdf = split
+        self.rho = float(rho[row])
+        self.q_cdf, self.r_cdf, self.rt_cdf = cdf[:, row]
 
 
 def weights(cdf_row):
@@ -36,30 +47,29 @@ def weights(cdf_row):
 
 
 class TestBuildRecipe:
-    """The minimum-overlap split of each state pair, as the simulator's tables hold it."""
+    """The minimum-overlap split of each state pair, as the stepper samples it."""
 
     def test_identical_rows_fully_coupled(self):
         P = random_kernel(np.random.default_rng(0), 3)
-        T = pair_tables(P, P)
-        k = 1 * 3 + 1
-        assert T.rho[k] == 1.0
-        np.testing.assert_array_equal(T.r_cdf[k], np.ones(3))   # no leftover mass
-        np.testing.assert_array_equal(T.rt_cdf[k], np.ones(3))
-        np.testing.assert_allclose(weights(T.q_cdf[k]), P.rows[1])
+        T = PairSplit(P, P, 1, 1)
+        assert T.rho == 1.0
+        np.testing.assert_array_equal(T.r_cdf, np.ones(3))   # no leftover mass
+        np.testing.assert_array_equal(T.rt_cdf, np.ones(3))
+        np.testing.assert_allclose(weights(T.q_cdf), P.rows[1])
 
     def test_disjoint_rows_fully_decoupled(self):
         A = FiniteKernel(np.eye(2))
         B = FiniteKernel([[0.0, 1.0], [1.0, 0.0]])
-        T = pair_tables(A, B)
-        assert T.rho[0] == 0.0
-        np.testing.assert_array_equal(T.q_cdf[0], np.ones(2))   # no shared mass
-        np.testing.assert_allclose(weights(T.r_cdf[0]), [1.0, 0.0])
-        np.testing.assert_allclose(weights(T.rt_cdf[0]), [0.0, 1.0])
+        T = PairSplit(A, B, 0, 0)
+        assert T.rho == 0.0
+        np.testing.assert_array_equal(T.q_cdf, np.ones(2))   # no shared mass
+        np.testing.assert_allclose(weights(T.r_cdf), [1.0, 0.0])
+        np.testing.assert_allclose(weights(T.rt_cdf), [0.0, 1.0])
         np.testing.assert_array_equal(product_kernel_row(A, B, (0, 0)).weights, [0, 1, 0, 0])
 
     def test_flip_pair_diagonal_overlap(self):
         # rows (0.85, 0.15) vs (0.75, 0.25): overlap mass 0.9
-        assert pair_tables(*FLIP_PAIR).rho[0] == pytest.approx(0.9, abs=1e-15)
+        assert PairSplit(*FLIP_PAIR, 0, 0).rho == pytest.approx(0.9, abs=1e-15)
 
     def test_marginal_reconstruction(self):
         rng = np.random.default_rng(14)
@@ -67,21 +77,20 @@ class TestBuildRecipe:
             n = int(rng.integers(2, 7))
             P_eps, P = random_pair(rng, n, rng.uniform(0.05, 0.9))
             x, y = rng.integers(0, n, size=2)
-            T = pair_tables(P_eps, P)
-            k = x * n + y
-            shared = T.rho[k] * weights(T.q_cdf[k])
-            rebuilt_eps = shared + (1 - T.rho[k]) * weights(T.r_cdf[k])
-            rebuilt_base = shared + (1 - T.rho[k]) * weights(T.rt_cdf[k])
+            T = PairSplit(P_eps, P, x, y)
+            shared = T.rho * weights(T.q_cdf)
+            rebuilt_eps = shared + (1 - T.rho) * weights(T.r_cdf)
+            rebuilt_base = shared + (1 - T.rho) * weights(T.rt_cdf)
             np.testing.assert_allclose(rebuilt_eps, P_eps.rows[x], atol=1e-12)
             np.testing.assert_allclose(rebuilt_base, P.rows[y], atol=1e-12)
 
     def test_leftover_supports_disjoint(self):
         rng = np.random.default_rng(19)
         P_eps, P = random_pair(rng, 5, 0.5)
-        T = pair_tables(P_eps, P)
         for k in range(25):
-            if 0.0 < T.rho[k] < 1.0:
-                assert not np.any((weights(T.r_cdf[k]) > 0) & (weights(T.rt_cdf[k]) > 0))
+            T = PairSplit(P_eps, P, *divmod(k, 5))
+            if 0.0 < T.rho < 1.0:
+                assert not np.any((weights(T.r_cdf) > 0) & (weights(T.rt_cdf) > 0))
 
     def test_overlap_identity_three_ways(self):
         # shared mass equals 1 - TV equals 1 - positive-part mass, computed independently
@@ -90,7 +99,7 @@ class TestBuildRecipe:
             P_eps, P = random_pair(rng, 4, rng.uniform(0.1, 0.9))
             x, y = rng.integers(0, 4, size=2)
             p, q = P_eps.rows[x], P.rows[y]
-            rho = pair_tables(P_eps, P).rho[x * 4 + y]
+            rho = PairSplit(P_eps, P, x, y).rho
             assert rho == pytest.approx(1.0 - tv_distance(p, q), abs=1e-12)
             assert rho == pytest.approx(float(np.minimum(p, q).sum()), abs=1e-15)
             assert rho == pytest.approx(1.0 - float(np.clip(p - q, 0, None).sum()), abs=1e-12)
@@ -103,22 +112,22 @@ class TestBuildRecipe:
             P_eps, P = random_pair(rng, n, rng.uniform(0.05, 0.6))
             eps = local_epsilon(P_eps, P)
             alpha = cross_doeblin_constant(P_eps, P)
-            rho = pair_tables(P_eps, P).rho.reshape(n, n)
+            rho = np.array([[PairSplit(P_eps, P, x, y).rho for y in range(n)] for x in range(n)])
             assert np.all(rho >= alpha - 1e-12)
             assert np.all(np.diag(rho) >= 1.0 - eps - 1e-12)
 
-    def test_build_peak_memory(self):
-        # the build keeps at most four S^3 float arrays alive at once
+    def test_stepper_peak_memory(self):
+        # diagonal splits only: the stepper's memory is O(S^2), not O(S^3)
         rng = np.random.default_rng(61)
-        S = 100
+        S = 200
         P_eps, P = random_pair(rng, S, 0.1)
         tracemalloc.start()
         try:
-            pair_tables(P_eps, P)
+            simulate_coupled_batch(P_eps, P, 0, 1, 20, 8, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * S ** 3 * 8
+        assert peak <= 16 * S ** 2 * 8
 
 
 class TestProductKernelRow:
@@ -142,11 +151,11 @@ class TestProductKernelRow:
     def test_diagonal_mass_equals_overlap(self):
         rng = np.random.default_rng(41)
         P_eps, P = random_pair(rng, 5, 0.4)
-        rho = pair_tables(P_eps, P).rho
         for x in range(5):
             for y in range(5):
                 joint = product_kernel_row(P_eps, P, (x, y)).weights.reshape(5, 5)
-                assert float(np.trace(joint)) == pytest.approx(rho[x * 5 + y], abs=1e-12)
+                rho = PairSplit(P_eps, P, x, y).rho
+                assert float(np.trace(joint)) == pytest.approx(rho, abs=1e-12)
 
     def test_flip_pair_diagonal_mass(self):
         joint = product_kernel_row(*FLIP_PAIR, (0, 0)).weights.reshape(2, 2)
@@ -204,13 +213,160 @@ class TestSamplingSupport:
     U_MAX = np.nextafter(1.0, 0.0)
 
     def test_largest_uniform_stays_on_support(self):
-        np.testing.assert_array_equal(_pick(_cdf(self.ROW[None, :]), np.array([self.U_MAX])), [2])
+        cdf = _cdf(self.ROW[None, :])
+        np.testing.assert_array_equal(_pick(cdf, np.zeros(1, dtype=int), np.array([self.U_MAX])), [2])
 
     def test_cdf_ends_at_exactly_one(self):
         cdf = _cdf(np.stack([self.ROW, np.zeros(4)]))
         np.testing.assert_array_equal(cdf[0, 2:], [1.0, 1.0])
         np.testing.assert_array_equal(cdf[1], np.ones(4))
-        assert _pick(cdf, np.array([0.0, self.U_MAX]))[1] == 0
+        assert _pick(cdf, np.array([0, 1]), np.array([0.0, self.U_MAX]))[1] == 0
+
+
+def linear_pick(cdf_rows, u):
+    """The linear inverse CDF: entries of each row at or below its uniform."""
+    return (cdf_rows <= u[:, None]).sum(axis=1)
+
+
+def reference_cdf(weights):
+    cdf = np.cumsum(weights, axis=-1)
+    last = cdf[..., -1:]
+    return np.where(last > 0.0, cdf / np.where(last > 0.0, last, 1.0), 1.0)
+
+
+def reference_paths(P_eps, P, x0_eps, x0, U, eps, alpha):
+    """Coupled paths on the uniforms ``U`` from S^3 pair tables and the linear pick.
+
+    Every pair (x, y) has its split tabulated at row ``x * S + y``; starts
+    given as laws use ``U[:, 0]`` for the initial draw.
+    """
+    A, B = P_eps.rows, P.rows
+    S = A.shape[0]
+    m = np.minimum(A[:, None, :], B[None, :, :]).reshape(S * S, S)
+    pos = np.clip(A[:, None, :] - B[None, :, :], 0.0, None).reshape(S * S, S)
+    neg = np.clip(B[None, :, :] - A[:, None, :], 0.0, None).reshape(S * S, S)
+    rho, q, r, rt = m.sum(axis=1), reference_cdf(m), reference_cdf(pos), reference_cdf(neg)
+
+    def move(k, u):
+        coupled = u[:, 0] < rho[k]
+        common = linear_pick(q[k], u[:, 1])
+        return (np.where(coupled, common, linear_pick(r[k], u[:, 1])),
+                np.where(coupled, common, linear_pick(rt[k], u[:, 2])))
+
+    count = U.shape[0]
+    if isinstance(x0_eps, int) and isinstance(x0, int):
+        e, b = np.full(count, x0_eps), np.full(count, x0)
+    else:
+        we = np.eye(S)[x0_eps] if isinstance(x0_eps, int) else as_dist(x0_eps).weights
+        wb = np.eye(S)[x0] if isinstance(x0, int) else as_dist(x0).weights
+        w_m = np.minimum(we, wb)
+        u = U[:, 0]
+        coupled = u[:, 0] < w_m.sum()
+        common = linear_pick(np.tile(reference_cdf(w_m), (count, 1)), u[:, 1])
+        left = linear_pick(np.tile(reference_cdf(np.clip(we - wb, 0.0, None)), (count, 1)), u[:, 1])
+        right = linear_pick(np.tile(reference_cdf(np.clip(wb - we, 0.0, None)), (count, 1)), u[:, 2])
+        e, b = np.where(coupled, common, left), np.where(coupled, common, right)
+        U = U[:, 1:]
+    xe, xb, y = [e], [b], [(e != b).astype(np.int8)]
+    for k in range(U.shape[1]):
+        u = U[:, k]
+        e, b = move(e * S + b, u)
+        stay = np.where(y[-1] == 0, u[:, 0] < 1.0 - eps, u[:, 0] < alpha)
+        xe.append(e), xb.append(b), y.append(np.where(stay, 0, 1).astype(np.int8))
+    return np.stack(xe, axis=1), np.stack(xb, axis=1), np.stack(y, axis=1)
+
+
+def contract_uniforms(seed, count, steps):
+    """Uniforms of the documented RNG contract: substream ``spawn_key=(i,)`` per trajectory."""
+    return np.stack([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                     .random((steps, 3)) for i in range(count)])
+
+
+def sparse_weights(rng, shape):
+    """Gamma weights with about a third of the entries zero."""
+    return rng.gamma(1.0, size=shape) * (rng.random(shape) < 0.65)
+
+
+def oracle_pair(rng):
+    """A random pair on S <= 12 states with zero entries, repeated rows and equal rows, in the regime."""
+    while True:
+        S = int(rng.integers(1, 13))
+        rows = sparse_weights(rng, (S, S))
+        rows[rows.sum(axis=1) == 0.0, int(rng.integers(S))] = 1.0
+        rows[rng.random(S) < 0.2] = rows[0]                   # repeated rows
+        other = sparse_weights(rng, (S, S)) + rows * (rng.random((S, 1)) < 0.3)
+        other[other.sum(axis=1) == 0.0] = 1.0
+        t = rng.uniform(0.0, 0.6)
+        P = rows / rows.sum(axis=1, keepdims=True)
+        Q = other / other.sum(axis=1, keepdims=True)
+        mix = np.where(rng.random((S, 1)) < 0.25, P, (1.0 - t) * P + t * Q)  # some rows equal
+        P_eps, P = FiniteKernel(mix), FiniteKernel(P)
+        eps, alpha = local_epsilon(P_eps, P), cross_doeblin_constant(P_eps, P)
+        if eps <= 1.0 - alpha:
+            return P_eps, P, eps, alpha
+
+
+class TestStepperOracle:
+    """The O(S^2) stepper against S^3 pair tables with a linear pick, exactly."""
+
+    N, COUNT = 25, 30
+    U_MAX = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def starts(rng, S):
+        x, y = (int(v) for v in rng.integers(0, S, size=2))
+        law_e = sparse_weights(rng, S) + (np.arange(S) == x)
+        law_b = law_e if rng.random() < 0.3 else sparse_weights(rng, S) + (np.arange(S) == y)
+        return [(x, x), (x, (x + 1) % S), (x, y),
+                (list(law_e / law_e.sum()), list(law_b / law_b.sum())), (x, list(law_b / law_b.sum()))]
+
+    def check(self, P_eps, P, eps, alpha, x0_eps, x0, U, seed):
+        batch = simulate_coupled_batch(P_eps, P, x0_eps, x0, self.N, self.COUNT, seed=seed,
+                                       batch_size=16)
+        xe, xb, y = reference_paths(P_eps, P, x0_eps, x0, U, eps, alpha)
+        np.testing.assert_array_equal(batch.x_eps, xe)
+        np.testing.assert_array_equal(batch.x, xb)
+        np.testing.assert_array_equal(batch.y, y)
+
+    def test_matches_pair_tables_on_contract_uniforms(self):
+        rng = np.random.default_rng(71)
+        for trial in range(40):
+            P_eps, P, eps, alpha = oracle_pair(rng)
+            for x0_eps, x0 in self.starts(rng, len(P)):
+                steps = self.N + (0 if isinstance(x0_eps, int) and isinstance(x0, int) else 1)
+                U = contract_uniforms(trial, self.COUNT, steps)
+                self.check(P_eps, P, eps, alpha, x0_eps, x0, U, seed=trial)
+
+    def test_matches_pair_tables_on_planted_uniforms(self, monkeypatch):
+        # uniforms 0.0 and the largest double below 1 at about a third of the draws each
+        rng = np.random.default_rng(73)
+        planted = {}
+        monkeypatch.setattr(coupling, "_uniforms",
+                            lambda seed, start, count, steps: planted["U"][start:start + count])
+        for trial in range(40):
+            P_eps, P, eps, alpha = oracle_pair(rng)
+            for x0_eps, x0 in self.starts(rng, len(P)):
+                steps = self.N + (0 if isinstance(x0_eps, int) and isinstance(x0, int) else 1)
+                U = rng.random((self.COUNT, steps, 3))
+                which = rng.integers(0, 3, size=U.shape)
+                U[which == 0] = 0.0
+                U[which == 1] = self.U_MAX
+                planted["U"] = U
+                self.check(P_eps, P, eps, alpha, x0_eps, x0, U, seed=trial)
+
+    def test_binary_search_pick_equals_linear_count(self):
+        rng = np.random.default_rng(79)
+        for _ in range(200):
+            S = int(rng.integers(1, 34))
+            R = int(rng.integers(1, 8))
+            ties = np.sort(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(R, S)), axis=1)
+            weights = sparse_weights(rng, (R, S))
+            weights[rng.random(R) < 0.3] = 0.0                 # zero-mass rows
+            cdf = np.concatenate([ties, _cdf(weights)])
+            rows = rng.integers(0, cdf.shape[0], size=64)
+            u = np.concatenate([rng.random(16), cdf[rows[16:48], rng.integers(0, S, size=32)],
+                                np.zeros(8), np.full(8, self.U_MAX)])
+            np.testing.assert_array_equal(_pick(cdf, rows, u), linear_pick(cdf[rows], u))
 
 
 class TestSimulateCoupled:

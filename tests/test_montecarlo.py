@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -99,6 +103,19 @@ class TestExpectedHittingTime:
     def test_bad_start(self, start):
         with pytest.raises(ValueError):
             expected_hitting_time(P, [1], start)
+
+    def test_does_not_import_numpy_ma(self):
+        # a fresh interpreter, so modules another test imported do not count;
+        # numpy.ma costs ~15 ms on first import, inside the timed command
+        src = os.path.dirname(os.path.dirname(mc.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys; from chain_perturb import expected_hitting_time; "
+                "expected_hitting_time([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]], [2], 0); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestEmpiricalDisagreement:
