@@ -54,14 +54,10 @@ from .bounds import (
 from .coupling import (
     BoundingChain,
     CoupledBatch,
-    CoupledTrajectory,
-    bounding_chain_exact_occupation,
     iter_coupled_batches,
     product_kernel_row,
-    simulate_coupled,
     simulate_coupled_batch,
     two_state_poisson,
-    write_batch_summary,
 )
 from .montecarlo import (
     EnvelopeReport,

@@ -91,17 +91,29 @@ class BoundReport:
     params: BoundParams
 
 
+def _require_contraction(alpha, epsilon):
+    """Raise :class:`InvalidRegimeError` unless ``alpha + epsilon <= 1``.
+
+    The test is on the rounded sum, not on ``epsilon > 1 - alpha``: with the
+    exact constants of a kernel pair (``alpha = fl(1 - c)``, ``epsilon = d``
+    for TV maxima ``d <= c``) the sum never rounds above 1, while the
+    subtraction can lose the ulp that lets ``epsilon`` exceed ``1 - alpha``.
+    So for user-given scalars a violation smaller than 2**-53 is accepted.
+    """
+    if alpha + epsilon > 1.0:
+        raise InvalidRegimeError(
+            f"alpha={alpha!r} + epsilon={epsilon!r} > 1: "
+            "the dominating two-state chain does not contract"
+        )
+
+
 def _require_cross(params):
     if params.alpha is None:
         raise InvalidRegimeError("cross contraction constant alpha is required for this bound")
     s = params.alpha + params.epsilon
     if s <= 0.0:
         raise InvalidRegimeError("alpha + epsilon must be positive")
-    if params.epsilon > 1.0 - params.alpha:
-        raise InvalidRegimeError(
-            f"epsilon={params.epsilon!r} > 1 - alpha={1.0 - params.alpha!r}: "
-            "the dominating two-state chain does not contract"
-        )
+    _require_contraction(params.alpha, params.epsilon)
     return s
 
 

@@ -9,14 +9,18 @@ usage or config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import json
 import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .bounds import BoundParams, evaluate_report_table
-from .coupling import simulate_coupled_batch, write_batch_summary, CoupledTrajectory
+from .coupling import iter_coupled_batches
 from .errors import InvalidRegimeError, NumericalFailureError
 from .kernels import (
     StateFunction,
@@ -155,24 +159,36 @@ def _cmd_bounds(args, out_dir):
 
 
 def _cmd_simulate(args, out_dir):
+    """Stream the coupled batches into ``trajectory.csv`` (one replicate) or ``summary.csv``."""
     p_eps, p = _load_pair(args.pair)
-    batch = simulate_coupled_batch(p_eps, p, args.x0_eps, args.x0,
-                                   args.n, args.replicates, args.seed)
-    if args.replicates == 1:
-        traj = CoupledTrajectory(
-            x_path=batch.x[0], x_eps_path=batch.x_eps[0],
-            z_path=batch.z[0], y_path=batch.y[0], seed=args.seed,
-        )
-        traj.to_csv(os.path.join(out_dir, "trajectory.csv"))
-        outputs = ["trajectory.csv"]
-    else:
-        write_batch_summary(batch, os.path.join(out_dir, "summary.csv"))
-        outputs = ["summary.csv"]
+    n, single = args.n, args.replicates == 1
+    batches = iter_coupled_batches(p_eps, p, args.x0_eps, args.x0, n, args.replicates, args.seed)
+    # the first batch runs every input check before a file is opened
+    batches = itertools.chain([next(batches)], batches)
+    name = "trajectory.csv" if single else "summary.csv"
+    disagreements = 0
+    with open(os.path.join(out_dir, name), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if single:
+            writer.writerow(["step", "x", "x_eps", "z", "y"])
+        else:
+            writer.writerow(["seed", "n", "disagreement_fraction", "first_decoupling_step"])
+        for batch in batches:
+            z = batch.z[:, :n]
+            disagreements += int(np.count_nonzero(z))
+            if single:
+                writer.writerows(zip(range(n + 1), batch.x[0].tolist(), batch.x_eps[0].tolist(),
+                                     batch.z[0].tolist(), batch.y[0].tolist()))
+            else:
+                fracs = z.mean(axis=1).tolist()
+                firsts = np.where(batch.z.any(axis=1), batch.z.argmax(axis=1), -1).tolist()
+                writer.writerows([batch.first_index + i, n, format(frac, ".17g"), first]
+                                 for i, (frac, first) in enumerate(zip(fracs, firsts)))
     sys.stdout.write(
-        f"simulated {args.replicates} trajectories of length {args.n + 1}; "
-        f"mean disagreement fraction {_fmt(batch.z[:, :args.n].mean())}\n"
+        f"simulated {args.replicates} trajectories of length {n + 1}; "
+        f"mean disagreement fraction {_fmt(disagreements / (args.replicates * n))}\n"
     )
-    return EXIT_OK, outputs, args.seed
+    return EXIT_OK, [name], args.seed
 
 
 def _experiment_setup(path):

@@ -10,7 +10,11 @@ on the diagonal and ``rho >= alpha`` off it.
 
 The two marginals of the coupled run are exact ``P_eps``- and ``P``-chains,
 so this stepper is the package's only sampler: single-chain statistics read
-one marginal of a coupled run.
+one marginal of a coupled run.  :func:`iter_coupled_batches` is the one way
+in: it yields :class:`CoupledBatch` chunks in trajectory order, and every
+consumer (the checks, the ``simulate`` command) reduces or writes a chunk
+before the next one is drawn.  The closeness constants that drive the
+dominating chain are always computed from the kernels themselves.
 
 The split is held as sampling tables for the S diagonal pairs ``(x, x)``
 only, each part an S x S table of row CDFs; a coupled pair always sits on
@@ -28,12 +32,11 @@ to generate in parallel.  No other substream is ever drawn.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import decay_power
+from .bounds import _require_contraction
 from .errors import DimensionMismatchError, InvalidRegimeError
 from .kernels import (
     ProbDist,
@@ -46,15 +49,11 @@ from .kernels import (
 
 __all__ = [
     "BoundingChain",
-    "CoupledTrajectory",
     "CoupledBatch",
     "product_kernel_row",
-    "simulate_coupled",
     "simulate_coupled_batch",
     "iter_coupled_batches",
-    "bounding_chain_exact_occupation",
     "two_state_poisson",
-    "write_batch_summary",
 ]
 
 
@@ -68,10 +67,7 @@ class BoundingChain:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("alpha and epsilon must lie in [0, 1]")
-        if self.epsilon > 1.0 - self.alpha:
-            raise InvalidRegimeError(
-                f"epsilon={self.epsilon!r} > 1 - alpha={1.0 - self.alpha!r}: no contraction"
-            )
+        _require_contraction(self.alpha, self.epsilon)
 
     @property
     def transition(self) -> np.ndarray:
@@ -86,40 +82,6 @@ class BoundingChain:
 
 
 @dataclass
-class CoupledTrajectory:
-    """One coupled path: base chain, approximating chain, disagreement and dominating indicators."""
-
-    x_path: np.ndarray       # base chain, law P
-    x_eps_path: np.ndarray   # approximating chain, law P_eps
-    z_path: np.ndarray       # 1 where the two paths differ
-    y_path: np.ndarray       # dominating two-state chain, driven by the same uniforms
-    seed: int
-
-    @property
-    def length(self) -> int:
-        return int(self.x_path.size)
-
-    def disagreement_fraction(self, horizon=None) -> float:
-        """Fraction of steps k < horizon (default: all but the last state) with disagreement."""
-        h = self.length - 1 if horizon is None else int(horizon)
-        return float(self.z_path[:h].mean())
-
-    def first_decoupling_step(self) -> int:
-        """Index of the first disagreement, or -1 if the paths always agree."""
-        if not self.z_path.any():
-            return -1
-        return int(self.z_path.argmax())
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "x", "x_eps", "z", "y"])
-            for k in range(self.length):
-                writer.writerow([k, int(self.x_path[k]), int(self.x_eps_path[k]),
-                                 int(self.z_path[k]), int(self.y_path[k])])
-
-
-@dataclass
 class CoupledBatch:
     """Stacked coupled trajectories; row i is trajectory ``first_index + i``."""
 
@@ -128,7 +90,6 @@ class CoupledBatch:
     z: np.ndarray
     y: np.ndarray
     first_index: int
-    seed: int
 
     @property
     def n_traj(self) -> int:
@@ -257,16 +218,14 @@ def _as_initial(value, n_states):
     return None, w
 
 
-def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
-                         alpha=None, epsilon=None, batch_size=None):
-    """Yield :class:`CoupledBatch` chunks of ``n_traj`` coupled trajectories.
+def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
+    """Yield :class:`CoupledBatch` chunks of ``n_traj`` coupled trajectories, in order.
 
-    The closeness constants are recomputed exactly from the kernel pair unless
-    explicitly overridden; the construction requires ``epsilon < 1 - alpha``
-    (checked once).  Initial conditions may be states or distributions; with
-    distributions the initial pair is drawn from the maximal coupling of the
-    two laws, so the initial disagreement probability equals their TV
-    distance.
+    The dominating chain runs on the closeness constants of the kernel pair,
+    computed exactly here; they always satisfy ``alpha + epsilon <= 1``.
+    Initial conditions may be states or distributions; with distributions
+    the initial pair is drawn from the maximal coupling of the two laws, so
+    the initial disagreement probability equals their TV distance.
     """
     A = as_kernel(P_eps)
     B = as_kernel(P)
@@ -276,12 +235,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be a positive integer, got {n_traj!r}")
-    eps = local_epsilon(A, B) if epsilon is None else float(epsilon)
-    alp = cross_doeblin_constant(A, B) if alpha is None else float(alpha)
-    if eps > 1.0 - alp:
-        raise InvalidRegimeError(
-            f"epsilon={eps:g} > 1 - alpha={1.0 - alp:g}: dominating chain unavailable"
-        )
+    eps = local_epsilon(A, B)
+    alp = cross_doeblin_constant(A, B)
     S = len(A)
     init_e, we = _as_initial(x0_eps, S)
     init_b, wb = _as_initial(x0, S)
@@ -325,8 +280,9 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
             xe[:, k + 1] = cur_e
             xb[:, k + 1] = cur_b
             y[:, k + 1] = cur_y
+        del U, u  # free this batch's uniforms before the next batch draws its own
         z = (xe != xb).astype(np.int8)
-        yield CoupledBatch(x_eps=xe, x=xb, z=z, y=y, first_index=start, seed=seed)
+        yield CoupledBatch(x_eps=xe, x=xb, z=z, y=y, first_index=start)
 
 
 def _uniforms(seed, start, count, steps):
@@ -338,11 +294,10 @@ def _uniforms(seed, start, count, steps):
     return U
 
 
-def simulate_coupled_batch(P_eps, P, x0_eps, x0, n, n_traj, seed,
-                           alpha=None, epsilon=None, batch_size=None) -> CoupledBatch:
+def simulate_coupled_batch(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None) -> CoupledBatch:
     """All ``n_traj`` coupled trajectories stacked into one :class:`CoupledBatch`."""
     chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
-                                       alpha=alpha, epsilon=epsilon, batch_size=batch_size))
+                                       batch_size=batch_size))
     if len(chunks) == 1:
         return chunks[0]
     return CoupledBatch(
@@ -351,58 +306,7 @@ def simulate_coupled_batch(P_eps, P, x0_eps, x0, n, n_traj, seed,
         z=np.concatenate([c.z for c in chunks]),
         y=np.concatenate([c.y for c in chunks]),
         first_index=0,
-        seed=seed,
     )
-
-
-def simulate_coupled(P_eps, P, x0_eps, x0, n, seed, alpha=None, epsilon=None) -> CoupledTrajectory:
-    """One coupled trajectory of length ``n + 1`` (substream 0 under ``seed``)."""
-    batch = simulate_coupled_batch(P_eps, P, x0_eps, x0, n, 1, seed,
-                                   alpha=alpha, epsilon=epsilon)
-    return CoupledTrajectory(
-        x_path=batch.x[0],
-        x_eps_path=batch.x_eps[0],
-        z_path=batch.z[0],
-        y_path=batch.y[0],
-        seed=seed,
-    )
-
-
-def write_batch_summary(batch: CoupledBatch, path, horizon=None):
-    """Per-trajectory summary CSV: seed (substream index), n, disagreement fraction, first decoupling step."""
-    h = batch.length - 1 if horizon is None else int(horizon)
-    frac = batch.z[:, :h].mean(axis=1)
-    any_dec = batch.z.any(axis=1)
-    first = np.where(any_dec, batch.z.argmax(axis=1), -1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "n", "disagreement_fraction", "first_decoupling_step"])
-        for i in range(batch.n_traj):
-            writer.writerow([batch.first_index + i, h,
-                             format(frac[i], ".17g"), int(first[i])])
-
-
-def bounding_chain_exact_occupation(bc: BoundingChain, y0, n) -> float:
-    """Exact expected fraction of steps ``k < n`` the dominating chain spends in state 1.
-
-    ``y0`` may be a binary state or a probability ``P(Y_0 = 1)``.  The closed
-    form follows from the right eigenvector ``(-epsilon/alpha, 1)`` with
-    eigenvalue ``1 - alpha - epsilon``:
-
-    ``e/s + (1 - (1-s)^n) / (n s^2) * (alpha p1 - epsilon (1 - p1))``
-
-    with ``s = alpha + epsilon`` and ``p1 = P(Y_0 = 1)``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    p1 = float(y0)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"y0 must be a binary state or probability, got {y0!r}")
-    s = bc.alpha + bc.epsilon
-    if s <= 0.0:
-        raise InvalidRegimeError("alpha + epsilon = 0: occupation ill-defined")
-    shrink = (1.0 - decay_power(1.0 - s, n)) / (n * s * s)
-    return bc.epsilon / s + shrink * (bc.alpha * p1 - bc.epsilon * (1.0 - p1))
 
 
 def two_state_poisson(bc: BoundingChain) -> StateFunction:

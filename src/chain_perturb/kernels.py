@@ -340,19 +340,31 @@ def poisson_solve(P, f) -> StateFunction:
     return StateFunction(psi)
 
 
+def _law_running_sums(law, M, n):
+    """Yield the running sums ``sum_{j=0}^{k} law M^j`` for k = 0 .. n-1.
+
+    Plain vector-matrix products added left to right, so ``M`` may have a
+    negative entry (it need not be a kernel).
+    """
+    total = np.zeros_like(law)
+    for k in range(int(n)):
+        if k:
+            law = law @ M
+        total = total + law
+        yield total
+
+
 def n_step_average_law(nu, P, n) -> ProbDist:
     """Time-averaged law ``(1/n) sum_{k=0}^{n-1} nu P^k``."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     K = as_kernel(P)
-    law = as_dist(nu).weights.copy()
+    law = as_dist(nu).weights
     if law.size != len(K):
         raise DimensionMismatchError(f"distribution on {law.size} states, kernel on {len(K)}")
-    acc = law.copy()
-    for _ in range(int(n) - 1):
-        law = law @ K.rows
-        acc += law
-    return ProbDist(acc / n)
+    for total in _law_running_sums(law, K.rows, n):
+        pass
+    return ProbDist(total / n)
 
 
 # ---------------------------------------------------------------------------

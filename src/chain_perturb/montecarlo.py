@@ -197,15 +197,14 @@ class _Check(NamedTuple):
     finish: Callable
 
 
-def _run_checks(config: ExperimentConfig, params: BoundParams, checks):
+def _run_checks(config: ExperimentConfig, checks):
     """Results of ``checks``, stepping the coupled chain once per distinct horizon."""
     results = [None] * len(checks)
     for horizon in dict.fromkeys(c.horizon for c in checks):
         values = {i: [] for i, c in enumerate(checks) if c.horizon == horizon}
         # batches arrive in trajectory order
         for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
-                                          horizon, int(config.replicates), config.master_seed,
-                                          alpha=params.alpha, epsilon=params.epsilon):
+                                          horizon, int(config.replicates), config.master_seed):
             for i, parts in values.items():
                 parts.append(checks[i].per_batch(batch))
         for i, parts in values.items():
@@ -427,7 +426,7 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
         raise ValueError(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
     params = closeness_params(config)
-    return _run_checks(config, params, [_CHECKS[name](config, params, lam) for name in names])
+    return _run_checks(config, [_CHECKS[name](config, params, lam) for name in names])
 
 
 def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:
@@ -517,4 +516,4 @@ def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
     def finish(v):
         return EnvelopeReport(stats=v[:, 0].copy(), stabilized=v[:, 1] > 0.0, grid=grid)
 
-    return _run_checks(config, params, [_Check(n, per_batch, finish)])[0]
+    return _run_checks(config, [_Check(n, per_batch, finish)])[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundParams, averaged_tv_bound, decay_power
-from .kernels import FiniteKernel
+from .kernels import FiniteKernel, _law_running_sums
 
 __all__ = [
     "SharpnessInstance",
@@ -130,15 +130,8 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
     Plain vector-matrix products, so it also holds for ``epsilon > beta``,
     where the perturbed matrix has a negative entry.
     """
-    P = perturbed_matrix(beta, epsilon)
-    law = np.array([gamma, 1.0 - gamma])
-    total = np.zeros(2)
-    tv = np.empty(int(n_max))
-    for k in range(int(n_max)):
-        total += law
-        tv[k] = 0.5 * np.abs(total / (k + 1) - 0.5).sum()
-        law = law @ P
-    return tv
+    sums = _law_running_sums(np.array([gamma, 1.0 - gamma]), perturbed_matrix(beta, epsilon), n_max)
+    return np.array([0.5 * np.abs(total / (k + 1) - 0.5).sum() for k, total in enumerate(sums)])
 
 
 def certify_tightness(inst: SharpnessInstance, tol=1e-12):

@@ -11,7 +11,6 @@ from chain_perturb import (
     averaged_tv_bound,
     base_concentration_bound,
     base_concentration_threshold,
-    bounding_chain_exact_occupation,
     coupled_concentration_bound,
     coupled_concentration_threshold,
     coupled_variance_bound,
@@ -75,7 +74,13 @@ class TestAvgDisagreementBound:
             eps = rng.uniform(0.0, min(0.5, 1.0 - alpha - 1e-3))
             p0 = rng.uniform(0.0, 1.0)
             n = int(rng.integers(1, 500))
-            occ = bounding_chain_exact_occupation(BoundingChain(alpha=alpha, epsilon=eps), p0, n)
+            # state-1 occupation of the dominating chain propagated from (1 - p0, p0)
+            T = BoundingChain(alpha=alpha, epsilon=eps).transition
+            law, total = np.array([1.0 - p0, p0]), 0.0
+            for _ in range(n):
+                total += law[1]
+                law = law @ T
+            occ = total / n
             bound = avg_disagreement_bound(BoundParams(epsilon=eps, n=n, alpha=alpha, p0=p0))
             assert occ == pytest.approx(bound, abs=1e-13)
 

@@ -6,10 +6,17 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from chain_perturb import VerificationResult, kernel_pair, kernel_to_json
+from chain_perturb import (
+    VerificationResult,
+    iter_coupled_batches,
+    kernel_pair,
+    kernel_to_json,
+    simulate_coupled_batch,
+)
 from chain_perturb.cli import main
 import chain_perturb.cli as cli_mod
 
@@ -148,6 +155,76 @@ class TestSimulate:
         main(["--out-dir", str(tmp_path / "b")] + args)
         assert (tmp_path / "a" / "summary.csv").read_bytes() == \
             (tmp_path / "b" / "summary.csv").read_bytes()
+
+    def test_trajectory_csv_round_trip(self, tmp_path, pair_file):
+        rc = main(["--out-dir", str(tmp_path), "simulate", "--pair", str(pair_file), "--n", "25",
+                   "--replicates", "1", "--seed", "41", "--x0-eps", "0", "--x0", "1"])
+        assert rc == 0
+        rows = read_csv(tmp_path / "trajectory.csv")
+        assert len(rows) == 26
+        for k, row in enumerate(rows):
+            assert int(row["step"]) == k
+            assert int(row["z"]) == int(int(row["x"]) != int(row["x_eps"]))
+            assert int(row["z"]) <= int(row["y"])
+        batch = simulate_coupled_batch(*cli_mod._load_pair(pair_file), 0, 1, 25, 1, seed=41)
+        assert [int(r["x"]) for r in rows] == batch.x[0].tolist()
+        assert [int(r["x_eps"]) for r in rows] == batch.x_eps[0].tolist()
+        assert [int(r["y"]) for r in rows] == batch.y[0].tolist()
+
+    def test_summary_csv_round_trip(self, tmp_path, pair_file):
+        rc = main(["--out-dir", str(tmp_path), "simulate", "--pair", str(pair_file), "--n", "50",
+                   "--replicates", "10", "--seed", "43"])
+        assert rc == 0
+        rows = read_csv(tmp_path / "summary.csv")
+        assert len(rows) == 10
+        assert rows[0]["n"] == "50"
+        batch = simulate_coupled_batch(*cli_mod._load_pair(pair_file), 0, 0, 50, 10, seed=43)
+        fracs = batch.z[:, :50].mean(axis=1)
+        for i, row in enumerate(rows):
+            assert float(row["disagreement_fraction"]) == pytest.approx(fracs[i])
+
+    def test_bad_start_writes_no_output(self, tmp_path, pair_file):
+        rc = main(["--out-dir", str(tmp_path), "simulate", "--pair", str(pair_file), "--n", "5",
+                   "--replicates", "3", "--x0", "5"])
+        assert rc == 2
+        assert not (tmp_path / "summary.csv").exists()
+
+
+def pin_batch_size(monkeypatch, batch_size):
+    """Make ``simulate`` draw its trajectories ``batch_size`` at a time."""
+    monkeypatch.setattr(cli_mod, "iter_coupled_batches",
+                        lambda *args: iter_coupled_batches(*args, batch_size=batch_size))
+
+
+class TestSimulateStreaming:
+    def run(self, out, pair_file, capsys, n, replicates, seed=3):
+        rc = main(["--out-dir", str(out), "simulate", "--pair", str(pair_file), "--n", str(n),
+                   "--replicates", str(replicates), "--seed", str(seed), "--x0", "1"])
+        assert rc == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("replicates, name", [(23, "summary.csv"), (1, "trajectory.csv")])
+    def test_outputs_independent_of_batch_size(self, tmp_path, pair_file, capsys, monkeypatch,
+                                               replicates, name):
+        whole = self.run(tmp_path / "whole", pair_file, capsys, 30, replicates)
+        for size in (1, 5):
+            pin_batch_size(monkeypatch, size)
+            out = tmp_path / f"batch{size}"
+            assert self.run(out, pair_file, capsys, 30, replicates) == whole
+            assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    def test_peak_memory_independent_of_replicates(self, tmp_path, pair_file, capsys,
+                                                   monkeypatch):
+        pin_batch_size(monkeypatch, 100)
+        self.run(tmp_path / "warm", pair_file, capsys, 40, 10)
+        peaks = {}
+        for replicates in (200, 2000):
+            tracemalloc.start()
+            self.run(tmp_path / str(replicates), pair_file, capsys, 40, replicates)
+            peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # holding every replicate costs ~0.75 KB per trajectory, ~1.3 MB more here
+        assert peaks[2000] <= peaks[200] + 256 * 1024
 
 
 class TestVerify:

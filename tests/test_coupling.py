@@ -1,25 +1,25 @@
-import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from chain_perturb import (
+    BoundParams,
     BoundingChain,
+    ExperimentConfig,
     FiniteKernel,
     InvalidRegimeError,
     as_dist,
-    bounding_chain_exact_occupation,
+    avg_disagreement_bound,
     cross_doeblin_constant,
     invariant_measure,
     kernel_pair,
     local_epsilon,
     product_kernel_row,
-    simulate_coupled,
+    run_experiments,
     simulate_coupled_batch,
     two_state_poisson,
     tv_distance,
-    write_batch_summary,
 )
 from chain_perturb import coupling
 from chain_perturb.coupling import _cdf, _pick, _split
@@ -372,9 +372,9 @@ class TestStepperOracle:
 class TestSimulateCoupled:
     def test_identical_kernels_never_decouple(self):
         _, P = FLIP_PAIR
-        traj = simulate_coupled(P, P, 0, 0, 200, seed=5)
-        assert traj.z_path.sum() == 0
-        assert traj.first_decoupling_step() == -1
+        batch = simulate_coupled_batch(P, P, 0, 0, 200, 1, seed=5)
+        assert batch.z.sum() == 0
+        assert not batch.z[0].any()   # never a first decoupling step
 
     def test_pathwise_domination(self):
         batch = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 100, 2000, seed=11)
@@ -401,10 +401,10 @@ class TestSimulateCoupled:
 
     def test_batch_matches_single_trajectory(self):
         batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 60, 3, seed=23)
-        traj = simulate_coupled(*FLIP_PAIR, 0, 1, 60, seed=23)
-        np.testing.assert_array_equal(batch.x[0], traj.x_path)
-        np.testing.assert_array_equal(batch.x_eps[0], traj.x_eps_path)
-        np.testing.assert_array_equal(batch.y[0], traj.y_path)
+        single = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 60, 1, seed=23)
+        np.testing.assert_array_equal(batch.x[0], single.x[0])
+        np.testing.assert_array_equal(batch.x_eps[0], single.x_eps[0])
+        np.testing.assert_array_equal(batch.y[0], single.y[0])
 
     def test_bit_exact_reproducibility(self):
         a = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 40, 20, seed=29)
@@ -424,41 +424,37 @@ class TestSimulateCoupled:
         batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 30, 50, seed=37)
         np.testing.assert_array_equal(batch.z, (batch.x != batch.x_eps).astype(np.int8))
 
-    def test_invalid_regime_rejected_on_override(self):
-        # exact constants always satisfy eps <= 1 - alpha; only inconsistent
-        # overrides can violate the regime
-        with pytest.raises(InvalidRegimeError):
-            simulate_coupled(*FLIP_PAIR, 0, 0, 10, seed=1, alpha=0.5, epsilon=0.7)
-
     def test_boundary_regime_simulates(self):
         # identical iid kernels sit exactly at eps = 1 - alpha = 0
         iid = FiniteKernel([[0.5, 0.5], [0.5, 0.5]])
-        traj = simulate_coupled(iid, iid, 0, 0, 20, seed=1)
-        assert traj.z_path.sum() == 0
+        batch = simulate_coupled_batch(iid, iid, 0, 0, 20, 1, seed=1)
+        assert batch.z.sum() == 0
 
-    def test_trajectory_csv_round_trip(self, tmp_path):
-        traj = simulate_coupled(*FLIP_PAIR, 0, 1, 25, seed=41)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == traj.length
-        for k, row in enumerate(rows):
-            assert int(row["step"]) == k
-            assert int(row["z"]) == int(int(row["x"]) != int(row["x_eps"]))
-            assert int(row["z"]) <= int(row["y"])
 
-    def test_batch_summary_csv(self, tmp_path):
-        batch = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 50, 10, seed=43)
-        path = tmp_path / "summary.csv"
-        write_batch_summary(batch, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 10
-        assert rows[0]["n"] == "50"
-        fracs = batch.z[:, :50].mean(axis=1)
-        for i, row in enumerate(rows):
-            assert float(row["disagreement_fraction"]) == pytest.approx(fracs[i])
+class TestRegimeRounding:
+    def test_exact_constants_never_rejected_by_rounding(self):
+        # alpha + eps <= 1 holds exactly, but 1 - alpha can round an ulp below
+        # eps: 22 of these 2000 draws were rejected by the check eps > 1 - alpha
+        rounded = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                S = int(rng.integers(2, 6))
+                P_eps, P = random_pair(rng, S, float(rng.uniform(0.0, 1.0)))
+                eps, alpha = local_epsilon(P_eps, P), cross_doeblin_constant(P_eps, P)
+                assert alpha + eps <= 1.0
+                BoundingChain(alpha=alpha, epsilon=eps)
+                avg_disagreement_bound(BoundParams(epsilon=eps, n=5, alpha=alpha))
+                if eps > 1.0 - alpha:
+                    rounded += 1
+                    simulate_coupled_batch(P_eps, P, 0, 0, 2, 1, seed=0)
+                    run_experiments(["disagreement"], ExperimentConfig(P_eps, P, 2, 2, 0))
+        assert rounded > 0
+
+
+def occupation(bc, p1, n):
+    """Expected fraction of steps k < n the dominating chain spends in state 1, from P(Y_0 = 1) = p1."""
+    return avg_disagreement_bound(BoundParams(epsilon=bc.epsilon, n=n, alpha=bc.alpha, p0=p1))
 
 
 class TestBoundingChain:
@@ -473,15 +469,23 @@ class TestBoundingChain:
         with pytest.raises(InvalidRegimeError):
             BoundingChain(alpha=0.3, epsilon=0.8)
 
+    def test_invalid_regime_rejected_on_override(self):
+        # exact constants always satisfy alpha + eps <= 1; only inconsistent
+        # user-given scalars can violate the regime
+        with pytest.raises(InvalidRegimeError):
+            BoundingChain(alpha=0.5, epsilon=0.7)
+        with pytest.raises(InvalidRegimeError):
+            avg_disagreement_bound(BoundParams(epsilon=0.7, n=10, alpha=0.5))
+
     def test_stationary_start_occupation_constant(self):
         bc = BoundingChain(alpha=0.4, epsilon=0.1)
         for n in (1, 2, 10, 1000):
-            occ = bounding_chain_exact_occupation(bc, 0.2, n)
+            occ = occupation(bc, 0.2, n)
             assert occ == pytest.approx(0.2, abs=1e-15)
 
     def test_long_horizon_limit(self):
         bc = BoundingChain(alpha=0.4, epsilon=0.1)
-        assert bounding_chain_exact_occupation(bc, 1, 10 ** 6) == pytest.approx(0.2, abs=1e-5)
+        assert occupation(bc, 1, 10 ** 6) == pytest.approx(0.2, abs=1e-5)
 
     def test_matches_matrix_power_oracle(self):
         rng = np.random.default_rng(47)
@@ -497,7 +501,7 @@ class TestBoundingChain:
             for _ in range(n):
                 acc += law @ phi
                 law = law @ bc.transition
-            assert bounding_chain_exact_occupation(bc, p1, n) == pytest.approx(acc / n, abs=1e-13)
+            assert occupation(bc, p1, n) == pytest.approx(acc / n, abs=1e-13)
 
 
 class TestTwoStatePoisson:
