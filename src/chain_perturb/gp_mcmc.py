@@ -114,11 +114,6 @@ class GPConfig:
         if self.grid_x1.min() <= 0.0 or self.grid_x2.min() <= 0.0:
             raise ValueError("grid atoms must be strictly positive")
 
-    @classmethod
-    def full_scale(cls, seed=0):
-        """The large protocol: n=1000 points, m=10 atoms per grid."""
-        return cls(n=1000, m=10, seed=seed)
-
 
 def squared_distances(points) -> np.ndarray:
     d = np.subtract.outer(points, points)
@@ -165,25 +160,33 @@ class LowRankFactor:
     q: int
 
 
-def low_rank_factor(sigma, q) -> LowRankFactor:
-    """Top-q eigenpair factor of a symmetric PSD matrix.
+def _spectrum(gram):
+    """Eigenvalues of a symmetric PSD matrix in descending order, and matching vectors.
 
-    Eigenvalues are sorted descending with ties broken by original position
-    (stable), tiny negative eigenvalues clipped to zero.  The Frobenius error
-    ``||Sigma - Lambda Lambda'||_F`` equals the root-sum-square of the
-    discarded eigenvalues.
+    Ties keep their original order (stable sort); tiny negative eigenvalues
+    are clipped to zero.
+    """
+    try:
+        vals, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    order = np.argsort(-vals, kind="stable")
+    return np.clip(vals[order], 0.0, None), vecs[:, order]
+
+
+def low_rank_factor(sigma, q) -> LowRankFactor:
+    """Top-q eigenpair factor of a symmetric PSD matrix, from :func:`_spectrum`.
+
+    The Frobenius error ``||Sigma - Lambda Lambda'||_F`` equals the
+    root-sum-square of the discarded eigenvalues.
     """
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]
     if not 1 <= int(q) <= n:
         raise ValueError(f"rank must be in 1..{n}, got {q!r}")
-    try:
-        vals, vecs = np.linalg.eigh(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")[: int(q)]
-    top = np.clip(vals[order], 0.0, None)
-    return LowRankFactor(lam=vecs[:, order] * np.sqrt(top), q=int(q))
+    q = int(q)
+    vals, vecs = _spectrum(sigma)
+    return LowRankFactor(lam=vecs[:, :q] * np.sqrt(vals[:q]), q=q)
 
 
 def woodbury_inverse(lam, c) -> np.ndarray:
@@ -264,15 +267,10 @@ def _gram_list(config):
 
 
 def _eigen_cache(config, grams=None):
-    """Per length-scale atom: eigenvalues descending (clipped) and matching vectors."""
+    """Per length-scale atom: the :func:`_spectrum` of its Gram matrix."""
     if grams is None:  # one n x n Gram matrix alive at a time
         grams = (gram_matrix(x1, config.points) for x1 in config.grid_x1)
-    cache = []
-    for g in grams:
-        vals, vecs = np.linalg.eigh(g)
-        order = np.argsort(-vals, kind="stable")
-        cache.append((np.clip(vals[order], 0.0, None), vecs[:, order]))
-    return cache
+    return [_spectrum(g) for g in grams]
 
 
 def exact_log_table(config, z, grams=None) -> np.ndarray:
@@ -391,13 +389,13 @@ def epsilon_alpha_for_gp(config, z, q, grams=None, eigen_cache=None):
     return float(_local_tv(Te, T)), 1.0 - float(_cross_tv(Te, T))
 
 
-def figure_sweep(config, replicates, q_list=None, eps_threshold=1e-10,
-                 qmax=None) -> list[SweepRow]:
+def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[SweepRow]:
     """Closeness constants of the Gibbs pair as a function of the truncation rank.
 
-    For each replicate dataset and each rank ``q`` (1 upward, stopping once
-    ``epsilon`` drops below ``eps_threshold``, or exactly ``q_list`` if
-    given), records ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
+    For each replicate dataset and each rank ``q = 1 .. qmax`` (default
+    ``n``; ``qmax < 1`` is rejected), stopping at the first rank whose
+    ``epsilon`` drops below ``eps_threshold``, records ``(replicate, q,
+    epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
     side, are slices of one table of prefix sums over the cached eigenpairs
     (:func:`lowrank_log_table`); ranks above ``n`` give the full-rank rows.
@@ -409,30 +407,24 @@ def figure_sweep(config, replicates, q_list=None, eps_threshold=1e-10,
     """
     if int(replicates) < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    cache = _eigen_cache(config)
     n = int(config.n)
-    adaptive = q_list is None
-    if adaptive:
-        q_list = range(1, int(qmax if qmax is not None else n) + 1)
-    qs = np.array([int(q) for q in q_list], dtype=int)
-    if np.any(qs < 1):
-        raise ValueError(f"ranks must be >= 1, got {q_list!r}")
-    table = np.minimum(qs, n) - 1  # rank-table row of each requested rank
+    qmax = n if qmax is None else int(qmax)
+    if qmax < 1:
+        raise ValueError(f"qmax must be >= 1, got {qmax!r}")
+    cache = _eigen_cache(config)
+    table = np.minimum(np.arange(1, qmax + 1), n) - 1  # rank-table row of ranks 1..qmax
     rows, wobbly = [], []
     for rep in range(int(replicates)):
         ll = lowrank_log_table(config, generate_data(config, rep), np.arange(1, n + 1),
                                eigen_cache=cache)
         T = _rows_by_x1(ll)
         eps = _local_tv(T, T[-1])[table]
-        keep = len(qs)
-        if adaptive:
-            below = np.flatnonzero(eps < eps_threshold)
-            keep = int(below[0]) + 1 if below.size else keep
+        below = np.flatnonzero(eps < eps_threshold)
+        keep = int(below[0]) + 1 if below.size else qmax
         eps = eps[:keep]
-        top = int(table[:keep].max(initial=-1)) + 1
-        alpha = 1.0 - _cross_tv(T[:top], T[-1])[table[:keep]]
-        for q, e, a in zip(qs, eps, alpha):
-            rows.append(SweepRow(rep, int(q), float(e), float(a),
+        alpha = 1.0 - _cross_tv(T[:table[keep - 1] + 1], T[-1])[table[:keep]]
+        for q, (e, a) in enumerate(zip(eps, alpha), start=1):
+            rows.append(SweepRow(rep, q, float(e), float(a),
                                  0.0 if e == 0.0 else float(e / (a + e))))
         if np.any(eps[1:] > eps[:-1]):
             wobbly.append(rep)

@@ -126,14 +126,6 @@ class FiniteKernel:
     def __len__(self):
         return self.rows.shape[0]
 
-    @property
-    def n_states(self):
-        return self.rows.shape[0]
-
-    def row(self, x):
-        """Transition law out of state ``x`` as a plain array."""
-        return self.rows[x]
-
     def __repr__(self):
         return f"FiniteKernel(n_states={len(self)})"
 

@@ -8,8 +8,10 @@ about expectations, so the slack only absorbs Monte Carlo noise.
 Every check reads the coupled stepper of :mod:`.coupling`; single-chain
 checks read one of its marginals, which are exact ``P``- and
 ``P_eps``-chains.  A check reduces each batch to per-replicate values, so
-:func:`run_experiments` steps the coupled chain once per horizon for any set
-of checks, in memory O(batch + replicates).
+:func:`run_experiments` steps the coupled chain once, over the horizon ``n``,
+for any set of checks, in memory O(batch + replicates).  The stopping-time
+checks read ``tau ^ n`` (``tau ^ (n + 1)`` for the path law), stopping times
+with ``E[tau ^ n] <= E[tau]``, so no check needs a run longer than ``n``.
 
 Everything is reproducible bit-for-bit from ``(master_seed, config)``:
 trajectory ``i`` consumes the substream ``spawn_key=(i,)``, whichever checks
@@ -19,7 +21,6 @@ read it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -31,6 +32,7 @@ from .bounds import (
     base_concentration_bound,
     base_concentration_threshold,
     coupled_concentration_bound,
+    coupled_concentration_threshold,
     coupled_variance_bound,
     decoupling_time_bound,
     path_law_bound,
@@ -185,38 +187,32 @@ def closeness_params(config: ExperimentConfig, f_star=None) -> BoundParams:
 
 
 class _Check(NamedTuple):
-    """One check over a coupled run of ``horizon`` steps.
+    """One check over the coupled run of horizon ``n``.
 
     ``per_batch`` maps a :class:`CoupledBatch` to one value (or row of
     values) per trajectory; ``finish`` turns the values of all replicates,
     in trajectory order, into the check's result.
     """
 
-    horizon: int
     per_batch: Callable
     finish: Callable
 
 
 def _run_checks(config: ExperimentConfig, checks):
-    """Results of ``checks``, stepping the coupled chain once per distinct horizon."""
-    results = [None] * len(checks)
-    for horizon in dict.fromkeys(c.horizon for c in checks):
-        values = {i: [] for i, c in enumerate(checks) if c.horizon == horizon}
-        # batches arrive in trajectory order
-        for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
-                                          horizon, int(config.replicates), config.master_seed):
-            for i, parts in values.items():
-                parts.append(checks[i].per_batch(batch))
-        for i, parts in values.items():
-            results[i] = checks[i].finish(np.concatenate(parts))
-    return results
+    """Results of ``checks``, all read from one coupled run of horizon ``n``."""
+    parts = [[] for _ in checks]
+    # batches arrive in trajectory order
+    for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
+                                      int(config.n), int(config.replicates), config.master_seed):
+        for check, values in zip(checks, parts):
+            values.append(check.per_batch(batch))
+    return [check.finish(np.concatenate(values)) for check, values in zip(checks, parts)]
 
 
-def _first_hit_times(states, targets):
-    """First index k with states[:, k] in targets; -1 where never hit."""
+def _first_hit_times(states, targets, missing):
+    """First index k with states[:, k] in targets; ``missing`` where never hit."""
     hit = np.isin(states, list(targets))
-    any_hit = hit.any(axis=1)
-    return np.where(any_hit, hit.argmax(axis=1), -1)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), missing)
 
 
 def expected_hitting_time(P, targets, start=None):
@@ -256,7 +252,7 @@ def expected_hitting_time(P, targets, start=None):
 def _disagreement(config, params, lam):
     n = int(config.n)
     bound = avg_disagreement_bound(params)
-    return _Check(n, lambda batch: batch.z[:, :n].mean(axis=1),
+    return _Check(lambda batch: batch.z[:, :n].mean(axis=1),
                   lambda v: _result("disagreement", v, bound))
 
 
@@ -271,20 +267,16 @@ def _average_difference(config, params, lam):
         diff = fv[batch.x[:, :n]].mean(axis=1) - fv[batch.x_eps[:, :n]].mean(axis=1)
         return diff ** 2
 
-    return _Check(n, per_batch, lambda v: _result("average_difference", v, bound))
+    return _Check(per_batch, lambda v: _result("average_difference", v, bound))
 
 
 def _tail(config, params, lam):
-    s = params.alpha + params.epsilon
-    base_thr = params.epsilon / s + lam / math.sqrt(config.n)
+    # threshold of a trajectory, indexed by its initial disagreement 0 or 1
+    thr = np.array([coupled_concentration_threshold(lam, params, d) for d in (False, True)])
     n = int(config.n)
     bound = coupled_concentration_bound(lam, params)
-
-    def per_batch(batch):
-        thr = base_thr + batch.z[:, 0] / (n * s)
-        return batch.z[:, :n].mean(axis=1) >= thr
-
-    return _Check(n, per_batch, lambda v: _result("tail", v, bound))
+    return _Check(lambda batch: batch.z[:, :n].mean(axis=1) >= thr[batch.z[:, 0]],
+                  lambda v: _result("tail", v, bound))
 
 
 def _base_tail(config, params, lam):
@@ -295,7 +287,7 @@ def _base_tail(config, params, lam):
     mu_f = float(invariant_measure(config.p).weights @ fv)
     n = int(config.n)
     bound = base_concentration_bound(lam, params)
-    return _Check(n, lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
+    return _Check(lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
                   lambda v: _result("base_tail", v, bound))
 
 
@@ -316,33 +308,17 @@ def _decoupling(config, params, lam):
         e_tau = float(rule.time)
     else:
         e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    bound = decoupling_time_bound(params.epsilon, e_tau)
+    bound = decoupling_time_bound(params.epsilon, e_tau)  # E[tau ^ n] <= E[tau]
+    n = int(config.n)
 
     def per_batch(batch):
-        # first disagreement step and realized stopping time (-1 = not yet)
+        # first disagreement step (n + 1: none in the run) against tau ^ n
+        s_eps = _first_hit_times(batch.z, [1], n + 1)
         if rule.kind == "deterministic":
-            tau = np.full(batch.n_traj, int(rule.time), dtype=np.int64)
-        else:
-            tau = _first_hit_times(batch.x, rule.targets)
-        return np.stack([_first_hit_times(batch.z, [1]), tau], axis=1)
+            return s_eps <= rule.time
+        return s_eps <= _first_hit_times(batch.x, rule.targets, n)
 
-    def finish(v):
-        s_eps, tau = v[:, 0], v[:, 1]
-        dec = np.where(s_eps >= 0, s_eps, np.iinfo(np.int64).max)
-        stop = np.where(tau >= 0, tau, np.iinfo(np.int64).max)
-        undetermined = (s_eps < 0) & (tau < 0)
-        events = np.where(undetermined, True, dec <= stop)
-        frac_und = float(undetermined.mean())
-        if frac_und > 0.0:
-            warnings.warn(
-                f"{frac_und:.2%} of replicates resolved neither event within the horizon; "
-                f"counted as decoupled, so the estimate is biased upward by at most that amount",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return _result("decoupling", events.astype(float), bound)
-
-    return _Check(int(config.n), per_batch, finish)
+    return _Check(per_batch, lambda v: _result("decoupling", v, bound))
 
 
 def _bounding_decoupling(config, params, lam):
@@ -354,10 +330,9 @@ def _bounding_decoupling(config, params, lam):
     bound = decoupling_time_bound(params.epsilon, float(N))
 
     def per_batch(batch):
-        sigma = _first_hit_times(batch.y, [1])
-        return (sigma >= 0) & (sigma <= N)
+        return _first_hit_times(batch.y, [1], N + 1) <= N
 
-    return _Check(int(config.n), per_batch, lambda v: _result("bounding_decoupling", v, bound))
+    return _Check(per_batch, lambda v: _result("bounding_decoupling", v, bound))
 
 
 def _path_law(config, params, lam):
@@ -367,35 +342,25 @@ def _path_law(config, params, lam):
     if params.p0 != 0.0:
         raise ValueError("path-law check requires equal initial laws")
     e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    cap = max(int(config.n), int(math.ceil(50.0 * e_tau)))
-    bound = path_law_bound(params.epsilon, e_tau)
+    bound = path_law_bound(params.epsilon, e_tau)  # tau ^ (n + 1) is a function of tau
+    n = int(config.n)
 
     def per_batch(batch):
-        return np.stack([_first_hit_times(batch.x, rule.targets),
-                         _first_hit_times(batch.x_eps, rule.targets)], axis=1)
+        # tau ^ (n + 1) of each marginal: a hit after step n reads n + 1
+        return np.stack([_first_hit_times(batch.x, rule.targets, n + 1),
+                         _first_hit_times(batch.x_eps, rule.targets, n + 1)], axis=1)
 
     def finish(v):
         tau_p, tau_q = v[:, 0], v[:, 1]
-        p_hat = np.bincount(tau_p[tau_p >= 0], minlength=cap + 1) / tau_p.size
-        q_hat = np.bincount(tau_q[tau_q >= 0], minlength=cap + 1) / tau_q.size
-        p_tail = float((tau_p < 0).mean())
-        q_tail = float((tau_q < 0).mean())
-        if p_tail > 0.0 or q_tail > 0.0:
-            warnings.warn(
-                f"hitting-time support truncated at {cap}: tail masses {p_tail:.3g} / {q_tail:.3g} "
-                "added to the TV estimate as a worst case",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # Plug-in TV with the signs of p_hat - q_hat frozen, and the tails as the
-        # worst case +1 / -1: one term per replicate, whose mean is the plug-in
-        # estimate and whose spread gives the paired standard error.
+        p_hat = np.bincount(tau_p, minlength=n + 2) / tau_p.size
+        q_hat = np.bincount(tau_q, minlength=n + 2) / tau_q.size
+        # Plug-in TV with the signs of p_hat - q_hat frozen: one term per
+        # replicate, whose mean is the plug-in estimate and whose spread gives
+        # the paired standard error.
         signs = np.sign(p_hat - q_hat)
-        g_p = np.where(tau_p >= 0, signs[tau_p], 1.0)
-        g_q = np.where(tau_q >= 0, signs[tau_q], -1.0)
-        return _result("path_law", 0.5 * (g_p - g_q), bound)
+        return _result("path_law", 0.5 * (signs[tau_p] - signs[tau_q]), bound)
 
-    return _Check(cap, per_batch, finish)
+    return _Check(per_batch, finish)
 
 
 _CHECKS = {
@@ -412,13 +377,13 @@ EXPERIMENT_NAMES = tuple(_CHECKS)
 
 
 def run_experiments(names, config: ExperimentConfig, lam=1.0):
-    """Run the named checks on shared coupled runs; results in the order of ``names``.
+    """Run the named checks on one coupled run; results in the order of ``names``.
 
-    Every check except ``path_law`` reads one run of horizon ``n``;
-    ``path_law`` reads a run of horizon ``cap`` (the same run when
-    ``cap == n``).  Unknown names and invalid configs are rejected before
-    anything is simulated.  ``lam`` only matters for the tail checks.  Each
-    result equals, bit for bit, the matching ``empirical_*`` call.
+    Every check reads the same run of horizon ``n``; ``decoupling`` and
+    ``path_law`` stop at ``tau ^ n`` and ``tau ^ (n + 1)``.  Unknown names and
+    invalid configs are rejected before anything is simulated.  ``lam`` only
+    matters for the tail checks.  Each result equals, bit for bit, the
+    matching ``empirical_*`` call.
     """
     names = list(names)
     unknown = [name for name in names if name not in _CHECKS]
@@ -455,9 +420,10 @@ def empirical_base_tail(config: ExperimentConfig, lam) -> VerificationResult:
 def empirical_decoupling(config: ExperimentConfig) -> VerificationResult:
     """P(first disagreement <= stopping time) against ``min(1, epsilon E[tau])``.
 
-    With a hitting rule, E[tau] comes from the exact linear solve.  Replicates
-    where neither event resolved within the horizon are counted as decoupled
-    (one-sided safe) and a truncation warning reports the fraction.
+    The stopping time is ``tau ^ n``: a replicate whose pair has not
+    separated by step ``n`` is not decoupled, whether or not ``tau`` came.
+    The bound keeps ``E[tau]`` (the exact linear solve for a hitting rule),
+    which is at least ``E[tau ^ n]``, so it holds for every ``n``.
     """
     return run_experiments(["decoupling"], config)[0]
 
@@ -468,16 +434,16 @@ def empirical_bounding_decoupling(config: ExperimentConfig) -> VerificationResul
 
 
 def empirical_path_law_distance(config: ExperimentConfig) -> VerificationResult:
-    """TV distance between the hitting-time laws of the two chains.
+    """TV distance between the laws of ``tau ^ (n + 1)`` of the two chains.
 
-    Both laws are read from the two marginals of one coupled run of horizon
-    ``cap = max(n, 50 E[tau])``; the claim concerns marginal laws, and each
-    marginal is an exact chain.  The plug-in estimate on support ``0..cap``
-    adds the tail mass of both histograms as a worst case.  Its standard
-    error is the paired one of the per-replicate terms
-    ``0.5 (g_p(tau_p) - g_q(tau_q))`` with the signs ``g`` of the histogram
-    difference frozen (tails count +1 for ``p`` and -1 for ``q``); their
-    mean is the plug-in estimate.
+    Both laws are read from the two marginals of the coupled run of horizon
+    ``n``; the claim concerns marginal laws, and each marginal is an exact
+    chain.  A hitting time not seen by step ``n`` reads ``n + 1``, a function
+    of ``tau``, so the bound on the laws of ``tau`` applies.  The plug-in
+    estimate lives on the support ``0..n+1``.  Its standard error is the
+    paired one of the per-replicate terms ``0.5 (g(tau_p) - g(tau_q))`` with
+    the signs ``g`` of the histogram difference frozen; their mean is the
+    plug-in estimate.
     """
     return run_experiments(["path_law"], config)[0]
 
@@ -516,4 +482,4 @@ def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
     def finish(v):
         return EnvelopeReport(stats=v[:, 0].copy(), stabilized=v[:, 1] > 0.0, grid=grid)
 
-    return _run_checks(config, [_Check(n, per_batch, finish)])[0]
+    return _run_checks(config, [_Check(per_batch, finish)])[0]

@@ -313,3 +313,12 @@ class TestGpSweep:
         assert snap["replicates"] == 2
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["outputs"]) == ["config.json", "sweep.csv"]
+
+    @pytest.mark.parametrize("qmax", ["0", "-3"])
+    def test_nonpositive_qmax_exits_two(self, tmp_path, capsys, qmax):
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "gp-sweep", "--n", "20", "--m", "2",
+                   "--replicates", "1", "--qmax", qmax])
+        assert rc == 2
+        assert "qmax" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()

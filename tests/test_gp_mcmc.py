@@ -278,10 +278,13 @@ class TestFigureSweep:
                     0.0 if r.epsilon == 0.0 else r.epsilon / (r.alpha + r.epsilon))
 
     def test_explicit_q_list(self):
+        # with no adaptive stop the ranks are exactly 1..qmax; pick out three
         cfg = GPConfig(n=20, m=2, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rows = figure_sweep(cfg, 1, q_list=[1, 5, 20])
+            swept = figure_sweep(cfg, 1, eps_threshold=0.0, qmax=20)
+        assert [r.q for r in swept] == list(range(1, 21))
+        rows = [r for r in swept if r.q in (1, 5, 20)]
         assert [r.q for r in rows] == [1, 5, 20]
 
     def test_matches_cholesky_oracle(self):
@@ -289,7 +292,7 @@ class TestFigureSweep:
         qs = [1, cfg.n // 3, cfg.n]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            rows = figure_sweep(cfg, 2, q_list=qs)
+            rows = [r for r in figure_sweep(cfg, 2, eps_threshold=0.0, qmax=cfg.n) if r.q in qs]
         assert [(r.replicate, r.q) for r in rows] == [(rep, q) for rep in (0, 1) for q in qs]
         for r in rows:
             eps, alpha = epsilon_alpha_for_gp(cfg, generate_data(cfg, r.replicate), r.q)
@@ -300,7 +303,8 @@ class TestFigureSweep:
         cfg = GPConfig(n=12, m=2, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            listed = figure_sweep(cfg, 1, q_list=[12, 13, 40])
+            listed = [r for r in figure_sweep(cfg, 1, eps_threshold=0.0, qmax=40)
+                      if r.q in (12, 13, 40)]
             capped = figure_sweep(cfg, 1, eps_threshold=0.0, qmax=15)
         assert [r.q for r in listed] == [12, 13, 40]
         assert listed[1][2:] == listed[0][2:] and listed[2][2:] == listed[0][2:]
@@ -311,8 +315,9 @@ class TestFigureSweep:
 
     def test_rejects_rank_zero(self):
         cfg = GPConfig(n=10, m=2, seed=1)
-        with pytest.raises(ValueError):
-            figure_sweep(cfg, 1, q_list=[0, 2])
+        for qmax in (0, -1):
+            with pytest.raises(ValueError, match="qmax"):
+                figure_sweep(cfg, 1, qmax=qmax)
         with pytest.raises(ValueError):
             lowrank_log_table(cfg, generate_data(cfg, 0), 0)
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from chain_perturb import (
     StoppingRule,
     almost_sure_envelope_check,
     closeness_params,
+    coupled_concentration_threshold,
     empirical_average_difference,
     empirical_base_tail,
     empirical_bounding_decoupling,
@@ -33,6 +35,19 @@ P_EPS, P = kernel_pair(0.25, 0.1)
 def flip_config(n=100, replicates=500, seed=7, **kw):
     return ExperimentConfig(p_eps=P_EPS, p=P, n=n, replicates=replicates,
                             master_seed=seed, **kw)
+
+
+def capped_hitting_law(K, targets, x0, n):
+    """Law of ``tau ^ (n + 1)`` on ``0..n+1``, propagating the mass that has not hit yet."""
+    on = np.zeros(len(K), dtype=bool)
+    on[list(targets)] = True
+    alive = np.eye(len(K))[x0]
+    law = np.zeros(n + 2)
+    for k in range(n + 1):
+        law[k] = alive[on].sum()
+        alive = np.where(on, 0.0, alive) @ K.rows
+    law[n + 1] = 1.0 - law[: n + 1].sum()
+    return law
 
 
 class TestConfigAndParams:
@@ -183,6 +198,18 @@ class TestEmpiricalTails:
         res = empirical_tail(flip_config(n=400, replicates=800), lam=2.0)
         assert res.satisfied
 
+    @pytest.mark.parametrize("starts", [(0, 1), ([0.5, 0.5], [1.0, 0.0])])
+    def test_threshold_follows_initial_disagreement(self, starts):
+        # each trajectory's threshold carries its own 1{X_0 != X_0^eps}
+        cfg = flip_config(n=40, replicates=400, seed=5, x0_eps=starts[0], x0=starts[1])
+        res = empirical_tail(cfg, lam=0.2)
+        params = closeness_params(cfg)
+        batch = simulate_coupled_batch(P_EPS, P, starts[0], starts[1], 40, 400, 5)
+        thr = np.array([coupled_concentration_threshold(0.2, params, bool(d))
+                        for d in batch.z[:, 0]])
+        assert res.estimate == np.mean(batch.z[:, :40].mean(axis=1) >= thr)
+        assert 0.0 < res.estimate < 1.0
+
     def test_base_tail_satisfied(self):
         res = empirical_base_tail(flip_config(f=[0.0, 1.0], n=400, replicates=800), lam=2.0)
         assert res.satisfied
@@ -224,6 +251,19 @@ class TestEmpiricalDecoupling:
         res = empirical_decoupling(cfg)
         assert res.satisfied
 
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_flip_pair_stops_at_horizon(self, n):
+        # From (0, 0) each step decouples with probability 0.1 (and X hits 1
+        # in that step), moves both chains to 1 with 0.15 and stays with 0.75,
+        # so P(S <= tau ^ n) = 0.4 (1 - 0.75^n), below epsilon E[tau] = 0.4.
+        cfg = flip_config(n=n, replicates=4000, seed=1,
+                          stopping=StoppingRule(kind="hitting", targets=(1,)))
+        res = empirical_decoupling(cfg)
+        exact = 0.4 * (1.0 - 0.75 ** n)
+        assert res.bound == pytest.approx(0.4, abs=1e-12)
+        assert res.satisfied
+        assert abs(res.estimate - exact) <= 3.0 * res.std_error
+
     def test_requires_equal_starts(self):
         cfg = flip_config(x0_eps=0, x0=1,
                           stopping=StoppingRule(kind="deterministic", time=10))
@@ -256,13 +296,24 @@ class TestEmpiricalPathLaw:
         assert res.satisfied
         assert res.bound == pytest.approx(0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_flip_pair_matches_capped_law(self, n):
+        cfg = flip_config(n=n, replicates=20_000, seed=1,
+                          stopping=StoppingRule(kind="hitting", targets=(1,)))
+        res = empirical_path_law_distance(cfg)
+        exact = 0.5 * np.abs(capped_hitting_law(P, (1,), 0, n)
+                             - capped_hitting_law(P_EPS, (1,), 0, n)).sum()
+        if n == 3:
+            assert exact == pytest.approx(0.85 ** 3 - 0.75 ** 3, abs=1e-15)
+        assert abs(res.estimate - exact) <= 3.0 * res.std_error
+        assert res.satisfied
+
     def test_vacuous_bound_trivially_satisfied(self):
         pe, pb = kernel_pair(0.25, 0.25)  # absorbing perturbed chain: laws far apart
         cfg = ExperimentConfig(p_eps=pe, p=pb, n=10, replicates=500, master_seed=23,
                                x0_eps=0, x0=0,
                                stopping=StoppingRule(kind="hitting", targets=(1,)))
-        with pytest.warns(RuntimeWarning):
-            res = empirical_path_law_distance(cfg)
+        res = empirical_path_law_distance(cfg)
         assert res.bound == 1.0
         assert res.satisfied
 
@@ -299,11 +350,19 @@ class TestRunExperiments:
             assert res == single[res.name]
 
     def test_one_run_per_horizon(self, sim_calls):
-        cfg = flip_config(**self.CONFIG)  # path-law cap 50 E[tau] = 200 > n
+        cfg = flip_config(**self.CONFIG)
         run_experiments(["disagreement", "tail", "base_tail", "decoupling"], cfg)
         assert sim_calls == [60]
         run_experiments(["disagreement", "tail", "base_tail", "decoupling", "path_law"], cfg)
-        assert sim_calls == [60, 60, 200]
+        assert sim_calls == [60, 60]
+
+    def test_short_horizon_raises_no_warning(self):
+        cfg = flip_config(n=2, replicates=500, seed=3,  # E[tau] = 4 > n
+                          stopping=StoppingRule(kind="hitting", targets=(1,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = run_experiments(["decoupling", "path_law"], cfg)
+        assert [r.name for r in results] == ["decoupling", "path_law"]
 
     def test_unknown_name_rejected_before_simulating(self, sim_calls):
         with pytest.raises(ValueError, match="nonsense"):
