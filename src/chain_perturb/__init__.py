@@ -90,7 +90,6 @@ from .sharpness import (
 )
 from .gp_mcmc import (
     GPConfig,
-    LowRankFactor,
     SweepRow,
     config_snapshot,
     epsilon_alpha_for_gp,
@@ -99,10 +98,7 @@ from .gp_mcmc import (
     generate_data,
     gibbs_transition_matrix,
     gram_matrix,
-    low_rank_factor,
     lowrank_log_table,
-    lowrank_logdet,
     marginal_log_likelihood,
     squared_distances,
-    woodbury_inverse,
 )

@@ -12,6 +12,7 @@ import argparse
 import csv
 import itertools
 import json
+import numbers
 import os
 import sys
 import time
@@ -37,6 +38,9 @@ EXIT_OK = 0
 EXIT_UNSATISFIED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# gp-sweep defaults (n, m, replicates): desk scale, and with --full-scale
+_GP_SIZES = {False: (100, 5, 20), True: (1000, 10, 100)}
 
 
 def _fmt(x) -> str:
@@ -94,12 +98,14 @@ def _build_parser():
     return parser
 
 
-def _load_pair(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if "P" not in doc or "P_eps" not in doc:
-        raise ValueError("pair file must contain fields 'P' and 'P_eps'")
-    return kernel_from_json(doc["P_eps"]), kernel_from_json(doc["P"])
+def _load_pair(source, base=""):
+    """Kernel pair ``(P_eps, P)`` from a parsed document, or from the JSON file it names."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(os.path.join(base, source)) as fh:
+            source = json.load(fh)
+    if not isinstance(source, dict) or "P" not in source or "P_eps" not in source:
+        raise ValueError("pair must contain fields 'P' and 'P_eps'")
+    return kernel_from_json(source["P_eps"]), kernel_from_json(source["P"])
 
 
 def _write_manifest(out_dir, command, snapshot, seed, outputs, started):
@@ -194,21 +200,19 @@ def _cmd_simulate(args, out_dir):
 def _experiment_setup(path):
     with open(path) as fh:
         doc = json.load(fh)
-    base = os.path.dirname(os.path.abspath(path))
-    pair_doc = doc["pair"]
-    if isinstance(pair_doc, str):
-        with open(os.path.join(base, pair_doc)) as fh:
-            pair_doc = json.load(fh)
-    if "P" not in pair_doc or "P_eps" not in pair_doc:
-        raise ValueError("pair must contain fields 'P' and 'P_eps'")
+    experiments = doc.get("experiments", ["disagreement"])
+    if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
+        raise ValueError(f"experiments must be a list of names, got {experiments!r}")
+    lam = doc.get("lambda", 1.0)
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+        raise ValueError(f"lambda must be a real number, got {lam!r}")
     stopping = None
     if "stopping" in doc:
         sd = doc["stopping"]
         stopping = StoppingRule(kind=sd["kind"], time=sd.get("time"),
                                 targets=tuple(sd.get("targets", ())))
     config = ExperimentConfig(
-        p_eps=kernel_from_json(pair_doc["P_eps"]),
-        p=kernel_from_json(pair_doc["P"]),
+        *_load_pair(doc["pair"], os.path.dirname(os.path.abspath(path))),
         n=doc["n"],
         replicates=doc["replicates"],
         master_seed=doc.get("seed", 0),
@@ -217,7 +221,7 @@ def _experiment_setup(path):
         f=StateFunction(doc["f"]) if "f" in doc else None,
         stopping=stopping,
     )
-    return config, doc.get("experiments", ["disagreement"]), doc.get("lambda", 1.0), doc
+    return config, experiments, lam, doc
 
 
 def _cmd_verify(args, out_dir):
@@ -253,14 +257,8 @@ def _cmd_sharpness(args, out_dir):
 
 
 def _cmd_gp_sweep(args, out_dir):
-    if args.full_scale:
-        n = args.n if args.n is not None else 1000
-        m = args.m if args.m is not None else 10
-        replicates = args.replicates if args.replicates is not None else 100
-    else:
-        n = args.n if args.n is not None else 100
-        m = args.m if args.m is not None else 5
-        replicates = args.replicates if args.replicates is not None else 20
+    given = (args.n, args.m, args.replicates)
+    n, m, replicates = (d if g is None else g for g, d in zip(given, _GP_SIZES[args.full_scale]))
     config = GPConfig(n=n, m=m, seed=args.seed)
     rows = figure_sweep(config, replicates, eps_threshold=args.eps_threshold, qmax=args.qmax)
     lines = ["replicate,q,epsilon,alpha,ratio"]

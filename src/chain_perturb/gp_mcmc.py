@@ -10,12 +10,13 @@ because rows of either matrix depend only on the current length-scale atom,
 the closeness constants of the pair reduce to maxima over ``m x m`` row
 pairs and are computed exactly.
 
-In the eigenbasis of each length-scale Gram matrix the Woodbury quadratic
-form and log-determinant at every rank are prefix sums over one spectrum, so
-the rank sweep builds all truncations, and the full-rank table, from one
+Every rank-q table comes from :func:`lowrank_log_table`: in the eigenbasis of
+each length-scale Gram matrix the Woodbury quadratic form and
+log-determinant at every rank are prefix sums over one spectrum, so the rank
+sweep builds all truncations, and the full-rank table, from one
 eigendecomposition per atom.  The dense path through numpy's Cholesky
 factorization (:func:`marginal_log_likelihood`, :func:`exact_log_table`)
-stays as an independent reference for the exact kernel.
+stays as the one independent reference for the exact kernel.
 
 All likelihood arithmetic is done in log space with log-sum-exp
 normalization; raw ratios underflow already at moderate data sizes.
@@ -30,19 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRegimeError, NumericalFailureError
+from .errors import NumericalFailureError
 from .kernels import FiniteKernel
 
 __all__ = [
     "GPConfig",
-    "LowRankFactor",
     "SweepRow",
     "squared_distances",
     "gram_matrix",
     "generate_data",
-    "low_rank_factor",
-    "woodbury_inverse",
-    "lowrank_logdet",
     "marginal_log_likelihood",
     "exact_log_table",
     "lowrank_log_table",
@@ -152,14 +149,6 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     return x3 * f + x3 * rng.standard_normal(int(config.n))
 
 
-@dataclass(frozen=True)
-class LowRankFactor:
-    """Rank-q factor ``Lambda`` with ``Lambda Lambda' `` the top-q eigen truncation."""
-
-    lam: np.ndarray
-    q: int
-
-
 def _spectrum(gram):
     """Eigenvalues of a symmetric PSD matrix in descending order, and matching vectors.
 
@@ -174,57 +163,13 @@ def _spectrum(gram):
     return np.clip(vals[order], 0.0, None), vecs[:, order]
 
 
-def low_rank_factor(sigma, q) -> LowRankFactor:
-    """Top-q eigenpair factor of a symmetric PSD matrix, from :func:`_spectrum`.
-
-    The Frobenius error ``||Sigma - Lambda Lambda'||_F`` equals the
-    root-sum-square of the discarded eigenvalues.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    if not 1 <= int(q) <= n:
-        raise ValueError(f"rank must be in 1..{n}, got {q!r}")
-    q = int(q)
-    vals, vecs = _spectrum(sigma)
-    return LowRankFactor(lam=vecs[:, :q] * np.sqrt(vals[:q]), q=q)
-
-
-def woodbury_inverse(lam, c) -> np.ndarray:
-    """``(I + c Lambda Lambda')^{-1} = I - Lambda (c^{-1} I_q + Lambda'Lambda)^{-1} Lambda'``."""
-    if c <= 0.0:
-        raise InvalidRegimeError(f"scale c must be positive, got {c!r}")
-    lam = np.asarray(lam, dtype=float)
-    n, q = lam.shape
-    inner = np.eye(q) / c + lam.T @ lam
-    try:
-        core = np.linalg.solve(inner, lam.T)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"Woodbury inner solve failed: {exc}") from exc
-    return np.eye(n) - lam @ core
-
-
-def lowrank_logdet(lam, c) -> float:
-    """``log det(I_n + c Lambda Lambda') = log det(I_q + c Lambda'Lambda)``."""
-    if c <= 0.0:
-        raise InvalidRegimeError(f"scale c must be positive, got {c!r}")
-    lam = np.asarray(lam, dtype=float)
-    inner = np.eye(lam.shape[1]) + c * (lam.T @ lam)
-    sign, logdet = np.linalg.slogdet(inner)
-    if sign <= 0.0:
-        raise NumericalFailureError("inner determinant not positive")
-    return float(logdet)
-
-
-def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0,
-                            rank=None, gram=None) -> float:
+def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0) -> float:
     """Log marginal likelihood of the data at one hyperparameter atom (up to a constant).
 
     ``-0.5 log det(I + x2 Sigma) - 0.5 (a + n) log(b + z'(I + x2 Sigma)^{-1} z)``,
     where the noise level has been integrated out against its inverse-Gamma
-    prior.  With ``rank=q`` the Gram matrix is replaced by its top-q eigen
-    truncation and both the quadratic form and the determinant go through the
-    Woodbury identities; ``gram`` can be passed to reuse a precomputed Gram
-    matrix.
+    prior.  Evaluated through a dense Cholesky factorization: this is the
+    reference every table of :func:`lowrank_log_table` is tested against.
 
     The dropped proportionality constant cancels in every conditional the
     Gibbs kernels are built from.
@@ -233,56 +178,35 @@ def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0,
     n = z.size
     if prior_b <= 0.0 or prior_a <= 0.0:
         raise ValueError("prior parameters must be positive")
-    if gram is None:
-        gram = gram_matrix(x1, points)
-    if rank is None:
-        try:
-            chol = np.linalg.cholesky(np.eye(n) + x2 * gram)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"covariance not positive definite: {exc}") from exc
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        w = np.empty(n)
-        for i in range(n):  # forward substitution for chol^{-1} z: O(n^2), a general solve O(n^3)
-            w[i] = (z[i] - chol[i, :i] @ w[:i]) / chol[i, i]
-        quad = float(w @ w)
-    else:
-        if x2 <= 0.0:
-            raise InvalidRegimeError("low-rank engine needs a positive amplitude x2")
-        lam = low_rank_factor(gram, rank).lam
-        t = lam.T @ z
-        inner = np.eye(lam.shape[1]) / x2 + lam.T @ lam
-        try:
-            quad = float(z @ z - t @ np.linalg.solve(inner, t))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"Woodbury inner solve failed: {exc}") from exc
-        logdet = lowrank_logdet(lam, x2)
+    try:
+        chol = np.linalg.cholesky(np.eye(n) + x2 * gram_matrix(x1, points))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"covariance not positive definite: {exc}") from exc
+    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+    w = np.empty(n)
+    for i in range(n):  # forward substitution for chol^{-1} z: O(n^2), a general solve O(n^3)
+        w[i] = (z[i] - chol[i, :i] @ w[:i]) / chol[i, i]
+    quad = float(w @ w)
     return -0.5 * logdet - 0.5 * (prior_a + n) * math.log(prior_b + quad)
 
 
 # ---------------------------------------------------------------------------
 # likelihood tables over the m x m atom grid
 
-def _gram_list(config):
-    return [gram_matrix(x1, config.points) for x1 in config.grid_x1]
+def _eigen_cache(config):
+    """Per length-scale atom: the :func:`_spectrum` of its Gram matrix, one Gram alive at a time."""
+    return [_spectrum(gram_matrix(x1, config.points)) for x1 in config.grid_x1]
 
 
-def _eigen_cache(config, grams=None):
-    """Per length-scale atom: the :func:`_spectrum` of its Gram matrix."""
-    if grams is None:  # one n x n Gram matrix alive at a time
-        grams = (gram_matrix(x1, config.points) for x1 in config.grid_x1)
-    return [_spectrum(g) for g in grams]
-
-
-def exact_log_table(config, z, grams=None) -> np.ndarray:
-    """Dense-factorization log-likelihood table ``ll[i1, i2]``."""
-    grams = grams if grams is not None else _gram_list(config)
+def exact_log_table(config, z) -> np.ndarray:
+    """Dense-Cholesky log-likelihood table ``ll[i1, i2]`` from :func:`marginal_log_likelihood`."""
     m = int(config.m)
     ll = np.empty((m, m))
     for i1 in range(m):
         for i2 in range(m):
             ll[i1, i2] = marginal_log_likelihood(
                 config.grid_x1[i1], config.grid_x2[i2], z, config.points,
-                prior_b=config.prior_b, prior_a=config.prior_a, gram=grams[i1],
+                prior_b=config.prior_b, prior_a=config.prior_a,
             )
     return ll
 
@@ -290,15 +214,23 @@ def exact_log_table(config, z, grams=None) -> np.ndarray:
 def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
     """Low-rank log-likelihood table ``ll[i1, i2]`` at rank ``q``.
 
-    Evaluates the Woodbury identities in the eigenbasis, where the inner
-    ``q x q`` matrix is diagonal: with projections ``c_i = u_i'z``,
+    The Gram matrix of atom ``i1`` is replaced by its top-q eigen truncation
+    ``Lambda Lambda'`` with ``Lambda = U_q L_q^{1/2}``, and the likelihood of
+    ``I + x2 Lambda Lambda'`` goes through the Woodbury identity
+
+    ``(I + x2 Lambda Lambda')^{-1} = I - Lambda (x2^{-1} I + Lambda'Lambda)^{-1} Lambda'``
+
+    and ``det(I + x2 Lambda Lambda') = det(I_q + x2 Lambda'Lambda)``.  In the
+    eigenbasis ``Lambda'Lambda = L_q`` is diagonal, so with projections
+    ``c_i = u_i'z``
 
     ``quad = z'z - sum_{i<q} l_i c_i^2 / (1/x2 + l_i)``,
     ``logdet = sum_{i<q} log(1 + x2 l_i)``,
 
-    so every rank is a prefix sum over one spectrum.  ``q`` may also be an
-    array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks above
-    ``n`` give the full-rank table.
+    and every rank is a prefix sum over one spectrum.  ``q`` may also be an
+    array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks of ``n``
+    and above give the full-rank table.  ``eigen_cache`` reuses the spectra of
+    :func:`_eigen_cache` across datasets.
     """
     ranks = np.asarray(q, dtype=int)
     if np.any(ranks < 1):
@@ -374,7 +306,7 @@ def _cross_tv(T_a, T_b):
                    for i1 in range(m)], axis=0)
 
 
-def epsilon_alpha_for_gp(config, z, q, grams=None, eigen_cache=None):
+def epsilon_alpha_for_gp(config, z, q):
     """Exact closeness constants of the (exact, rank-q) Gibbs pair.
 
     Exploits the row structure: rows depend only on the length-scale atom, so
@@ -382,10 +314,8 @@ def epsilon_alpha_for_gp(config, z, q, grams=None, eigen_cache=None):
     pairs.  The exact side comes from dense factorizations, independently of
     the eigen tables :func:`figure_sweep` uses.  Returns ``(epsilon, alpha)``.
     """
-    grams = grams if grams is not None else _gram_list(config)
-    cache = eigen_cache if eigen_cache is not None else _eigen_cache(config, grams)
-    T = _rows_by_x1(exact_log_table(config, z, grams=grams))
-    Te = _rows_by_x1(lowrank_log_table(config, z, q, eigen_cache=cache))
+    T = _rows_by_x1(exact_log_table(config, z))
+    Te = _rows_by_x1(lowrank_log_table(config, z, q))
     return float(_local_tv(Te, T)), 1.0 - float(_cross_tv(Te, T))
 
 

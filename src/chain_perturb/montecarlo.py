@@ -21,6 +21,7 @@ read it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -116,10 +117,10 @@ class ExperimentConfig:
             )
         _as_initial(self.x0_eps, len(self.p))
         _as_initial(self.x0, len(self.p))
-        if int(self.n) < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if int(self.replicates) < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates!r}")
+        for name, low in (("n", 1), ("replicates", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.f is not None:
             self.f = as_state_function(self.f)
             if len(self.f) != len(self.p):

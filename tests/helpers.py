@@ -29,3 +29,17 @@ def power_iteration_mu(P, iters=20000):
     for _ in range(iters):
         mu = mu @ P.rows
     return mu
+
+
+def truncated_gram(S, q):
+    """Top-q eigen truncation of a symmetric matrix, straight from ``np.linalg.eigh``."""
+    vals, vecs = np.linalg.eigh(S)
+    top = np.argsort(vals)[::-1][:q]
+    return (vecs[:, top] * vals[top]) @ vecs[:, top].T
+
+
+def dense_log_likelihood(gram, x2, z, prior_b=2.0, prior_a=2.0):
+    """``-0.5 log det(I + x2 G) - 0.5 (a + n) log(b + z'(I + x2 G)^{-1} z)`` by slogdet and solve."""
+    B = np.eye(z.size) + x2 * gram
+    _, logdet = np.linalg.slogdet(B)
+    return -0.5 * logdet - 0.5 * (prior_a + z.size) * np.log(prior_b + z @ np.linalg.solve(B, z))

@@ -290,6 +290,24 @@ class TestVerify:
         rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(bad)])
         assert rc == 2
 
+    @pytest.mark.parametrize("override, message", [
+        ({"n": 20.7}, "n must be an integer"),
+        ({"replicates": 50.9}, "replicates must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"seed": 1.5}, "master_seed must be an integer"),
+        ({"lambda": "2"}, "lambda must be a real number"),
+        ({"experiments": "disagreement"}, "experiments must be a list"),
+        ({"experiments": [["disagreement"]]}, "experiments must be a list"),
+    ], ids=["n-float", "replicates-float", "n-bool", "seed-float", "lambda-string",
+            "experiments-string", "experiments-nested"])
+    def test_mistyped_config_exits_two(self, tmp_path, pair_file, capsys, override, message):
+        cfg = self.write_config(tmp_path, pair_file, **override)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "verify.csv").exists()
+
     def test_start_outside_state_space_exits_two(self, tmp_path, pair_file, capsys):
         cfg = self.write_config(tmp_path, pair_file, x0=5, x0_eps=5, experiments=["path_law"],
                                 stopping={"kind": "hitting", "targets": [1]})

@@ -15,14 +15,12 @@ from chain_perturb import (
     gibbs_transition_matrix,
     gram_matrix,
     local_epsilon,
-    low_rank_factor,
     lowrank_log_table,
-    lowrank_logdet,
     marginal_log_likelihood,
     squared_distances,
-    woodbury_inverse,
 )
-from chain_perturb.gp_mcmc import logsumexp
+from chain_perturb.gp_mcmc import _spectrum, logsumexp
+from helpers import dense_log_likelihood, truncated_gram
 
 
 class TestConfig:
@@ -93,16 +91,17 @@ class TestGenerateData:
         assert np.all(np.abs(sample - target) <= tol)
 
 
-class TestLowRankFactor:
+class TestSpectrum:
     def test_full_rank_reconstructs(self):
         cfg = GPConfig(n=30, m=2)
         S = gram_matrix(cfg.grid_x1[1], cfg.points)
-        lam = low_rank_factor(S, 30).lam
-        assert np.abs(lam @ lam.T - S).max() <= 1e-10
+        vals, vecs = _spectrum(S)
+        assert np.abs((vecs * vals) @ vecs.T - S).max() <= 1e-10
 
     def test_identity_gives_coordinate_projector(self):
-        f = low_rank_factor(np.eye(5), 2)
-        proj = f.lam @ f.lam.T
+        vals, vecs = _spectrum(np.eye(5))
+        lam = vecs[:, :2] * np.sqrt(vals[:2])
+        proj = lam @ lam.T
         np.testing.assert_allclose(proj, np.diag([1.0, 1.0, 0.0, 0.0, 0.0]), atol=1e-12)
 
     def test_frobenius_error_is_discarded_spectrum(self):
@@ -110,39 +109,9 @@ class TestLowRankFactor:
         A = rng.normal(size=(6, 6))
         S = A @ A.T
         vals = np.sort(np.linalg.eigvalsh(S))[::-1]
-        f = low_rank_factor(S, 3)
-        err = np.linalg.norm(S - f.lam @ f.lam.T, "fro")
+        top, vecs = _spectrum(S)
+        err = np.linalg.norm(S - (vecs[:, :3] * top[:3]) @ vecs[:, :3].T, "fro")
         assert err == pytest.approx(np.sqrt((vals[3:] ** 2).sum()), abs=1e-8)
-
-    def test_rank_bounds(self):
-        with pytest.raises(ValueError):
-            low_rank_factor(np.eye(3), 0)
-        with pytest.raises(ValueError):
-            low_rank_factor(np.eye(3), 4)
-
-
-class TestWoodbury:
-    def test_inverse_matches_dense(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            n, q = 8, 3
-            lam = rng.normal(size=(n, q))
-            c = rng.uniform(0.2, 2.0)
-            dense = np.linalg.inv(np.eye(n) + c * lam @ lam.T)
-            assert np.abs(dense - woodbury_inverse(lam, c)).max() <= 1e-10
-
-    def test_logdet_matches_dense(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            lam = rng.normal(size=(7, 2))
-            c = rng.uniform(0.2, 2.0)
-            _, expected = np.linalg.slogdet(np.eye(7) + c * lam @ lam.T)
-            assert lowrank_logdet(lam, c) == pytest.approx(expected, abs=1e-10)
-
-    def test_requires_positive_scale(self):
-        from chain_perturb import InvalidRegimeError
-        with pytest.raises(InvalidRegimeError):
-            woodbury_inverse(np.ones((3, 1)), 0.0)
 
 
 class TestMarginalLogLikelihood:
@@ -156,11 +125,8 @@ class TestMarginalLogLikelihood:
     def test_full_rank_matches_exact(self):
         cfg = GPConfig(n=25, m=3, seed=9)
         z = generate_data(cfg, 0)
-        for x1 in cfg.grid_x1:
-            for x2 in cfg.grid_x2:
-                exact = marginal_log_likelihood(x1, x2, z, cfg.points)
-                low = marginal_log_likelihood(x1, x2, z, cfg.points, rank=25)
-                assert low == pytest.approx(exact, abs=1e-8)
+        np.testing.assert_allclose(lowrank_log_table(cfg, z, 25), exact_log_table(cfg, z),
+                                   rtol=0, atol=1e-8)
 
     def test_two_point_symbolic_inverse(self):
         # closed-form 2x2 inverse of [[1+x2, x2 s], [x2 s, 1+x2]]
@@ -187,11 +153,11 @@ class TestMarginalLogLikelihood:
         ll = exact_log_table(cfg, z)
         llq = lowrank_log_table(cfg, z, 6)
         for i1, x1 in enumerate(cfg.grid_x1):
+            G6 = truncated_gram(gram_matrix(x1, cfg.points), 6)
             for i2, x2 in enumerate(cfg.grid_x2):
                 assert ll[i1, i2] == pytest.approx(
                     marginal_log_likelihood(x1, x2, z, cfg.points), rel=1e-12)
-                assert llq[i1, i2] == pytest.approx(
-                    marginal_log_likelihood(x1, x2, z, cfg.points, rank=6), abs=1e-8)
+                assert llq[i1, i2] == pytest.approx(dense_log_likelihood(G6, x2, z), abs=1e-8)
 
 
 def brute_force_gibbs(cfg, z, rank=None):
@@ -201,8 +167,7 @@ def brute_force_gibbs(cfg, z, rank=None):
     for i1, x1 in enumerate(cfg.grid_x1):
         S = gram_matrix(x1, cfg.points)
         if rank is not None:
-            f = low_rank_factor(S, rank)
-            S = f.lam @ f.lam.T
+            S = truncated_gram(S, rank)
         for i2, x2 in enumerate(cfg.grid_x2):
             B = np.eye(cfg.n) + x2 * S
             L[i1, i2] = np.linalg.det(B) ** -0.5 \
