@@ -200,6 +200,8 @@ def _cmd_simulate(args, out_dir):
 def _experiment_setup(path):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     experiments = doc.get("experiments", ["disagreement"])
     if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
         raise ValueError(f"experiments must be a list of names, got {experiments!r}")
@@ -209,8 +211,12 @@ def _experiment_setup(path):
     stopping = None
     if "stopping" in doc:
         sd = doc["stopping"]
-        stopping = StoppingRule(kind=sd["kind"], time=sd.get("time"),
-                                targets=tuple(sd.get("targets", ())))
+        if not isinstance(sd, dict):
+            raise ValueError(f"stopping must be an object with a 'kind', got {sd!r}")
+        targets = sd.get("targets", [])
+        if not isinstance(targets, list):
+            raise ValueError(f"stopping targets must be a list of states, got {targets!r}")
+        stopping = StoppingRule(kind=sd.get("kind"), time=sd.get("time"), targets=tuple(targets))
     config = ExperimentConfig(
         *_load_pair(doc["pair"], os.path.dirname(os.path.abspath(path))),
         n=doc["n"],

@@ -16,18 +16,24 @@ consumer (the checks, the ``simulate`` command) reduces or writes a chunk
 before the next one is drawn.  The closeness constants that drive the
 dominating chain are always computed from the kernels themselves.
 
-The split is held as sampling tables for the S diagonal pairs ``(x, x)``
-only, each part an S x S table of row CDFs; a coupled pair always sits on
-the diagonal.  A pair off the diagonal splits its two kernel rows in the step
-that needs them.  Every draw inverts a CDF row by binary search, O(log S) per
+The split is held as sampling tables, each part a table of row CDFs, with an
+S x S map from a state pair to its table row.  When S <= 5 every one of the
+S^2 pairs is tabulated (3 S^3 + S^2 floats, within the O(S^2) budget at that
+size), so no step ever splits a row pair.  For larger S only the S diagonal
+pairs ``(x, x)`` are: a coupled pair always sits on the diagonal, and a pair
+off it maps to -1 and splits its two kernel rows in the step that needs
+them.  Every draw inverts a CDF row by binary search, O(log S) per
 trajectory and step, so the stepper's memory is O(S^2 + batch * S) plus the
 batch's uniforms and paths.
 
-RNG contract: trajectory ``i`` under master seed ``s`` owns the substream
-``SeedSequence(entropy=s, spawn_key=(i,))`` and consumes exactly three
-uniforms per step (plus one extra triple up front when the initial states are
-sampled from distributions), so batches are reproducible bit-for-bit and safe
-to generate in parallel.  No other substream is ever drawn.
+RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
+``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
+trajectories.  A block's uniforms are laid out trajectory-major: each
+trajectory takes three per step (plus one extra triple up front when the
+initial states are sampled from distributions), in trajectory order.  A
+batch jumps to its first trajectory's offset with PCG64's ``advance``, so
+results are bit-for-bit the same for every ``batch_size`` and a batch never
+holds more uniforms than its own.  No other substream is ever drawn.
 """
 
 from __future__ import annotations
@@ -235,17 +241,16 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n_traj < 1:
         raise ValueError(f"n_traj must be a positive integer, got {n_traj!r}")
-    eps = local_epsilon(A, B)
-    alp = cross_doeblin_constant(A, B)
+    # The dominating chain moves to 1 exactly when the step's first uniform
+    # reaches to_one[y] from its state y: 1-eps from 0, alpha from 1.
+    to_one = np.array([1.0 - local_epsilon(A, B), cross_doeblin_constant(A, B)])
     S = len(A)
     init_e, we = _as_initial(x0_eps, S)
     init_b, wb = _as_initial(x0, S)
     sample_init = init_e is None or init_b is None
     if sample_init:
         init_split = _split(we[None, :], wb[None, :])
-    # A coupled pair sits on the diagonal, so only the S diagonal splits are
-    # tabulated; a decoupled pair splits its two rows when it steps.
-    diag = _split(A.rows, B.rows)
+    table, pair_row = _pair_tables(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
     if batch_size is None:
         batch_size = max(1, min(int(n_traj), 1_500_000 // max(steps, 1)))
@@ -263,34 +268,65 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         xe[:, 0] = cur_e
         xb[:, 0] = cur_b
         y = np.empty((count, n + 1), dtype=np.int8)
-        cur_y = (cur_e != cur_b).astype(np.int8)
-        y[:, 0] = cur_y
+        y[:, 0] = cur_e != cur_b
         for k in range(n):
             u = U[:, k]
-            off = np.flatnonzero(cur_e != cur_b)
-            nxt_e, nxt_b = _draw(diag, cur_e, u)
+            rows = pair_row[cur_e, cur_b]
+            # A -1 row indexes the table from its end, so its draw stays in
+            # bounds; the pair's own split replaces it.
+            nxt_e, nxt_b = _draw(table, rows, u)
+            off = np.flatnonzero(rows < 0)
             if off.size:
                 split = _split(A.rows[cur_e[off]], B.rows[cur_b[off]])
                 nxt_e[off], nxt_b[off] = _draw(split, np.arange(off.size), u[off])
             cur_e, cur_b = nxt_e, nxt_b
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
-            stay = np.where(cur_y == 0, u[:, 0] < 1.0 - eps, u[:, 0] < alp)
-            cur_y = np.where(stay, 0, 1).astype(np.int8)
+            y[:, k + 1] = u[:, 0] >= to_one[y[:, k]]
             xe[:, k + 1] = cur_e
             xb[:, k + 1] = cur_b
-            y[:, k + 1] = cur_y
         del U, u  # free this batch's uniforms before the next batch draws its own
         z = (xe != xb).astype(np.int8)
         yield CoupledBatch(x_eps=xe, x=xb, z=z, y=y, first_index=start)
 
 
+_ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget
+
+
+def _pair_tables(rows_eps, rows_base):
+    """The tabulated split and the S x S map from a state pair to its row (-1: untabulated).
+
+    All S^2 pairs when S <= 5, pair ``(e, b)`` at row ``e * S + b``;
+    otherwise the S diagonal pairs only, pair ``(x, x)`` at row ``x``.
+    """
+    S = rows_eps.shape[0]
+    if S <= _ALL_PAIRS_MAX:
+        table = _split(np.repeat(rows_eps, S, 0), np.tile(rows_base, (S, 1)))
+        return table, np.arange(S * S).reshape(S, S)
+    pair_row = np.full((S, S), -1, dtype=np.intp)
+    np.fill_diagonal(pair_row, np.arange(S))
+    return _split(rows_eps, rows_base), pair_row
+
+
+_BLOCK = 1024  # trajectories per RNG substream; part of the RNG contract
+
+
 def _uniforms(seed, start, count, steps):
-    """Uniforms ``(count, steps, 3)`` of trajectories ``start .. start+count-1``, one substream each."""
+    """Uniforms ``(count, steps, 3)`` of trajectories ``start .. start+count-1``.
+
+    Each piece of the batch that falls in one block is filled in place from
+    the block's substream, advanced past the block's earlier trajectories;
+    one double costs one 64-bit PCG64 draw.
+    """
     U = np.empty((count, steps, 3))
-    for j in range(count):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(start + j,))
-        U[j] = np.random.default_rng(ss).random((steps, 3))
+    i = start
+    while i < start + count:
+        block, offset = divmod(i, _BLOCK)
+        take = min(start + count - i, _BLOCK - offset)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        rng.bit_generator.advance(offset * steps * 3)
+        rng.random(out=U[i - start:i - start + take])
+        i += take
     return U
 
 

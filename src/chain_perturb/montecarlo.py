@@ -14,7 +14,8 @@ checks read ``tau ^ n`` (``tau ^ (n + 1)`` for the path law), stopping times
 with ``E[tau ^ n] <= E[tau]``, so no check needs a run longer than ``n``.
 
 Everything is reproducible bit-for-bit from ``(master_seed, config)``:
-trajectory ``i`` consumes the substream ``spawn_key=(i,)``, whichever checks
+trajectory ``i`` reads its slot of the substream ``spawn_key=(i // 1024,)``
+of its block of 1024 trajectories (see :mod:`.coupling`), whichever checks
 read it.
 """
 
@@ -74,6 +75,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value):
+    """True for an integer, numpy's included; False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """Stopping-time rule: a deterministic horizon or the hitting time of a state set."""
@@ -86,11 +92,15 @@ class StoppingRule:
         if self.kind not in ("deterministic", "hitting"):
             raise ValueError(f"kind must be 'deterministic' or 'hitting', got {self.kind!r}")
         if self.kind == "deterministic":
-            if self.time is None or int(self.time) < 1:
-                raise ValueError("deterministic rule needs a positive time")
+            if not _is_integer(self.time) or self.time < 1:
+                raise ValueError("deterministic rule needs an integer time >= 1, "
+                                 f"got {self.time!r}")
         else:
             if not self.targets:
                 raise ValueError("hitting rule needs a non-empty target set")
+            for t in self.targets:
+                if not _is_integer(t):
+                    raise ValueError(f"hitting targets must be integer states, got {t!r}")
             object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 
@@ -119,7 +129,7 @@ class ExperimentConfig:
         _as_initial(self.x0, len(self.p))
         for name, low in (("n", 1), ("replicates", 1), ("master_seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            if not _is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.f is not None:
             self.f = as_state_function(self.f)
@@ -210,10 +220,23 @@ def _run_checks(config: ExperimentConfig, checks):
     return [check.finish(np.concatenate(values)) for check, values in zip(checks, parts)]
 
 
-def _first_hit_times(states, targets, missing):
-    """First index k with states[:, k] in targets; ``missing`` where never hit."""
-    hit = np.isin(states, list(targets))
+def _first_hit_times(states, on, missing):
+    """First index k with ``on[states[:, k]]``; ``missing`` where never hit.
+
+    ``on`` is a boolean lookup table over the states, True on the targets.
+    """
+    hit = on[states]
     return np.where(hit.any(axis=1), hit.argmax(axis=1), missing)
+
+
+_ON_ONE = np.array([False, True])  # target {1} of the binary paths z and y
+
+
+def _target_table(targets, n_states):
+    """Boolean lookup table over ``n_states`` states, True on ``targets``."""
+    on = np.zeros(n_states, dtype=bool)
+    on[list(targets)] = True
+    return on
 
 
 def expected_hitting_time(P, targets, start=None):
@@ -311,13 +334,14 @@ def _decoupling(config, params, lam):
         e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
     bound = decoupling_time_bound(params.epsilon, e_tau)  # E[tau ^ n] <= E[tau]
     n = int(config.n)
+    on = _target_table(rule.targets, len(config.p))
 
     def per_batch(batch):
         # first disagreement step (n + 1: none in the run) against tau ^ n
-        s_eps = _first_hit_times(batch.z, [1], n + 1)
+        s_eps = _first_hit_times(batch.z, _ON_ONE, n + 1)
         if rule.kind == "deterministic":
             return s_eps <= rule.time
-        return s_eps <= _first_hit_times(batch.x, rule.targets, n)
+        return s_eps <= _first_hit_times(batch.x, on, n)
 
     return _Check(per_batch, lambda v: _result("decoupling", v, bound))
 
@@ -331,7 +355,7 @@ def _bounding_decoupling(config, params, lam):
     bound = decoupling_time_bound(params.epsilon, float(N))
 
     def per_batch(batch):
-        return _first_hit_times(batch.y, [1], N + 1) <= N
+        return _first_hit_times(batch.y, _ON_ONE, N + 1) <= N
 
     return _Check(per_batch, lambda v: _result("bounding_decoupling", v, bound))
 
@@ -345,11 +369,12 @@ def _path_law(config, params, lam):
     e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
     bound = path_law_bound(params.epsilon, e_tau)  # tau ^ (n + 1) is a function of tau
     n = int(config.n)
+    on = _target_table(rule.targets, len(config.p))
 
     def per_batch(batch):
         # tau ^ (n + 1) of each marginal: a hit after step n reads n + 1
-        return np.stack([_first_hit_times(batch.x, rule.targets, n + 1),
-                         _first_hit_times(batch.x_eps, rule.targets, n + 1)], axis=1)
+        return np.stack([_first_hit_times(batch.x, on, n + 1),
+                         _first_hit_times(batch.x_eps, on, n + 1)], axis=1)
 
     def finish(v):
         tau_p, tau_q = v[:, 0], v[:, 1]

@@ -308,6 +308,31 @@ class TestVerify:
         assert message in capsys.readouterr().err
         assert not (out / "verify.csv").exists()
 
+    @pytest.mark.parametrize("stopping, message", [
+        ({"kind": "deterministic", "time": 5.9}, "integer time"),
+        ({"kind": "hitting", "targets": [1.7]}, "integer states"),
+        ("hitting", "stopping must be an object"),
+        ({"kind": "hitting", "targets": 1}, "targets must be a list"),
+    ], ids=["time-float", "targets-float", "string", "targets-int"])
+    def test_malformed_stopping_exits_two(self, tmp_path, pair_file, capsys, stopping, message):
+        cfg = self.write_config(tmp_path, pair_file, experiments=["decoupling"], stopping=stopping)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("[1, 2]")
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config must be a JSON object, got list" in err and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
     def test_start_outside_state_space_exits_two(self, tmp_path, pair_file, capsys):
         cfg = self.write_config(tmp_path, pair_file, x0=5, x0_eps=5, experiments=["path_law"],
                                 stopping={"kind": "hitting", "targets": [1]})

@@ -277,9 +277,15 @@ def reference_paths(P_eps, P, x0_eps, x0, U, eps, alpha):
 
 
 def contract_uniforms(seed, count, steps):
-    """Uniforms of the documented RNG contract: substream ``spawn_key=(i,)`` per trajectory."""
-    return np.stack([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                     .random((steps, 3)) for i in range(count)])
+    """Uniforms of the documented RNG contract: one substream ``spawn_key=(block,)`` per block.
+
+    Every block of 1024 trajectories is drawn whole, trajectory-major, and
+    the first ``count`` trajectories are kept: no ``advance``, unlike the
+    stepper.
+    """
+    blocks = range(-(-count // 1024))
+    return np.concatenate([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
+                           .random((1024, steps, 3)) for b in blocks])[:count]
 
 
 def sparse_weights(rng, shape):
@@ -413,6 +419,24 @@ class TestSimulateCoupled:
         np.testing.assert_array_equal(a.x_eps, b.x_eps)
         c = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 40, 20, seed=29, batch_size=7)
         np.testing.assert_array_equal(a.x, c.x)
+
+    @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
+                             ids=["state-start", "law-start"])
+    def test_batch_size_independent_across_blocks(self, x0_eps, x0):
+        # 2100 trajectories span three RNG blocks; every batch size gives the
+        # same paths, and they are the paths of the contract's uniforms
+        n, count = 5, 2100
+        runs = [simulate_coupled_batch(*FLIP_PAIR, x0_eps, x0, n, count, seed=41, batch_size=b)
+                for b in (None, 1, 1023, 1024, 1025)]
+        for run in runs[1:]:
+            for name in ("x_eps", "x", "y", "z"):
+                np.testing.assert_array_equal(getattr(run, name), getattr(runs[0], name))
+        steps = n + (0 if isinstance(x0_eps, int) else 1)
+        xe, xb, y = reference_paths(*FLIP_PAIR, x0_eps, x0, contract_uniforms(41, count, steps),
+                                    0.1, 0.4)
+        np.testing.assert_array_equal(runs[0].x_eps, xe)
+        np.testing.assert_array_equal(runs[0].x, xb)
+        np.testing.assert_array_equal(runs[0].y, y)
 
     def test_distribution_starts_sample_maximal_coupling(self):
         P_eps, P = FLIP_PAIR

@@ -221,6 +221,51 @@ class TestEmpiricalTails:
             run_experiments(["nonsense"], flip_config())
 
 
+class TestStoppingRule:
+    @pytest.mark.parametrize("time", [5.9, 5.0, True, "5", None, 0])
+    def test_time_must_be_a_positive_integer(self, time):
+        with pytest.raises(ValueError, match="integer time"):
+            StoppingRule(kind="deterministic", time=time)
+
+    @pytest.mark.parametrize("targets", [(1.7,), (1.0,), (0, True), ("1",)])
+    def test_targets_must_be_integers(self, targets):
+        with pytest.raises(ValueError, match="integer states"):
+            StoppingRule(kind="hitting", targets=targets)
+
+    def test_numpy_integers_accepted(self):
+        assert StoppingRule(kind="deterministic", time=np.int64(5)).time == 5
+        assert StoppingRule(kind="hitting", targets=[np.int32(1), 0]).targets == (1, 0)
+
+
+class TestFirstHitTimes:
+    """The lookup-table hit test against ``np.isin``, bit for bit."""
+
+    @staticmethod
+    def isin_hit_times(states, targets, missing):
+        hit = np.isin(states, list(targets))
+        return np.where(hit.any(axis=1), hit.argmax(axis=1), missing)
+
+    def test_matches_isin_on_random_paths(self):
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            S = int(rng.integers(1, 40))
+            states = rng.integers(0, S, size=(int(rng.integers(1, 30)), int(rng.integers(1, 50))),
+                                  dtype=np.int32)
+            states[0, -1] = S - 1                      # the largest state occurs
+            targets = {int(t) for t in rng.integers(0, S, size=int(rng.integers(1, 4)))}
+            missing = int(rng.integers(0, 100))
+            got = mc._first_hit_times(states, mc._target_table(targets, S), missing)
+            np.testing.assert_array_equal(got, self.isin_hit_times(states, targets, missing))
+            assert got.dtype == self.isin_hit_times(states, targets, missing).dtype
+
+    def test_matches_isin_on_binary_paths(self):
+        batch = simulate_coupled_batch(P_EPS, P, 0, 0, 30, 200, seed=3)
+        for path in (batch.y, batch.z):
+            got = mc._first_hit_times(path, mc._ON_ONE, 31)
+            np.testing.assert_array_equal(got, self.isin_hit_times(path, [1], 31))
+        assert (batch.z.any(axis=1) & ~batch.z.all(axis=1)).any()  # hits and misses both occur
+
+
 class TestEmpiricalDecoupling:
     def test_deterministic_small_eps(self):
         pe, pb = kernel_pair(0.25, 0.01)
