@@ -88,7 +88,6 @@ class BoundReport:
     raw: float | None
     capped: bool
     regime_ok: bool
-    params: BoundParams
 
 
 def _require_contraction(alpha, epsilon):
@@ -124,11 +123,9 @@ def _require_doeblin(params):
 
 
 def decay_power(base, n) -> float:
-    """``base ** n`` for ``base`` in [0, 1); exp/log route only for huge n."""
+    """``base ** n`` for ``base`` in [0, 1)."""
     if base <= 0.0:
         return 0.0
-    if n > 1_000_000:
-        return math.exp(n * math.log(base))
     return base ** int(n)
 
 
@@ -260,9 +257,9 @@ def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundRe
         + 12.0 / (a * a * n) * f_inf ** 2
     tail = 2.0 * math.exp(-a * a * lam * lam / 32.0)
     return (
-        _report("remark_mean_bias", mean_bias, params, cap=False),
-        _report("remark_second_moment", second_moment, params, cap=False),
-        _report("remark_tail", tail, params, cap=True),
+        _report("remark_mean_bias", mean_bias, cap=False),
+        _report("remark_second_moment", second_moment, cap=False),
+        _report("remark_tail", tail, cap=True),
     )
 
 
@@ -272,15 +269,15 @@ def remark_tail_threshold(lam, params: BoundParams, f_inf) -> float:
     return 4.0 / a * (params.epsilon + 1.0 / params.n) * f_inf + lam * f_inf / math.sqrt(params.n)
 
 
-def _report(name, raw, params, cap):
+def _report(name, raw, cap):
     # Probability/TV-valued entries are capped at 1; the raw value is kept.
     if cap and raw > 1.0:
-        return BoundReport(name, 1.0, raw, True, True, params)
-    return BoundReport(name, raw, raw, False, True, params)
+        return BoundReport(name, 1.0, raw, True, True)
+    return BoundReport(name, raw, raw, False, True)
 
 
-def _failed(name, params):
-    return BoundReport(name, None, None, False, False, params)
+def _failed(name):
+    return BoundReport(name, None, None, False, False)
 
 
 def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> list[BoundReport]:
@@ -296,9 +293,9 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
 
     def attempt(name, fn, cap):
         try:
-            rows.append(_report(name, fn(), params, cap))
+            rows.append(_report(name, fn(), cap))
         except InvalidRegimeError:
-            rows.append(_failed(name, params))
+            rows.append(_failed(name))
 
     attempt("avg_disagreement", lambda: avg_disagreement_bound(params), cap=True)
     attempt("averaged_tv", lambda: averaged_tv_bound(params), cap=True)
@@ -315,6 +312,6 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
         try:
             rows.extend(remark_perturbation_bounds(params, params.f_star, lam))
         except InvalidRegimeError:
-            rows.extend(_failed(n, params) for n in
+            rows.extend(_failed(n) for n in
                         ("remark_mean_bias", "remark_second_moment", "remark_tail"))
     return rows

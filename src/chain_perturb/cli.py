@@ -31,7 +31,7 @@ from .kernels import (
     local_epsilon,
 )
 from .montecarlo import ExperimentConfig, StoppingRule, run_experiments
-from .sharpness import tightness_table
+from .sharpness import TIGHTNESS_TOL, tightness_table
 from .gp_mcmc import GPConfig, config_snapshot, figure_sweep
 
 EXIT_OK = 0
@@ -258,7 +258,7 @@ def _cmd_sharpness(args, out_dir):
     with open(os.path.join(out_dir, "sharpness.csv"), "w") as fh:
         fh.write(text)
     worst = max(g for *_, g in rows)
-    code = EXIT_OK if worst <= 1e-12 else EXIT_UNSATISFIED
+    code = EXIT_OK if worst <= TIGHTNESS_TOL else EXIT_UNSATISFIED
     return code, ["sharpness.csv"], None
 
 

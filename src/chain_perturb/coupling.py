@@ -47,6 +47,7 @@ from .errors import DimensionMismatchError, InvalidRegimeError
 from .kernels import (
     ProbDist,
     StateFunction,
+    _is_integer,
     as_dist,
     as_kernel,
     cross_doeblin_constant,
@@ -211,9 +212,10 @@ def _as_initial(value, n_states):
     """Normalize an initial condition to ``(state, weights)``.
 
     A state index (range-checked) gives ``(index, one-hot weights)``; a
-    distribution gives ``(None, weights)``.
+    distribution gives ``(None, weights)``; anything else, a bool included,
+    fails as a distribution.
     """
-    if isinstance(value, (int, np.integer)):
+    if _is_integer(value):
         v = int(value)
         if not 0 <= v < n_states:
             raise ValueError(f"initial state {v} outside 0..{n_states - 1}")

@@ -25,14 +25,13 @@ normalization; raw ratios underflow already at moderate data sizes.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernels import FiniteKernel
+from .kernels import FiniteKernel, _is_integer
 
 __all__ = [
     "GPConfig",
@@ -57,59 +56,43 @@ SweepRow = namedtuple("SweepRow", ["replicate", "q", "epsilon", "alpha", "ratio"
 
 @dataclass
 class GPConfig:
-    """Model, grid, and prior setup.
+    """The GP protocol at ``n`` sampling points and ``m`` atoms per hyperparameter.
 
-    Defaults are the desk-scale protocol (n=100, m=5); the grids follow the
-    scale-free construction ``x1 = -log(0.01)/d`` for equally spaced decay
-    fractions d and equally spaced amplitudes, and the data-generating
-    length-scale places the correlation decay at 0.01 exactly at 45% of the
-    maximal squared distance between sampling points.
+    Only ``n`` (>= 2), ``m`` (>= 1) and ``seed`` (>= 0) are set; the defaults
+    are the desk-scale protocol (n=100, m=5).  The rest is fixed by the
+    protocol: an inverse-Gamma(2, 2) prior on the noise variance, truth
+    ``x2 = 0.9`` and ``x3^2 = 0.2``, points ``i/n``, and the scale-free grids
+    ``x1 = -log(0.01)/d`` for equally spaced decay fractions d and equally
+    spaced amplitudes.  The data-generating length-scale places the
+    correlation decay at 0.01 exactly at 45% of the maximal squared distance
+    between sampling points.
     """
 
     n: int = 100
     m: int = 5
-    prior_a: float = 2.0
-    prior_b: float = 2.0
-    true_x2: float = 0.9
-    true_x3_sq: float = 0.2
+    prior_a: float = field(init=False)
+    prior_b: float = field(init=False)
+    true_x1: float = field(init=False)
+    true_x2: float = field(init=False)
+    true_x3_sq: float = field(init=False)
     seed: int = 0
-    points: np.ndarray | None = None
-    grid_x1: np.ndarray | None = None
-    grid_x2: np.ndarray | None = None
-    true_x1: float | None = None
+    points: np.ndarray = field(init=False)
+    grid_x1: np.ndarray = field(init=False)
+    grid_x2: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if int(self.n) < 2:
-            raise ValueError(f"n must be >= 2, got {self.n!r}")
-        if int(self.m) < 1:
-            raise ValueError(f"m must be >= 1, got {self.m!r}")
-        if self.prior_a <= 0.0 or self.prior_b <= 0.0:
-            raise ValueError("prior parameters must be positive")
-        if self.true_x2 < 0.0 or self.true_x3_sq < 0.0:
-            raise ValueError("true amplitude and noise variance must be nonnegative")
-        if self.points is None:
-            self.points = np.arange(1, int(self.n) + 1) / float(self.n)
-        else:
-            self.points = np.asarray(self.points, dtype=float)
-            if self.points.size != int(self.n):
-                raise ValueError("points length must equal n")
+        for name, low in (("n", 2), ("m", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not _is_integer(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            setattr(self, name, int(value))
+        self.prior_a = self.prior_b = 2.0
+        self.true_x2, self.true_x3_sq = 0.9, 0.2
+        self.points = np.arange(1, self.n + 1) / float(self.n)
         max_sq = float(squared_distances(self.points).max())
-        if max_sq <= 0.0:
-            raise ValueError("sampling points must not be all equal")
-        if self.true_x1 is None:
-            self.true_x1 = -math.log(_DECAY_TARGET) / (_DECAY_FRACTION * max_sq)
-        if self.grid_x1 is None:
-            self.grid_x1 = -math.log(_DECAY_TARGET) / np.linspace(0.95, 0.05, int(self.m))
-        else:
-            self.grid_x1 = np.asarray(self.grid_x1, dtype=float)
-        if self.grid_x2 is None:
-            self.grid_x2 = np.linspace(0.5, 1.4, int(self.m))
-        else:
-            self.grid_x2 = np.asarray(self.grid_x2, dtype=float)
-        if self.grid_x1.size != int(self.m) or self.grid_x2.size != int(self.m):
-            raise ValueError("grids must each hold m atoms")
-        if self.grid_x1.min() <= 0.0 or self.grid_x2.min() <= 0.0:
-            raise ValueError("grid atoms must be strictly positive")
+        self.true_x1 = -math.log(_DECAY_TARGET) / (_DECAY_FRACTION * max_sq)
+        self.grid_x1 = -math.log(_DECAY_TARGET) / np.linspace(0.95, 0.05, self.m)
+        self.grid_x2 = np.linspace(0.5, 1.4, self.m)
 
 
 def squared_distances(points) -> np.ndarray:
@@ -331,9 +314,8 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     (:func:`lowrank_log_table`); ranks above ``n`` give the full-rank rows.
     ``epsilon`` is computed for all ranks, the adaptive stop cuts them, and
     ``alpha`` is computed only up to the largest rank kept, so memory stays
-    ``O(n m^3)`` whatever ``qmax``.  Rows come in (replicate, q) order.
-    Replicates where ``epsilon`` is not monotone in ``q`` are flagged with a
-    warning, not an error.
+    ``O(n m^3)`` whatever ``qmax``.  Rows come in (replicate, q) order, so
+    whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     if int(replicates) < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
@@ -343,7 +325,7 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
         raise ValueError(f"qmax must be >= 1, got {qmax!r}")
     cache = _eigen_cache(config)
     table = np.minimum(np.arange(1, qmax + 1), n) - 1  # rank-table row of ranks 1..qmax
-    rows, wobbly = [], []
+    rows = []
     for rep in range(int(replicates)):
         ll = lowrank_log_table(config, generate_data(config, rep), np.arange(1, n + 1),
                                eigen_cache=cache)
@@ -356,29 +338,13 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
         for q, (e, a) in enumerate(zip(eps, alpha), start=1):
             rows.append(SweepRow(rep, q, float(e), float(a),
                                  0.0 if e == 0.0 else float(e / (a + e))))
-        if np.any(eps[1:] > eps[:-1]):
-            wobbly.append(rep)
-    if wobbly:
-        warnings.warn(
-            f"epsilon not monotone in q for replicates {wobbly}; rows kept as computed",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return rows
 
 
 def config_snapshot(config: GPConfig) -> dict:
-    """JSON-ready record of the full configuration, priors included."""
-    return {
-        "n": int(config.n),
-        "m": int(config.m),
-        "prior_a": float(config.prior_a),
-        "prior_b": float(config.prior_b),
-        "true_x1": float(config.true_x1),
-        "true_x2": float(config.true_x2),
-        "true_x3_sq": float(config.true_x3_sq),
-        "seed": int(config.seed),
-        "points": [float(w) for w in config.points],
-        "grid_x1": [float(v) for v in config.grid_x1],
-        "grid_x2": [float(v) for v in config.grid_x2],
-    }
+    """JSON-ready record of the full configuration, priors included, in field order."""
+    snap = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        snap[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return snap

@@ -9,6 +9,7 @@ rather than approximations.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 
 import numpy as np
@@ -43,6 +44,11 @@ ROW_SUM_TOL = 1e-9
 
 # Rounding slack for weights produced by subtraction of near-equal numbers.
 _NEG_TOL = 1e-12
+
+
+def _is_integer(value):
+    """True for an integer, numpy's included; False for a bool or a float."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _clean_weights(weights, what="weights"):
@@ -218,7 +224,7 @@ def cross_doeblin_constant(P_eps, P) -> float:
     return 1.0 - float(_pairwise_row_tv(A.rows, B.rows).max())
 
 
-def transfer_constants(direction, given, epsilon) -> float:
+def transfer_constants(given, epsilon) -> float:
     """Convert between the plain and cross contraction constants.
 
     Both conversions lose ``epsilon``: a Doeblin constant ``a`` yields a cross
@@ -227,14 +233,11 @@ def transfer_constants(direction, given, epsilon) -> float:
 
     Parameters
     ----------
-    direction : {"doeblin_to_cross", "cross_to_doeblin"}
     given : float
         The known constant, in (0, 1).
     epsilon : float
         Worst-case row perturbation, with ``epsilon < given``.
     """
-    if direction not in ("doeblin_to_cross", "cross_to_doeblin"):
-        raise ValueError(f"unknown direction {direction!r}")
     if not 0.0 < given < 1.0:
         raise InvalidRegimeError(f"constant must be in (0, 1), got {given!r}")
     if epsilon < 0.0:

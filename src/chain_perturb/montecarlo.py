@@ -22,7 +22,6 @@ read it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -44,6 +43,7 @@ from .errors import DimensionMismatchError, NumericalFailureError
 from .kernels import (
     FiniteKernel,
     StateFunction,
+    _is_integer,
     as_kernel,
     as_state_function,
     cross_doeblin_constant,
@@ -73,11 +73,6 @@ __all__ = [
     "run_experiments",
     "EXPERIMENT_NAMES",
 ]
-
-
-def _is_integer(value):
-    """True for an integer, numpy's included; False for a bool or a float."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -182,18 +177,16 @@ def initial_disagreement_prob(config: ExperimentConfig) -> float:
     return tv_distance(w_e, w_b)
 
 
-def closeness_params(config: ExperimentConfig, f_star=None) -> BoundParams:
+def closeness_params(config: ExperimentConfig) -> BoundParams:
     """Exact closeness constants of the configured pair, bundled for the evaluators."""
     a = doeblin_constant(config.p)
-    if f_star is None:
-        f_star = f_star_norm(config.f) if config.f is not None else 0.0
     return BoundParams(
         epsilon=local_epsilon(config.p_eps, config.p),
         n=int(config.n),
         alpha=cross_doeblin_constant(config.p_eps, config.p),
         a=a if a > 0.0 else None,
         p0=initial_disagreement_prob(config),
-        f_star=f_star,
+        f_star=f_star_norm(config.f) if config.f is not None else 0.0,
     )
 
 
@@ -474,8 +467,7 @@ def empirical_path_law_distance(config: ExperimentConfig) -> VerificationResult:
     return run_experiments(["path_law"], config)[0]
 
 
-def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
-                               use_bounding=False) -> EnvelopeReport:
+def almost_sure_envelope_check(config: ExperimentConfig, use_bounding=False) -> EnvelopeReport:
     """Empirical witness for the almost-sure envelope of the disagreement average.
 
     For each trajectory and each horizon ``g`` in a log-spaced grid, computes
@@ -488,11 +480,7 @@ def almost_sure_envelope_check(config: ExperimentConfig, grid=None,
     n = int(config.n)
     if n < 10_000:
         raise ValueError("envelope check needs a long horizon (n >= 10^4)")
-    if grid is None:
-        grid = np.unique(np.geomspace(1_000, n, num=15).astype(np.int64))
-    grid = np.asarray(grid, dtype=np.int64)
-    if grid.min() < 1 or grid.max() > n:
-        raise ValueError("grid horizons must lie in 1..n")
+    grid = np.unique(np.geomspace(1_000, n, num=15).astype(np.int64))
     params = closeness_params(config)
     ratio = params.epsilon / (params.alpha + params.epsilon)
     drift = 2.0 * np.sqrt(np.log(grid) / grid)

@@ -37,6 +37,10 @@ __all__ = [
     "tightness_table",
 ]
 
+#: Largest ``|exact - bound|`` that :func:`certify_tightness` and the
+#: ``sharpness`` command accept as equality.
+TIGHTNESS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SharpnessInstance:
@@ -134,17 +138,17 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
     return np.array([0.5 * np.abs(total / (k + 1) - 0.5).sum() for k, total in enumerate(sums)])
 
 
-def certify_tightness(inst: SharpnessInstance, tol=1e-12):
+def certify_tightness(inst: SharpnessInstance):
     """Compare the propagated averaged TV against the generic certificate.
 
-    Returns ``(ok, gap)`` with ``gap = |exact - bound|``; the bound is
-    evaluated at the pair's own constants (``alpha = 2 beta - epsilon``) and
-    ``p0 = gamma - 1/2``.
+    Returns ``(ok, gap)`` with ``gap = |exact - bound|`` and ``ok`` when the
+    gap is at most :data:`TIGHTNESS_TOL`; the bound is evaluated at the
+    pair's own constants (``alpha = 2 beta - epsilon``) and ``p0 = gamma - 1/2``.
     """
     exact = _propagated_averaged_tv(inst.beta, inst.epsilon, inst.gamma, inst.n)[-1]
     params = BoundParams(epsilon=inst.epsilon, n=inst.n, alpha=inst.alpha, p0=inst.initial_tv)
     gap = abs(float(exact) - averaged_tv_bound(params))
-    return gap <= tol, gap
+    return gap <= TIGHTNESS_TOL, gap
 
 
 def tightness_table(beta, epsilon, gamma, n_max):

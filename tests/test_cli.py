@@ -294,11 +294,12 @@ class TestVerify:
         ({"n": 20.7}, "n must be an integer"),
         ({"replicates": 50.9}, "replicates must be an integer"),
         ({"n": True}, "n must be an integer"),
+        ({"x0": True}, "1-d vector"),
         ({"seed": 1.5}, "master_seed must be an integer"),
         ({"lambda": "2"}, "lambda must be a real number"),
         ({"experiments": "disagreement"}, "experiments must be a list"),
         ({"experiments": [["disagreement"]]}, "experiments must be a list"),
-    ], ids=["n-float", "replicates-float", "n-bool", "seed-float", "lambda-string",
+    ], ids=["n-float", "replicates-float", "n-bool", "x0-bool", "seed-float", "lambda-string",
             "experiments-string", "experiments-nested"])
     def test_mistyped_config_exits_two(self, tmp_path, pair_file, capsys, override, message):
         cfg = self.write_config(tmp_path, pair_file, **override)
@@ -342,7 +343,6 @@ class TestVerify:
 
 
 class TestGpSweep:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_small_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["--out-dir", str(out), "gp-sweep", "--n", "20", "--m", "2",

@@ -13,6 +13,7 @@ from chain_perturb import (
     avg_disagreement_bound,
     cross_doeblin_constant,
     invariant_measure,
+    iter_coupled_batches,
     kernel_pair,
     local_epsilon,
     product_kernel_row,
@@ -443,6 +444,12 @@ class TestSimulateCoupled:
         batch = simulate_coupled_batch(P_eps, P, [1.0, 0.0], [0.8, 0.2], 5, 4000, seed=31)
         z0 = batch.z[:, 0].mean()
         assert abs(z0 - 0.2) <= 4.0 * np.sqrt(0.2 * 0.8 / 4000)
+
+    @pytest.mark.parametrize("x0_eps, x0", [(True, 0), (0, True)], ids=["x0_eps", "x0"])
+    def test_bool_start_rejected(self, x0_eps, x0):
+        # True is not state 1
+        with pytest.raises(ValueError):
+            next(iter_coupled_batches(*FLIP_PAIR, x0_eps, x0, 5, 3, seed=1))
 
     def test_z_is_disagreement_indicator(self):
         batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 30, 50, seed=37)

@@ -135,21 +135,17 @@ class TestClosenessConstants:
 
 class TestTransferConstants:
     def test_doeblin_to_cross(self):
-        assert transfer_constants("doeblin_to_cross", 0.5, 0.1) == pytest.approx(0.4)
+        assert transfer_constants(0.5, 0.1) == pytest.approx(0.4)
 
     def test_cross_to_doeblin(self):
-        assert transfer_constants("cross_to_doeblin", 0.4, 0.1) == pytest.approx(0.3)
+        assert transfer_constants(0.4, 0.1) == pytest.approx(0.3)
 
     def test_zero_perturbation(self):
-        assert transfer_constants("doeblin_to_cross", 0.5, 0.0) == 0.5
+        assert transfer_constants(0.5, 0.0) == 0.5
 
     def test_invalid_regime(self):
         with pytest.raises(InvalidRegimeError):
-            transfer_constants("doeblin_to_cross", 0.3, 0.3)
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            transfer_constants("sideways", 0.5, 0.1)
+            transfer_constants(0.3, 0.3)
 
 
 class TestInvariantMeasure:

@@ -2,9 +2,11 @@
 
 import importlib
 import pathlib
+import re
 import runpy
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_traced_package_names_exist():
@@ -16,3 +18,12 @@ def test_traced_package_names_exist():
     missing = [f"{module}.{attr}" for module, attr in names
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_readme_python_blocks_run():
+    # a public-API change must not leave a stale quick start behind
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
