@@ -20,17 +20,12 @@ from .kernels import (
     as_kernel,
     as_state_function,
     cross_doeblin_constant,
-    dist_from_json,
-    dist_to_json,
     doeblin_constant,
     f_star_norm,
     invariant_measure,
     kernel_from_json,
-    kernel_to_json,
     local_epsilon,
     n_step_average_law,
-    poisson_solve,
-    transfer_constants,
     tv_distance,
 )
 from .bounds import (
@@ -52,23 +47,17 @@ from .bounds import (
     variance_of_time_average_bound,
 )
 from .coupling import (
-    BoundingChain,
     CoupledBatch,
     iter_coupled_batches,
     product_kernel_row,
-    simulate_coupled_batch,
-    two_state_poisson,
 )
 from .montecarlo import (
-    EnvelopeReport,
     ExperimentConfig,
     StoppingRule,
     VerificationResult,
-    almost_sure_envelope_check,
     closeness_params,
     empirical_average_difference,
     empirical_base_tail,
-    empirical_bounding_decoupling,
     empirical_decoupling,
     empirical_disagreement,
     empirical_path_law_distance,
@@ -80,25 +69,17 @@ from .montecarlo import (
 from .sharpness import (
     SharpnessInstance,
     base_matrix,
-    certify_tightness,
-    eigen_reconstruction,
-    exact_averaged_tv,
     kernel_pair,
     perturbed_matrix,
-    perturbed_power_closed_form,
     tightness_table,
 )
 from .gp_mcmc import (
     GPConfig,
     SweepRow,
     config_snapshot,
-    epsilon_alpha_for_gp,
-    exact_log_table,
     figure_sweep,
     generate_data,
-    gibbs_transition_matrix,
     gram_matrix,
     lowrank_log_table,
-    marginal_log_likelihood,
     squared_distances,
 )

@@ -42,11 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _require_contraction
-from .errors import DimensionMismatchError, InvalidRegimeError
+from .errors import DimensionMismatchError
 from .kernels import (
     ProbDist,
-    StateFunction,
     _is_integer,
     as_dist,
     as_kernel,
@@ -55,37 +53,10 @@ from .kernels import (
 )
 
 __all__ = [
-    "BoundingChain",
     "CoupledBatch",
     "product_kernel_row",
-    "simulate_coupled_batch",
     "iter_coupled_batches",
-    "two_state_poisson",
 ]
-
-
-@dataclass(frozen=True)
-class BoundingChain:
-    """Two-state chain [[1-epsilon, epsilon], [alpha, 1-alpha]] dominating the disagreement indicator."""
-
-    alpha: float
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("alpha and epsilon must lie in [0, 1]")
-        _require_contraction(self.alpha, self.epsilon)
-
-    @property
-    def transition(self) -> np.ndarray:
-        return np.array([[1.0 - self.epsilon, self.epsilon], [self.alpha, 1.0 - self.alpha]])
-
-    @property
-    def stationary(self) -> np.ndarray:
-        s = self.alpha + self.epsilon
-        if s <= 0.0:
-            raise InvalidRegimeError("alpha + epsilon = 0: stationary measure undefined")
-        return np.array([self.alpha / s, self.epsilon / s])
 
 
 @dataclass
@@ -208,18 +179,21 @@ def _draw(split, rows, u):
     return nxt_e, nxt_b
 
 
-def _as_initial(value, n_states):
-    """Normalize an initial condition to ``(state, weights)``.
+def _as_initial(value, n_states, name):
+    """Normalize the initial condition ``name`` to ``(state, weights)``.
 
     A state index (range-checked) gives ``(index, one-hot weights)``; a
-    distribution gives ``(None, weights)``; anything else, a bool included,
-    fails as a distribution.
+    distribution gives ``(None, weights)``.  Any other scalar, a bool, a
+    float or a string, is rejected under ``name``; anything else fails as a
+    distribution.
     """
     if _is_integer(value):
         v = int(value)
         if not 0 <= v < n_states:
             raise ValueError(f"initial state {v} outside 0..{n_states - 1}")
         return v, np.eye(n_states)[v]
+    if np.ndim(value) == 0:
+        raise ValueError(f"{name} must be a state index or a distribution, got {value!r}")
     w = as_dist(value).weights
     if w.size != n_states:
         raise DimensionMismatchError(f"initial law on {w.size} states, kernel on {n_states}")
@@ -247,8 +221,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     # reaches to_one[y] from its state y: 1-eps from 0, alpha from 1.
     to_one = np.array([1.0 - local_epsilon(A, B), cross_doeblin_constant(A, B)])
     S = len(A)
-    init_e, we = _as_initial(x0_eps, S)
-    init_b, wb = _as_initial(x0, S)
+    init_e, we = _as_initial(x0_eps, S, "x0_eps")
+    init_b, wb = _as_initial(x0, S, "x0")
     sample_init = init_e is None or init_b is None
     if sample_init:
         init_split = _split(we[None, :], wb[None, :])
@@ -330,30 +304,3 @@ def _uniforms(seed, start, count, steps):
         rng.random(out=U[i - start:i - start + take])
         i += take
     return U
-
-
-def simulate_coupled_batch(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None) -> CoupledBatch:
-    """All ``n_traj`` coupled trajectories stacked into one :class:`CoupledBatch`."""
-    chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
-                                       batch_size=batch_size))
-    if len(chunks) == 1:
-        return chunks[0]
-    return CoupledBatch(
-        x_eps=np.concatenate([c.x_eps for c in chunks]),
-        x=np.concatenate([c.x for c in chunks]),
-        z=np.concatenate([c.z for c in chunks]),
-        y=np.concatenate([c.y for c in chunks]),
-        first_index=0,
-    )
-
-
-def two_state_poisson(bc: BoundingChain) -> StateFunction:
-    """Poisson solution for the dominating chain's centered occupation observable.
-
-    ``psi = (-epsilon, alpha) / (alpha + epsilon)^2`` solves
-    ``(T - I) psi = -phi_tilde`` with ``phi_tilde = (-epsilon, alpha)/(alpha+epsilon)``.
-    """
-    s = bc.alpha + bc.epsilon
-    if s <= 0.0:
-        raise InvalidRegimeError("alpha + epsilon = 0: Poisson solution undefined")
-    return StateFunction([-bc.epsilon / (s * s), bc.alpha / (s * s)])

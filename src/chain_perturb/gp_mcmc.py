@@ -14,9 +14,9 @@ Every rank-q table comes from :func:`lowrank_log_table`: in the eigenbasis of
 each length-scale Gram matrix the Woodbury quadratic form and
 log-determinant at every rank are prefix sums over one spectrum, so the rank
 sweep builds all truncations, and the full-rank table, from one
-eigendecomposition per atom.  The dense path through numpy's Cholesky
-factorization (:func:`marginal_log_likelihood`, :func:`exact_log_table`)
-stays as the one independent reference for the exact kernel.
+eigendecomposition per atom.  The tests hold the independent reference for
+the exact kernel, a dense route through numpy's Cholesky factorization; it
+is not package code.
 
 All likelihood arithmetic is done in log space with log-sum-exp
 normalization; raw ratios underflow already at moderate data sizes.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernels import FiniteKernel, _is_integer
+from .kernels import _is_integer
 
 __all__ = [
     "GPConfig",
@@ -39,11 +39,7 @@ __all__ = [
     "squared_distances",
     "gram_matrix",
     "generate_data",
-    "marginal_log_likelihood",
-    "exact_log_table",
     "lowrank_log_table",
-    "gibbs_transition_matrix",
-    "epsilon_alpha_for_gp",
     "figure_sweep",
     "config_snapshot",
 ]
@@ -54,7 +50,7 @@ _DECAY_FRACTION = 0.45  # ... at this fraction of the maximal squared distance
 SweepRow = namedtuple("SweepRow", ["replicate", "q", "epsilon", "alpha", "ratio"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPConfig:
     """The GP protocol at ``n`` sampling points and ``m`` atoms per hyperparameter.
 
@@ -85,14 +81,19 @@ class GPConfig:
             value = getattr(self, name)
             if not _is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            setattr(self, name, int(value))
-        self.prior_a = self.prior_b = 2.0
-        self.true_x2, self.true_x3_sq = 0.9, 0.2
-        self.points = np.arange(1, self.n + 1) / float(self.n)
-        max_sq = float(squared_distances(self.points).max())
-        self.true_x1 = -math.log(_DECAY_TARGET) / (_DECAY_FRACTION * max_sq)
-        self.grid_x1 = -math.log(_DECAY_TARGET) / np.linspace(0.95, 0.05, self.m)
-        self.grid_x2 = np.linspace(0.5, 1.4, self.m)
+            object.__setattr__(self, name, int(value))
+        points = np.arange(1, self.n + 1) / float(self.n)
+        max_sq = float(squared_distances(points).max())
+        derived = {
+            "prior_a": 2.0, "prior_b": 2.0, "true_x2": 0.9, "true_x3_sq": 0.2, "points": points,
+            "true_x1": -math.log(_DECAY_TARGET) / (_DECAY_FRACTION * max_sq),
+            "grid_x1": -math.log(_DECAY_TARGET) / np.linspace(0.95, 0.05, self.m),
+            "grid_x2": np.linspace(0.5, 1.4, self.m),
+        }
+        for name in ("points", "grid_x1", "grid_x2"):
+            derived[name].setflags(write=False)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def squared_distances(points) -> np.ndarray:
@@ -146,52 +147,12 @@ def _spectrum(gram):
     return np.clip(vals[order], 0.0, None), vecs[:, order]
 
 
-def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0) -> float:
-    """Log marginal likelihood of the data at one hyperparameter atom (up to a constant).
-
-    ``-0.5 log det(I + x2 Sigma) - 0.5 (a + n) log(b + z'(I + x2 Sigma)^{-1} z)``,
-    where the noise level has been integrated out against its inverse-Gamma
-    prior.  Evaluated through a dense Cholesky factorization: this is the
-    reference every table of :func:`lowrank_log_table` is tested against.
-
-    The dropped proportionality constant cancels in every conditional the
-    Gibbs kernels are built from.
-    """
-    z = np.asarray(z, dtype=float)
-    n = z.size
-    if prior_b <= 0.0 or prior_a <= 0.0:
-        raise ValueError("prior parameters must be positive")
-    try:
-        chol = np.linalg.cholesky(np.eye(n) + x2 * gram_matrix(x1, points))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"covariance not positive definite: {exc}") from exc
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    w = np.empty(n)
-    for i in range(n):  # forward substitution for chol^{-1} z: O(n^2), a general solve O(n^3)
-        w[i] = (z[i] - chol[i, :i] @ w[:i]) / chol[i, i]
-    quad = float(w @ w)
-    return -0.5 * logdet - 0.5 * (prior_a + n) * math.log(prior_b + quad)
-
-
 # ---------------------------------------------------------------------------
 # likelihood tables over the m x m atom grid
 
 def _eigen_cache(config):
     """Per length-scale atom: the :func:`_spectrum` of its Gram matrix, one Gram alive at a time."""
     return [_spectrum(gram_matrix(x1, config.points)) for x1 in config.grid_x1]
-
-
-def exact_log_table(config, z) -> np.ndarray:
-    """Dense-Cholesky log-likelihood table ``ll[i1, i2]`` from :func:`marginal_log_likelihood`."""
-    m = int(config.m)
-    ll = np.empty((m, m))
-    for i1 in range(m):
-        for i2 in range(m):
-            ll[i1, i2] = marginal_log_likelihood(
-                config.grid_x1[i1], config.grid_x2[i2], z, config.points,
-                prior_b=config.prior_b, prior_a=config.prior_a,
-            )
-    return ll
 
 
 def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
@@ -254,24 +215,6 @@ def _rows_by_x1(ll):
     return s[..., None, :, :] * r[..., :, None, :]
 
 
-def gibbs_transition_matrix(config, z, rank=None) -> FiniteKernel:
-    """Explicit two-block Gibbs transition matrix on the ``m^2`` atom pairs.
-
-    State ``(i1, i2)`` sits at flat index ``i1 * m + i2``; a step resamples
-    the amplitude atom given ``i1``, then the length-scale atom given the new
-    amplitude atom, so every row depends on ``i1`` only (asserted by
-    construction: the ``m`` rows of each block are identical).
-    """
-    ll = exact_log_table(config, z) if rank is None else lowrank_log_table(config, z, rank)
-    rows = _rows_by_x1(ll)
-    m = int(config.m)
-    P = np.empty((m * m, m * m))
-    for i1 in range(m):
-        P[i1 * m:(i1 + 1) * m, :] = rows[i1].reshape(1, -1)
-    labels = [f"x1={x1:.8g}|x2={x2:.8g}" for x1 in config.grid_x1 for x2 in config.grid_x2]
-    return FiniteKernel(P, state_labels=labels)
-
-
 def _local_tv(T_a, T_b):
     # max over i1 of the TV between row i1 of T_a and row i1 of T_b, per leading rank
     m = T_b.shape[0]
@@ -287,19 +230,6 @@ def _cross_tv(T_a, T_b):
     flat_b = T_b.reshape(m, m * m)
     return np.max([0.5 * np.abs(flat_a[..., i1, None, :] - flat_b).sum(axis=-1).max(axis=-1)
                    for i1 in range(m)], axis=0)
-
-
-def epsilon_alpha_for_gp(config, z, q):
-    """Exact closeness constants of the (exact, rank-q) Gibbs pair.
-
-    Exploits the row structure: rows depend only on the length-scale atom, so
-    the maxima over the ``m^2 x m^2`` state space reduce to ``m x m`` row
-    pairs.  The exact side comes from dense factorizations, independently of
-    the eigen tables :func:`figure_sweep` uses.  Returns ``(epsilon, alpha)``.
-    """
-    T = _rows_by_x1(exact_log_table(config, z))
-    Te = _rows_by_x1(lowrank_log_table(config, z, q))
-    return float(_local_tv(Te, T)), 1.0 - float(_cross_tv(Te, T))
 
 
 def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[SweepRow]:

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidRegimeError, NumericalFailureError
+from .errors import DimensionMismatchError, NumericalFailureError
 
 __all__ = [
     "ProbDist",
@@ -27,14 +27,9 @@ __all__ = [
     "doeblin_constant",
     "local_epsilon",
     "cross_doeblin_constant",
-    "transfer_constants",
     "invariant_measure",
     "f_star_norm",
-    "poisson_solve",
     "n_step_average_law",
-    "dist_to_json",
-    "dist_from_json",
-    "kernel_to_json",
     "kernel_from_json",
 ]
 
@@ -224,31 +219,6 @@ def cross_doeblin_constant(P_eps, P) -> float:
     return 1.0 - float(_pairwise_row_tv(A.rows, B.rows).max())
 
 
-def transfer_constants(given, epsilon) -> float:
-    """Convert between the plain and cross contraction constants.
-
-    Both conversions lose ``epsilon``: a Doeblin constant ``a`` yields a cross
-    constant ``alpha = a - epsilon`` and vice versa (triangle inequality in
-    each direction).
-
-    Parameters
-    ----------
-    given : float
-        The known constant, in (0, 1).
-    epsilon : float
-        Worst-case row perturbation, with ``epsilon < given``.
-    """
-    if not 0.0 < given < 1.0:
-        raise InvalidRegimeError(f"constant must be in (0, 1), got {given!r}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    if epsilon >= given:
-        raise InvalidRegimeError(
-            f"epsilon={epsilon!r} >= {given!r}: the transferred constant would not be positive"
-        )
-    return given - epsilon
-
-
 def invariant_measure(P) -> ProbDist:
     """Stationary distribution ``mu`` with ``mu P = mu``.
 
@@ -295,46 +265,6 @@ def f_star_norm(f) -> float:
     return 0.5 * float(v.max() - v.min())
 
 
-def poisson_solve(P, f) -> StateFunction:
-    """Solve the Poisson equation ``(P - I) psi = mu f - f``.
-
-    The solution is pinned to the representative with ``mu psi = 0``, i.e. the
-    sum ``psi = sum_{k>=0} P^k (f - mu f)``, computed here by a direct linear
-    solve on the complement of constants.  Requires a positive Doeblin
-    constant ``a``, which also yields the a-priori bound
-    ``||psi||_inf <= 2 |f|_* / a`` (checked).
-
-    Raises
-    ------
-    InvalidRegimeError
-        If ``a = 0`` (no spectral gap).
-    NumericalFailureError
-        If the residual exceeds ``1e-10`` or the a-priori bound fails.
-    """
-    K = as_kernel(P)
-    fv = as_state_function(f).values
-    n = len(K)
-    if fv.size != n:
-        raise DimensionMismatchError(f"function on {fv.size} states, kernel on {n}")
-    a = doeblin_constant(K)
-    if a <= 0.0:
-        raise InvalidRegimeError("kernel has no spectral gap (a = 0); Poisson equation not solvable")
-    mu = invariant_measure(K).weights
-    mu_f = float(mu @ fv)
-    A = np.vstack([np.eye(n) - K.rows, mu[None, :]])
-    b = np.concatenate([fv - mu_f, [0.0]])
-    psi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.abs((K.rows - np.eye(n)) @ psi - (mu_f - fv)).max())
-    if residual > 1e-10:
-        raise NumericalFailureError(f"Poisson residual {residual:g} exceeds 1e-10")
-    cap = 2.0 * f_star_norm(fv) / a
-    if float(np.abs(psi).max()) > cap + 1e-9:
-        raise NumericalFailureError(
-            f"Poisson solution norm {np.abs(psi).max():g} exceeds a-priori bound {cap:g}"
-        )
-    return StateFunction(psi)
-
-
 def _law_running_sums(law, M, n):
     """Yield the running sums ``sum_{j=0}^{k} law M^j`` for k = 0 .. n-1.
 
@@ -363,28 +293,10 @@ def n_step_average_law(nu, P, n) -> ProbDist:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization: {"states": [...], "rows": [[...], ...]} for kernels and
-# {"states": [...], "weights": [...]} for distributions; reals as decimal
-# literals.  The constructors enforce the 1e-9 acceptance tolerance.
-
-def kernel_to_json(P) -> dict:
-    K = as_kernel(P)
-    labels = K.state_labels if K.state_labels is not None else list(range(len(K)))
-    return {"states": list(labels), "rows": [[float(v) for v in row] for row in K.rows]}
-
+# JSON input: {"states": [...], "rows": [[...], ...]} for kernels, reals as
+# decimal literals.  The constructor enforces the 1e-9 acceptance tolerance.
 
 def kernel_from_json(doc) -> FiniteKernel:
     if "rows" not in doc:
         raise ValueError("kernel document must contain a 'rows' field")
     return FiniteKernel(doc["rows"], state_labels=doc.get("states"))
-
-
-def dist_to_json(p) -> dict:
-    d = as_dist(p)
-    return {"states": list(range(len(d))), "weights": [float(v) for v in d.weights]}
-
-
-def dist_from_json(doc) -> ProbDist:
-    if "weights" not in doc:
-        raise ValueError("distribution document must contain a 'weights' field")
-    return ProbDist(doc["weights"])

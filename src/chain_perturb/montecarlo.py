@@ -58,7 +58,6 @@ __all__ = [
     "StoppingRule",
     "ExperimentConfig",
     "VerificationResult",
-    "EnvelopeReport",
     "closeness_params",
     "initial_disagreement_prob",
     "expected_hitting_time",
@@ -67,9 +66,7 @@ __all__ = [
     "empirical_tail",
     "empirical_base_tail",
     "empirical_decoupling",
-    "empirical_bounding_decoupling",
     "empirical_path_law_distance",
-    "almost_sure_envelope_check",
     "run_experiments",
     "EXPERIMENT_NAMES",
 ]
@@ -99,7 +96,7 @@ class StoppingRule:
             object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One verification setup: kernel pair, horizon, replication, starts, observable, stopping rule."""
 
@@ -114,20 +111,20 @@ class ExperimentConfig:
     stopping: StoppingRule | None = None
 
     def __post_init__(self):
-        self.p_eps = as_kernel(self.p_eps)
-        self.p = as_kernel(self.p)
+        object.__setattr__(self, "p_eps", as_kernel(self.p_eps))
+        object.__setattr__(self, "p", as_kernel(self.p))
         if len(self.p_eps) != len(self.p):
             raise DimensionMismatchError(
                 f"kernels live on {len(self.p_eps)} vs {len(self.p)} states"
             )
-        _as_initial(self.x0_eps, len(self.p))
-        _as_initial(self.x0, len(self.p))
+        _as_initial(self.x0_eps, len(self.p), "x0_eps")
+        _as_initial(self.x0, len(self.p), "x0")
         for name, low in (("n", 1), ("replicates", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if not _is_integer(value) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.f is not None:
-            self.f = as_state_function(self.f)
+            object.__setattr__(self, "f", as_state_function(self.f))
             if len(self.f) != len(self.p):
                 raise DimensionMismatchError("observable and kernel dimension differ")
 
@@ -142,15 +139,6 @@ class VerificationResult:
     bound: float
     satisfied: bool
     replicates_used: int
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    """Per-trajectory envelope statistics over a horizon grid (heuristic witness)."""
-
-    stats: np.ndarray        # max over the grid of n * (avg - ratio - 2 sqrt(log n / n))
-    stabilized: np.ndarray   # True where the second half of the grid adds nothing
-    grid: np.ndarray
 
 
 def _result(name, values, bound):
@@ -170,8 +158,8 @@ def _result(name, values, bound):
 def initial_disagreement_prob(config: ExperimentConfig) -> float:
     """P(X_0 != X_0^eps) under the maximal coupling of the initial laws (their TV distance)."""
     S = len(config.p)
-    state_e, w_e = _as_initial(config.x0_eps, S)
-    state_b, w_b = _as_initial(config.x0, S)
+    state_e, w_e = _as_initial(config.x0_eps, S, "x0_eps")
+    state_b, w_b = _as_initial(config.x0, S, "x0")
     if state_e is not None and state_b is not None:
         return float(state_e != state_b)
     return tv_distance(w_e, w_b)
@@ -259,7 +247,7 @@ def expected_hitting_time(P, targets, start=None):
             raise NumericalFailureError("hitting-time solve produced an invalid vector")
     if start is None:
         return times
-    state, weights = _as_initial(start, n)
+    state, weights = _as_initial(start, n, "start")
     return float(times[state] if state is not None else weights @ times)
 
 
@@ -402,7 +390,7 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
     ``path_law`` stop at ``tau ^ n`` and ``tau ^ (n + 1)``.  Unknown names and
     invalid configs are rejected before anything is simulated.  ``lam`` only
     matters for the tail checks.  Each result equals, bit for bit, the
-    matching ``empirical_*`` call.
+    matching ``empirical_*`` call, where there is one.
     """
     names = list(names)
     unknown = [name for name in names if name not in _CHECKS]
@@ -447,11 +435,6 @@ def empirical_decoupling(config: ExperimentConfig) -> VerificationResult:
     return run_experiments(["decoupling"], config)[0]
 
 
-def empirical_bounding_decoupling(config: ExperimentConfig) -> VerificationResult:
-    """P(dominating chain visits 1 within N steps); exact law is ``1 - (1-epsilon)^N``."""
-    return run_experiments(["bounding_decoupling"], config)[0]
-
-
 def empirical_path_law_distance(config: ExperimentConfig) -> VerificationResult:
     """TV distance between the laws of ``tau ^ (n + 1)`` of the two chains.
 
@@ -465,35 +448,3 @@ def empirical_path_law_distance(config: ExperimentConfig) -> VerificationResult:
     plug-in estimate.
     """
     return run_experiments(["path_law"], config)[0]
-
-
-def almost_sure_envelope_check(config: ExperimentConfig, use_bounding=False) -> EnvelopeReport:
-    """Empirical witness for the almost-sure envelope of the disagreement average.
-
-    For each trajectory and each horizon ``g`` in a log-spaced grid, computes
-    ``g * (avg_g - e/s - 2 sqrt(log g / g))`` -- the running value any a.s.
-    envelope constant would have to dominate -- and reports its maximum plus a
-    stabilization flag (the second half of the grid adds nothing).  This is a
-    heuristic witness, not a proof-grade test: the envelope constant is a
-    random quantity with no distribution to test against.
-    """
-    n = int(config.n)
-    if n < 10_000:
-        raise ValueError("envelope check needs a long horizon (n >= 10^4)")
-    grid = np.unique(np.geomspace(1_000, n, num=15).astype(np.int64))
-    params = closeness_params(config)
-    ratio = params.epsilon / (params.alpha + params.epsilon)
-    drift = 2.0 * np.sqrt(np.log(grid) / grid)
-    half = grid.size // 2
-
-    def per_batch(batch):
-        path = batch.y if use_bounding else batch.z
-        csum = np.cumsum(path[:, :n], axis=1, dtype=np.float64)
-        k_hat = (csum[:, grid - 1] / grid - ratio - drift) * grid
-        stable = k_hat[:, half:].max(axis=1) <= np.maximum(k_hat[:, :half].max(axis=1), 0.0)
-        return np.stack([k_hat.max(axis=1), stable], axis=1)
-
-    def finish(v):
-        return EnvelopeReport(stats=v[:, 0].copy(), stabilized=v[:, 1] > 0.0, grid=grid)
-
-    return _run_checks(config, [_Check(per_batch, finish)])[0]

@@ -4,14 +4,15 @@ The base chain flips with probability ``beta``; the perturbation shifts the
 two flip probabilities to ``beta - eps`` and ``beta + eps``, so the worst row
 perturbation is exactly ``eps``, the base contraction constant is ``2 beta``,
 and the cross constant is ``2 beta - eps``.  Powers of the perturbed matrix
-have a closed form through the eigenpair ``(1, 1 - 2 beta)``, which makes the
-TV distance between the stationary law ``(1/2, 1/2)`` and the time-averaged
-perturbed law exactly computable -- and it coincides with the generic
-averaged-TV certificate at every horizon.  The certification checks the
+have a closed form through the eigenpair ``(1, 1 - 2 beta)``, so the TV
+distance between the stationary law ``(1/2, 1/2)`` and the time-averaged
+perturbed law is exactly computable -- and it coincides with the generic
+averaged-TV certificate at every horizon.  :func:`tightness_table` checks the
 certificate against the averaged law propagated step by step through the
-perturbed matrix, not against the closed form, so a wrong certificate fails.
+perturbed matrix, so a wrong certificate fails; the closed forms are the
+tests' references, not package code.
 
-The closed forms are pure algebra and stay valid for ``eps`` up to
+The propagation is pure algebra and stays valid for ``eps`` up to
 ``2 beta``; the perturbed matrix is a stochastic matrix only for
 ``eps <= beta``, which :func:`kernel_pair` enforces.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, averaged_tv_bound, decay_power
+from .bounds import BoundParams, averaged_tv_bound
 from .kernels import FiniteKernel, _law_running_sums
 
 __all__ = [
@@ -30,15 +31,10 @@ __all__ = [
     "base_matrix",
     "perturbed_matrix",
     "kernel_pair",
-    "perturbed_power_closed_form",
-    "eigen_reconstruction",
-    "exact_averaged_tv",
-    "certify_tightness",
     "tightness_table",
 ]
 
-#: Largest ``|exact - bound|`` that :func:`certify_tightness` and the
-#: ``sharpness`` command accept as equality.
+#: Largest ``|exact - bound|`` that the ``sharpness`` command accepts as equality.
 TIGHTNESS_TOL = 1e-12
 
 
@@ -93,41 +89,6 @@ def kernel_pair(beta, epsilon):
     return FiniteKernel(perturbed_matrix(beta, epsilon)), FiniteKernel(base_matrix(beta))
 
 
-def perturbed_power_closed_form(inst: SharpnessInstance, k) -> np.ndarray:
-    """k-th power of the perturbed matrix via the eigenvalue ``1 - 2 beta``."""
-    if k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    b, e = inst.beta, inst.epsilon
-    r = (1.0 - 2.0 * b) ** int(k)
-    return np.array([
-        [(b + e) + (b - e) * r, (b - e) - (b - e) * r],
-        [(b + e) - (b + e) * r, (b - e) + (b + e) * r],
-    ]) / (2.0 * b)
-
-
-def eigen_reconstruction(beta, epsilon) -> np.ndarray:
-    """Rebuild the perturbed matrix as ``Q diag(1, 1-2 beta) Q^{-1}``.
-
-    Columns of Q are the right eigenvectors ``(1, 1)`` and
-    ``(-(beta-eps), beta+eps)``.
-    """
-    Q = np.array([[1.0, -(beta - epsilon)], [1.0, beta + epsilon]])
-    D = np.diag([1.0, 1.0 - 2.0 * beta])
-    return Q @ D @ np.linalg.inv(Q)
-
-
-def exact_averaged_tv(inst: SharpnessInstance) -> float:
-    """Exact TV distance between ``(1/2, 1/2)`` and the time-averaged perturbed law.
-
-    ``e/s + (tv0 - e/s) * (1 - (1-s)^n) / (s n)`` with ``s = 2 beta`` (which
-    equals ``alpha + epsilon`` here) and ``tv0 = gamma - 1/2``.
-    """
-    s = 2.0 * inst.beta
-    ratio = inst.epsilon / s
-    w = (1.0 - decay_power(1.0 - s, inst.n)) / (s * inst.n)
-    return ratio + (inst.initial_tv - ratio) * w
-
-
 def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
     """Averaged TV for horizons 1..n_max, by propagating ``(gamma, 1-gamma)``.
 
@@ -136,19 +97,6 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
     """
     sums = _law_running_sums(np.array([gamma, 1.0 - gamma]), perturbed_matrix(beta, epsilon), n_max)
     return np.array([0.5 * np.abs(total / (k + 1) - 0.5).sum() for k, total in enumerate(sums)])
-
-
-def certify_tightness(inst: SharpnessInstance):
-    """Compare the propagated averaged TV against the generic certificate.
-
-    Returns ``(ok, gap)`` with ``gap = |exact - bound|`` and ``ok`` when the
-    gap is at most :data:`TIGHTNESS_TOL`; the bound is evaluated at the
-    pair's own constants (``alpha = 2 beta - epsilon``) and ``p0 = gamma - 1/2``.
-    """
-    exact = _propagated_averaged_tv(inst.beta, inst.epsilon, inst.gamma, inst.n)[-1]
-    params = BoundParams(epsilon=inst.epsilon, n=inst.n, alpha=inst.alpha, p0=inst.initial_tv)
-    gap = abs(float(exact) - averaged_tv_bound(params))
-    return gap <= TIGHTNESS_TOL, gap
 
 
 def tightness_table(beta, epsilon, gamma, n_max):

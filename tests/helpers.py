@@ -1,8 +1,8 @@
-"""Shared random-instance generators for the test suite."""
+"""Shared random-instance generators and small adapters for the test suite."""
 
 import numpy as np
 
-from chain_perturb import FiniteKernel
+from chain_perturb import CoupledBatch, FiniteKernel, as_kernel, iter_coupled_batches
 
 
 def random_dist(rng, n):
@@ -43,3 +43,17 @@ def dense_log_likelihood(gram, x2, z, prior_b=2.0, prior_a=2.0):
     B = np.eye(z.size) + x2 * gram
     _, logdet = np.linalg.slogdet(B)
     return -0.5 * logdet - 0.5 * (prior_a + z.size) * np.log(prior_b + z @ np.linalg.solve(B, z))
+
+
+def stack_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
+    """All ``n_traj`` trajectories of :func:`iter_coupled_batches` stacked into one batch."""
+    chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
+                                       batch_size=batch_size))
+    return CoupledBatch(*(np.concatenate([getattr(c, name) for c in chunks])
+                          for name in ("x_eps", "x", "z", "y")), first_index=0)
+
+
+def kernel_to_json(P) -> dict:
+    K = as_kernel(P)
+    labels = K.state_labels if K.state_labels is not None else list(range(len(K)))
+    return {"states": list(labels), "rows": [[float(v) for v in row] for row in K.rows]}

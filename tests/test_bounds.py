@@ -5,7 +5,6 @@ import pytest
 
 from chain_perturb import (
     BoundParams,
-    BoundingChain,
     InvalidRegimeError,
     avg_disagreement_bound,
     averaged_tv_bound,
@@ -22,6 +21,7 @@ from chain_perturb import (
     stationary_gap_bound,
     variance_of_time_average_bound,
 )
+from oracles import BoundingChain
 
 
 def cross_params(alpha=0.4, epsilon=0.1, n=100, p0=0.0, f_star=0.0, a=None):

@@ -10,15 +10,10 @@ import tracemalloc
 
 import pytest
 
-from chain_perturb import (
-    VerificationResult,
-    iter_coupled_batches,
-    kernel_pair,
-    kernel_to_json,
-    simulate_coupled_batch,
-)
+from chain_perturb import VerificationResult, iter_coupled_batches, kernel_pair
 from chain_perturb.cli import main
 import chain_perturb.cli as cli_mod
+from helpers import kernel_to_json, stack_batches
 
 
 def test_import_needs_only_numpy():
@@ -166,7 +161,7 @@ class TestSimulate:
             assert int(row["step"]) == k
             assert int(row["z"]) == int(int(row["x"]) != int(row["x_eps"]))
             assert int(row["z"]) <= int(row["y"])
-        batch = simulate_coupled_batch(*cli_mod._load_pair(pair_file), 0, 1, 25, 1, seed=41)
+        batch = stack_batches(*cli_mod._load_pair(pair_file), 0, 1, 25, 1, seed=41)
         assert [int(r["x"]) for r in rows] == batch.x[0].tolist()
         assert [int(r["x_eps"]) for r in rows] == batch.x_eps[0].tolist()
         assert [int(r["y"]) for r in rows] == batch.y[0].tolist()
@@ -178,7 +173,7 @@ class TestSimulate:
         rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 10
         assert rows[0]["n"] == "50"
-        batch = simulate_coupled_batch(*cli_mod._load_pair(pair_file), 0, 0, 50, 10, seed=43)
+        batch = stack_batches(*cli_mod._load_pair(pair_file), 0, 0, 50, 10, seed=43)
         fracs = batch.z[:, :50].mean(axis=1)
         for i, row in enumerate(rows):
             assert float(row["disagreement_fraction"]) == pytest.approx(fracs[i])
@@ -294,12 +289,18 @@ class TestVerify:
         ({"n": 20.7}, "n must be an integer"),
         ({"replicates": 50.9}, "replicates must be an integer"),
         ({"n": True}, "n must be an integer"),
-        ({"x0": True}, "1-d vector"),
+        ({"x0": True}, "x0 must be a state index"),
+        ({"x0": 1.5}, "x0 must be a state index"),
+        ({"x0": "a"}, "x0 must be a state index"),
+        ({"x0_eps": True}, "x0_eps must be a state index"),
+        ({"x0_eps": 1.5}, "x0_eps must be a state index"),
+        ({"x0_eps": "a"}, "x0_eps must be a state index"),
         ({"seed": 1.5}, "master_seed must be an integer"),
         ({"lambda": "2"}, "lambda must be a real number"),
         ({"experiments": "disagreement"}, "experiments must be a list"),
         ({"experiments": [["disagreement"]]}, "experiments must be a list"),
-    ], ids=["n-float", "replicates-float", "n-bool", "x0-bool", "seed-float", "lambda-string",
+    ], ids=["n-float", "replicates-float", "n-bool", "x0-bool", "x0-float", "x0-string",
+            "x0_eps-bool", "x0_eps-float", "x0_eps-string", "seed-float", "lambda-string",
             "experiments-string", "experiments-nested"])
     def test_mistyped_config_exits_two(self, tmp_path, pair_file, capsys, override, message):
         cfg = self.write_config(tmp_path, pair_file, **override)

@@ -5,7 +5,6 @@ import pytest
 
 from chain_perturb import (
     BoundParams,
-    BoundingChain,
     ExperimentConfig,
     FiniteKernel,
     InvalidRegimeError,
@@ -18,13 +17,12 @@ from chain_perturb import (
     local_epsilon,
     product_kernel_row,
     run_experiments,
-    simulate_coupled_batch,
-    two_state_poisson,
     tv_distance,
 )
 from chain_perturb import coupling
 from chain_perturb.coupling import _cdf, _pick, _split
-from helpers import random_kernel, random_pair
+from helpers import random_kernel, random_pair, stack_batches
+from oracles import BoundingChain
 
 FLIP_PAIR = kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
 
@@ -124,7 +122,7 @@ class TestBuildRecipe:
         P_eps, P = random_pair(rng, S, 0.1)
         tracemalloc.start()
         try:
-            simulate_coupled_batch(P_eps, P, 0, 1, 20, 8, seed=3)
+            stack_batches(P_eps, P, 0, 1, 20, 8, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -168,13 +166,13 @@ class TestCoupledStep:
 
     def test_fully_coupled_always_equal(self):
         P = random_kernel(np.random.default_rng(3), 3)
-        batch = simulate_coupled_batch(P, P, 0, 0, 100, 20, seed=1)
+        batch = stack_batches(P, P, 0, 0, 100, 20, seed=1)
         np.testing.assert_array_equal(batch.x_eps, batch.x)
 
     def test_fully_decoupled_marginals(self):
         A = FiniteKernel(np.eye(2))
         B = FiniteKernel([[0.0, 1.0], [1.0, 0.0]])
-        batch = simulate_coupled_batch(A, B, 0, 0, 1, 50, seed=2)
+        batch = stack_batches(A, B, 0, 0, 1, 50, seed=2)
         np.testing.assert_array_equal(batch.x_eps[:, 1], 0)
         np.testing.assert_array_equal(batch.x[:, 1], 1)
 
@@ -186,8 +184,7 @@ class TestCoupledStep:
         S = len(P)
         here, nxt = [], []
         for start in range(S * S):
-            batch = simulate_coupled_batch(P_eps, P, *divmod(start, S), 10, 2500,
-                                           seed=123 + start)
+            batch = stack_batches(P_eps, P, *divmod(start, S), 10, 2500, seed=123 + start)
             here.append((batch.x_eps[:, :-1] * S + batch.x[:, :-1]).ravel())
             nxt.append((batch.x_eps[:, 1:] * S + batch.x[:, 1:]).ravel())
         here, nxt = np.concatenate(here), np.concatenate(nxt)
@@ -328,8 +325,8 @@ class TestStepperOracle:
                 (list(law_e / law_e.sum()), list(law_b / law_b.sum())), (x, list(law_b / law_b.sum()))]
 
     def check(self, P_eps, P, eps, alpha, x0_eps, x0, U, seed):
-        batch = simulate_coupled_batch(P_eps, P, x0_eps, x0, self.N, self.COUNT, seed=seed,
-                                       batch_size=16)
+        batch = stack_batches(P_eps, P, x0_eps, x0, self.N, self.COUNT, seed=seed,
+                              batch_size=16)
         xe, xb, y = reference_paths(P_eps, P, x0_eps, x0, U, eps, alpha)
         np.testing.assert_array_equal(batch.x_eps, xe)
         np.testing.assert_array_equal(batch.x, xb)
@@ -379,23 +376,23 @@ class TestStepperOracle:
 class TestSimulateCoupled:
     def test_identical_kernels_never_decouple(self):
         _, P = FLIP_PAIR
-        batch = simulate_coupled_batch(P, P, 0, 0, 200, 1, seed=5)
+        batch = stack_batches(P, P, 0, 0, 200, 1, seed=5)
         assert batch.z.sum() == 0
         assert not batch.z[0].any()   # never a first decoupling step
 
     def test_pathwise_domination(self):
-        batch = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 100, 2000, seed=11)
+        batch = stack_batches(*FLIP_PAIR, 0, 0, 100, 2000, seed=11)
         assert not np.any(batch.z > batch.y)
 
     def test_occupation_dominance(self):
-        batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 80, 500, seed=13)
+        batch = stack_batches(*FLIP_PAIR, 0, 1, 80, 500, seed=13)
         z_frac = batch.z[:, :80].mean(axis=1)
         y_frac = batch.y[:, :80].mean(axis=1)
         assert np.all(z_frac <= y_frac + 1e-15)
 
     def test_marginal_transition_frequencies(self):
         P_eps, P = FLIP_PAIR
-        batch = simulate_coupled_batch(P_eps, P, 0, 0, 50, 3000, seed=17)
+        batch = stack_batches(P_eps, P, 0, 0, 50, 3000, seed=17)
         for path, kernel in ((batch.x, P), (batch.x_eps, P_eps)):
             for i in range(2):
                 mask = path[:, :-1] == i
@@ -407,18 +404,18 @@ class TestSimulateCoupled:
                     assert abs(freq - p) <= 4.0 * np.sqrt(p * (1 - p) / total)
 
     def test_batch_matches_single_trajectory(self):
-        batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 60, 3, seed=23)
-        single = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 60, 1, seed=23)
+        batch = stack_batches(*FLIP_PAIR, 0, 1, 60, 3, seed=23)
+        single = stack_batches(*FLIP_PAIR, 0, 1, 60, 1, seed=23)
         np.testing.assert_array_equal(batch.x[0], single.x[0])
         np.testing.assert_array_equal(batch.x_eps[0], single.x_eps[0])
         np.testing.assert_array_equal(batch.y[0], single.y[0])
 
     def test_bit_exact_reproducibility(self):
-        a = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 40, 20, seed=29)
-        b = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 40, 20, seed=29)
+        a = stack_batches(*FLIP_PAIR, 0, 0, 40, 20, seed=29)
+        b = stack_batches(*FLIP_PAIR, 0, 0, 40, 20, seed=29)
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.x_eps, b.x_eps)
-        c = simulate_coupled_batch(*FLIP_PAIR, 0, 0, 40, 20, seed=29, batch_size=7)
+        c = stack_batches(*FLIP_PAIR, 0, 0, 40, 20, seed=29, batch_size=7)
         np.testing.assert_array_equal(a.x, c.x)
 
     @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
@@ -427,7 +424,7 @@ class TestSimulateCoupled:
         # 2100 trajectories span three RNG blocks; every batch size gives the
         # same paths, and they are the paths of the contract's uniforms
         n, count = 5, 2100
-        runs = [simulate_coupled_batch(*FLIP_PAIR, x0_eps, x0, n, count, seed=41, batch_size=b)
+        runs = [stack_batches(*FLIP_PAIR, x0_eps, x0, n, count, seed=41, batch_size=b)
                 for b in (None, 1, 1023, 1024, 1025)]
         for run in runs[1:]:
             for name in ("x_eps", "x", "y", "z"):
@@ -441,7 +438,7 @@ class TestSimulateCoupled:
 
     def test_distribution_starts_sample_maximal_coupling(self):
         P_eps, P = FLIP_PAIR
-        batch = simulate_coupled_batch(P_eps, P, [1.0, 0.0], [0.8, 0.2], 5, 4000, seed=31)
+        batch = stack_batches(P_eps, P, [1.0, 0.0], [0.8, 0.2], 5, 4000, seed=31)
         z0 = batch.z[:, 0].mean()
         assert abs(z0 - 0.2) <= 4.0 * np.sqrt(0.2 * 0.8 / 4000)
 
@@ -452,13 +449,13 @@ class TestSimulateCoupled:
             next(iter_coupled_batches(*FLIP_PAIR, x0_eps, x0, 5, 3, seed=1))
 
     def test_z_is_disagreement_indicator(self):
-        batch = simulate_coupled_batch(*FLIP_PAIR, 0, 1, 30, 50, seed=37)
+        batch = stack_batches(*FLIP_PAIR, 0, 1, 30, 50, seed=37)
         np.testing.assert_array_equal(batch.z, (batch.x != batch.x_eps).astype(np.int8))
 
     def test_boundary_regime_simulates(self):
         # identical iid kernels sit exactly at eps = 1 - alpha = 0
         iid = FiniteKernel([[0.5, 0.5], [0.5, 0.5]])
-        batch = simulate_coupled_batch(iid, iid, 0, 0, 20, 1, seed=1)
+        batch = stack_batches(iid, iid, 0, 0, 20, 1, seed=1)
         assert batch.z.sum() == 0
 
 
@@ -478,7 +475,7 @@ class TestRegimeRounding:
                 avg_disagreement_bound(BoundParams(epsilon=eps, n=5, alpha=alpha))
                 if eps > 1.0 - alpha:
                     rounded += 1
-                    simulate_coupled_batch(P_eps, P, 0, 0, 2, 1, seed=0)
+                    stack_batches(P_eps, P, 0, 0, 2, 1, seed=0)
                     run_experiments(["disagreement"], ExperimentConfig(P_eps, P, 2, 2, 0))
         assert rounded > 0
 
@@ -533,28 +530,3 @@ class TestBoundingChain:
                 acc += law @ phi
                 law = law @ bc.transition
             assert occupation(bc, p1, n) == pytest.approx(acc / n, abs=1e-13)
-
-
-class TestTwoStatePoisson:
-    def test_plug_in_values(self):
-        psi = two_state_poisson(BoundingChain(alpha=0.4, epsilon=0.1)).values
-        np.testing.assert_allclose(psi, [-0.4, 1.6], atol=1e-15)
-
-    def test_symmetric_case(self):
-        for alpha in (0.1, 0.25, 0.4):
-            psi = two_state_poisson(BoundingChain(alpha=alpha, epsilon=alpha)).values
-            np.testing.assert_allclose(psi, [-1.0 / (4 * alpha), 1.0 / (4 * alpha)], rtol=1e-14)
-
-    def test_poisson_residual_zero(self):
-        rng = np.random.default_rng(53)
-        for _ in range(30):
-            s = rng.uniform(0.3, 0.95)
-            alpha = rng.uniform(0.1, s - 0.05)
-            eps = s - alpha
-            if eps >= 1.0 - alpha:
-                continue
-            bc = BoundingChain(alpha=alpha, epsilon=eps)
-            psi = two_state_poisson(bc).values
-            phi_tilde = np.array([-eps / s, alpha / s])
-            residual = (bc.transition - np.eye(2)) @ psi + phi_tilde
-            assert np.abs(residual).max() <= 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,19 +8,21 @@ from chain_perturb import (
     GPConfig,
     NumericalFailureError,
     cross_doeblin_constant,
-    epsilon_alpha_for_gp,
-    exact_log_table,
     figure_sweep,
     generate_data,
-    gibbs_transition_matrix,
     gram_matrix,
     local_epsilon,
     lowrank_log_table,
-    marginal_log_likelihood,
     squared_distances,
 )
 from chain_perturb.gp_mcmc import _spectrum, logsumexp
 from helpers import dense_log_likelihood, truncated_gram
+from oracles import (
+    epsilon_alpha_for_gp,
+    exact_log_table,
+    gibbs_transition_matrix,
+    marginal_log_likelihood,
+)
 
 
 class TestConfig:
@@ -54,6 +57,18 @@ class TestConfig:
     def test_sizes_stored_as_int(self):
         cfg = GPConfig(n=np.int64(20), m=np.int32(3), seed=np.uint8(4))
         assert [type(v) for v in (cfg.n, cfg.m, cfg.seed)] == [int, int, int]
+
+    def test_frozen(self):
+        # the derived fields are computed once, so a later size change would desynchronise them
+        cfg = GPConfig(n=20, m=2)
+        for name, value in (("n", 30), ("m", 3), ("seed", 1), ("points", np.zeros(20))):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        for name in ("points", "grid_x1", "grid_x2"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cfg, name)[0] = 0.0
+        assert cfg.n == 20 and cfg.points.size == 20
+        assert generate_data(cfg, 0).shape == (20,)
 
 
 class TestGramMatrix:

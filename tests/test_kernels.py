@@ -9,23 +9,18 @@ from chain_perturb import (
     InvalidRegimeError,
     ProbDist,
     cross_doeblin_constant,
-    dist_from_json,
-    dist_to_json,
     doeblin_constant,
     f_star_norm,
     invariant_measure,
     kernel_from_json,
     kernel_pair,
-    kernel_to_json,
     local_epsilon,
     n_step_average_law,
-    perturbed_power_closed_form,
-    poisson_solve,
     SharpnessInstance,
-    transfer_constants,
     tv_distance,
 )
-from helpers import power_iteration_mu, random_dist, random_kernel, random_pair
+from helpers import kernel_to_json, power_iteration_mu, random_dist, random_kernel, random_pair
+from oracles import perturbed_power_closed_form, poisson_solve
 
 
 def brute_force_max_tv(rows_a, rows_b):
@@ -131,21 +126,6 @@ class TestClosenessConstants:
             eps = local_epsilon(P_eps, P)
             alpha = cross_doeblin_constant(P_eps, P)
             assert alpha >= a - eps - 1e-12
-
-
-class TestTransferConstants:
-    def test_doeblin_to_cross(self):
-        assert transfer_constants(0.5, 0.1) == pytest.approx(0.4)
-
-    def test_cross_to_doeblin(self):
-        assert transfer_constants(0.4, 0.1) == pytest.approx(0.3)
-
-    def test_zero_perturbation(self):
-        assert transfer_constants(0.5, 0.0) == 0.5
-
-    def test_invalid_regime(self):
-        with pytest.raises(InvalidRegimeError):
-            transfer_constants(0.3, 0.3)
 
 
 class TestInvariantMeasure:
@@ -304,10 +284,6 @@ class TestValidationAndSerialization:
         doc = kernel_to_json(P)
         again = kernel_from_json(doc)
         np.testing.assert_array_equal(P.rows, again.rows)
-
-    def test_round_trip_dist(self):
-        d = ProbDist([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(dist_from_json(dist_to_json(d)).weights, d.weights)
 
     def test_loader_rejects_bad_row_sum(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,12 +12,10 @@ from chain_perturb import (
     DimensionMismatchError,
     ExperimentConfig,
     StoppingRule,
-    almost_sure_envelope_check,
     closeness_params,
     coupled_concentration_threshold,
     empirical_average_difference,
     empirical_base_tail,
-    empirical_bounding_decoupling,
     empirical_decoupling,
     empirical_disagreement,
     empirical_path_law_distance,
@@ -25,9 +24,8 @@ from chain_perturb import (
     initial_disagreement_prob,
     kernel_pair,
     run_experiments,
-    simulate_coupled_batch,
 )
-from helpers import random_pair
+from helpers import random_pair, stack_batches
 
 P_EPS, P = kernel_pair(0.25, 0.1)
 
@@ -79,6 +77,14 @@ class TestConfigAndParams:
         with pytest.raises(ValueError):
             flip_config(x0_eps=start)
 
+    def test_frozen(self):
+        # the fields are validated once, at construction
+        cfg = flip_config()
+        for name, value in (("n", 0), ("replicates", 0), ("x0", 1.5), ("p", P_EPS), ("f", [1.0])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert cfg.n == 100 and cfg.x0 == 0 and cfg.f is None
+
 
 class TestExpectedHittingTime:
     def test_flip_chain_geometric(self):
@@ -99,7 +105,7 @@ class TestExpectedHittingTime:
         exact = expected_hitting_time(base, [4], 0)
         cfg = ExperimentConfig(p_eps=base, p=base, n=max(300, int(60 * exact)),
                                replicates=3000, master_seed=5, x0_eps=0, x0=0)
-        batch = simulate_coupled_batch(cfg.p_eps, cfg.p, 0, 0, cfg.n, cfg.replicates, 5)
+        batch = stack_batches(cfg.p_eps, cfg.p, 0, 0, cfg.n, cfg.replicates, 5)
         hit = np.array([
             row.argmax() if row.any() else -1
             for row in (batch.x == 4)
@@ -204,7 +210,7 @@ class TestEmpiricalTails:
         cfg = flip_config(n=40, replicates=400, seed=5, x0_eps=starts[0], x0=starts[1])
         res = empirical_tail(cfg, lam=0.2)
         params = closeness_params(cfg)
-        batch = simulate_coupled_batch(P_EPS, P, starts[0], starts[1], 40, 400, 5)
+        batch = stack_batches(P_EPS, P, starts[0], starts[1], 40, 400, 5)
         thr = np.array([coupled_concentration_threshold(0.2, params, bool(d))
                         for d in batch.z[:, 0]])
         assert res.estimate == np.mean(batch.z[:, :40].mean(axis=1) >= thr)
@@ -259,7 +265,7 @@ class TestFirstHitTimes:
             assert got.dtype == self.isin_hit_times(states, targets, missing).dtype
 
     def test_matches_isin_on_binary_paths(self):
-        batch = simulate_coupled_batch(P_EPS, P, 0, 0, 30, 200, seed=3)
+        batch = stack_batches(P_EPS, P, 0, 0, 30, 200, seed=3)
         for path in (batch.y, batch.z):
             got = mc._first_hit_times(path, mc._ON_ONE, 31)
             np.testing.assert_array_equal(got, self.isin_hit_times(path, [1], 31))
@@ -318,7 +324,7 @@ class TestEmpiricalDecoupling:
     def test_bounding_chain_exact_law(self):
         cfg = flip_config(n=50, replicates=3000,
                           stopping=StoppingRule(kind="deterministic", time=10))
-        res = empirical_bounding_decoupling(cfg)
+        res = run_experiments(["bounding_decoupling"], cfg)[0]
         exact = 1.0 - 0.9 ** 10
         assert abs(res.estimate - exact) <= 3.0 * res.std_error
         assert res.estimate <= 0.1 * 10 + 3.0 * res.std_error  # linear cap
@@ -415,26 +421,3 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             run_experiments(["disagreement", "average_difference"], flip_config())
         assert sim_calls == []
-
-
-class TestEnvelope:
-    def test_flip_pair_stabilizes(self):
-        cfg = flip_config(n=30_000, replicates=6)
-        report = almost_sure_envelope_check(cfg)
-        assert report.stabilized.all()
-        assert report.grid[-1] == 30_000
-
-    def test_identical_kernels_nonpositive(self):
-        cfg = ExperimentConfig(p_eps=P, p=P, n=30_000, replicates=3, master_seed=29,
-                               x0_eps=0, x0=0)
-        report = almost_sure_envelope_check(cfg)
-        assert np.all(report.stats <= 0.0)
-
-    def test_bounding_chain_variant(self):
-        cfg = flip_config(n=30_000, replicates=3)
-        report = almost_sure_envelope_check(cfg, use_bounding=True)
-        assert report.stabilized.all()
-
-    def test_short_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            almost_sure_envelope_check(flip_config(n=500, replicates=2))

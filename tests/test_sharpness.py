@@ -6,19 +6,16 @@ from chain_perturb import (
     SharpnessInstance,
     averaged_tv_bound,
     base_matrix,
-    certify_tightness,
     cross_doeblin_constant,
     doeblin_constant,
-    eigen_reconstruction,
-    exact_averaged_tv,
     kernel_pair,
     local_epsilon,
     n_step_average_law,
     perturbed_matrix,
-    perturbed_power_closed_form,
     tightness_table,
     tv_distance,
 )
+from oracles import exact_averaged_tv, perturbed_power_closed_form
 
 
 class TestClosedFormPowers:
@@ -30,6 +27,10 @@ class TestClosedFormPowers:
         inst = SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=1)
         np.testing.assert_allclose(
             perturbed_power_closed_form(inst, 1), perturbed_matrix(0.25, 0.1), atol=1e-15)
+        for beta, eps in [(0.25, 0.1), (0.4, 0.3), (0.1, 0.05)]:
+            inst = SharpnessInstance(beta=beta, epsilon=eps, gamma=0.9, n=1)
+            np.testing.assert_allclose(
+                perturbed_power_closed_form(inst, 1), perturbed_matrix(beta, eps), atol=1e-12)
 
     def test_matches_repeated_multiplication(self):
         inst = SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=1)
@@ -48,11 +49,6 @@ class TestFamilyConstants:
         assert local_epsilon(P_eps, P) == pytest.approx(eps, abs=1e-15)
         # the maximum is attained (not strictly below) at the off-diagonal pair
         assert cross_doeblin_constant(P_eps, P) == pytest.approx(2.0 * beta - eps, abs=1e-14)
-
-    def test_eigen_reconstruction(self):
-        for beta, eps in [(0.25, 0.1), (0.4, 0.3), (0.1, 0.05)]:
-            np.testing.assert_allclose(
-                eigen_reconstruction(beta, eps), perturbed_matrix(beta, eps), atol=1e-12)
 
     def test_kernel_pair_rejects_negative_entries(self):
         with pytest.raises(ValueError):
@@ -96,28 +92,24 @@ class TestExactAveragedTv:
 
 class TestTightness:
     def test_certificate_examples(self):
-        for n in range(1, 101):
-            ok, gap = certify_tightness(SharpnessInstance(beta=0.3, epsilon=0.05, gamma=0.9, n=n))
-            assert ok and gap <= 1e-12
-        ok, gap = certify_tightness(SharpnessInstance(beta=0.25, epsilon=0.1, gamma=1.0, n=50))
-        assert ok and gap <= 1e-12
+        rows = tightness_table(0.3, 0.05, 0.9, 100)
+        assert [n for n, *_ in rows] == list(range(1, 101))
+        assert all(gap <= 1e-12 for *_, gap in rows)
+        assert tightness_table(0.25, 0.1, 1.0, 50)[-1][3] <= 1e-12
 
     def test_full_grid(self):
         for beta in (0.1, 0.2, 0.3, 0.4, 0.5):
             for eps in (0.01, beta / 2, 2 * beta - 0.01):
                 for gamma in (0.6, 0.9, 1.0):
+                    rows = tightness_table(beta, eps, gamma, 100)
                     for n in (1, 2, 5, 10, 100):
-                        inst = SharpnessInstance(beta=beta, epsilon=eps, gamma=gamma, n=n)
-                        ok, gap = certify_tightness(inst)
-                        assert ok, f"gap {gap} at {inst}"
+                        gap = rows[n - 1][3]
+                        assert gap <= 1e-12, f"gap {gap} at {(beta, eps, gamma, n)}"
 
     def test_wrong_initial_tv_fails(self, monkeypatch):
         # the certificate evaluated at a wrong p0 must not certify
-        inst = SharpnessInstance(beta=0.3, epsilon=0.05, gamma=0.9, n=10)
-        assert certify_tightness(inst)[0]
+        assert tightness_table(0.3, 0.05, 0.9, 10)[-1][3] <= 1e-12
         monkeypatch.setattr(SharpnessInstance, "initial_tv", property(lambda self: 0.3))
-        ok, gap = certify_tightness(inst)
-        assert not ok and gap > 1e-3
         assert all(g > 1e-3 for *_, g in tightness_table(0.3, 0.05, 0.9, 10))
 
     def test_propagation_matches_closed_form(self):

@@ -1,5 +1,6 @@
 """Checks on the repository's tooling that the package tests would not notice."""
 
+import ast
 import importlib
 import pathlib
 import re
@@ -7,6 +8,23 @@ import runpy
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+PACKAGE = ROOT / "src" / "chain_perturb"
+
+_TRACED = "the benchmark's tracer wraps it by name; it goes once stage records replace the tracer"
+_EXACT_ROW = "its caller comes with the exact bounds-table rows of verify"
+# Exported names that no package code calls, each with the reason it stays public.
+UNCALLED_EXPORTS = {
+    "empirical_disagreement": _TRACED,
+    "empirical_average_difference": _TRACED,
+    "empirical_tail": _TRACED,
+    "empirical_base_tail": _TRACED,
+    "empirical_decoupling": _TRACED,
+    "empirical_path_law_distance": _TRACED,
+    "n_step_average_law": _EXACT_ROW,
+    "remark_tail_threshold": _EXACT_ROW,
+    "product_kernel_row": "the one-step pair law an exact-law oracle of the coupled chain propagates",
+    "kernel_pair": "the example family of the README quick start",
+}
 
 
 def test_traced_package_names_exist():
@@ -27,3 +45,30 @@ def test_readme_python_blocks_run():
     assert blocks
     for code in blocks:
         exec(compile(code, "README.md", "exec"), {})
+
+
+def package_references():
+    """Names that package code reads, each outside the definition that binds it."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    return used
+
+
+def test_every_export_has_a_package_caller():
+    # tests are not callers: a name only tests read belongs in tests/oracles.py
+    exported = [alias.asname or alias.name
+                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    used = package_references()
+    uncalled = [name for name in exported if name not in used]
+    assert [name for name in uncalled if name not in UNCALLED_EXPORTS] == []
+    # an entry whose name gained a caller or left the package is stale
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
