@@ -14,9 +14,10 @@ Every rank-q table comes from :func:`lowrank_log_table`: in the eigenbasis of
 each length-scale Gram matrix the Woodbury quadratic form and
 log-determinant at every rank are prefix sums over one spectrum, so the rank
 sweep builds all truncations, and the full-rank table, from one
-eigendecomposition per atom.  The tests hold the independent reference for
-the exact kernel, a dense route through numpy's Cholesky factorization; it
-is not package code.
+eigendecomposition per atom, done as two half-size solves of its
+centrosymmetric split; the latent Cholesky factor is made once per ``n``.
+The tests hold the independent reference for the exact kernel, a dense
+route through numpy's Cholesky factorization; it is not package code.
 
 All likelihood arithmetic is done in log space with log-sum-exp
 normalization; raw ratios underflow already at moderate data sizes.
@@ -24,6 +25,7 @@ normalization; raw ratios underflow already at moderate data sizes.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -119,8 +121,16 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.seed, spawn_key=(int(replicate),))
     )
-    sigma = gram_matrix(config.true_x1, config.points)
-    cov_f = config.true_x2 * sigma
+    f = _latent_factor(config.n) @ rng.standard_normal(int(config.n))
+    x3 = math.sqrt(config.true_x3_sq)
+    return x3 * f + x3 * rng.standard_normal(int(config.n))
+
+
+@functools.lru_cache(maxsize=1)
+def _latent_factor(n):
+    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone."""
+    config = GPConfig(n=n, m=1)
+    cov_f = config.true_x2 * gram_matrix(config.true_x1, config.points)
     try:
         chol = np.linalg.cholesky(cov_f)
     except np.linalg.LinAlgError:
@@ -128,9 +138,8 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
             chol = np.linalg.cholesky(cov_f + 1e-10 * np.eye(config.n))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"latent covariance not factorizable: {exc}") from exc
-    f = chol @ rng.standard_normal(int(config.n))
-    x3 = math.sqrt(config.true_x3_sq)
-    return x3 * f + x3 * rng.standard_normal(int(config.n))
+    chol.setflags(write=False)
+    return chol
 
 
 def _spectrum(gram):
@@ -151,8 +160,36 @@ def _spectrum(gram):
 # likelihood tables over the m x m atom grid
 
 def _eigen_cache(config):
-    """Per length-scale atom: the :func:`_spectrum` of its Gram matrix, one Gram alive at a time."""
-    return [_spectrum(gram_matrix(x1, config.points)) for x1 in config.grid_x1]
+    """Per length-scale atom: the eigenpairs of its Gram matrix ``G``, largest first, clipped at 0.
+
+    ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
+    half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
+    ``k = n // 2``, ``A = G[:k, :k]`` and ``CJ = G[:k, n-1:n-k-1:-1]``, the
+    :func:`_spectrum` of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
+    the middle column, and ``G[k, k]``) gives ``[v; Jv]/sqrt(2)`` with middle
+    entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.  ``G`` is
+    centrosymmetric only to rounding: the split reads only its first ``k`` rows.
+    """
+    n, k = int(config.n), int(config.n) // 2
+    cache = []
+    for x1 in config.grid_x1:
+        gram = gram_matrix(x1, config.points)
+        a, cj = gram[:k, :k], gram[:k, :n - k - 1:-1]
+        sym, anti = a + cj, a - cj
+        if n % 2:
+            mid = math.sqrt(2.0) * gram[:k, k:k + 1]
+            sym = np.block([[sym, mid], [mid.T, gram[k:k + 1, k:k + 1]]])
+        del gram, a, cj  # one Gram matrix alive at a time
+        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _spectrum(sym), _spectrum(anti)
+        vals = np.concatenate([sym_vals, anti_vals])
+        order = np.argsort(-vals, kind="stable")
+        s, w = np.split(np.argsort(order), [n - k])  # merged columns of the two halves
+        vecs = np.zeros((n, n))
+        vecs[:k, s], vecs[:k, w] = sym_vecs[:k] / math.sqrt(2.0), anti_vecs / math.sqrt(2.0)
+        vecs[n - k:, s], vecs[n - k:, w] = vecs[k - 1::-1, s], -vecs[k - 1::-1, w]
+        vecs[k:n - k, s] = sym_vecs[k:]  # the middle entry v_k; no row when n is even
+        cache.append((vals[order], vecs))
+    return cache
 
 
 def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
@@ -247,16 +284,15 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ``O(n m^3)`` whatever ``qmax``.  Rows come in (replicate, q) order, so
     whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
-    if int(replicates) < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     n = int(config.n)
-    qmax = n if qmax is None else int(qmax)
-    if qmax < 1:
-        raise ValueError(f"qmax must be >= 1, got {qmax!r}")
+    qmax = n if qmax is None else qmax
+    for name, value in (("replicates", replicates), ("qmax", qmax)):
+        if not _is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     cache = _eigen_cache(config)
     table = np.minimum(np.arange(1, qmax + 1), n) - 1  # rank-table row of ranks 1..qmax
     rows = []
-    for rep in range(int(replicates)):
+    for rep in range(replicates):
         ll = lowrank_log_table(config, generate_data(config, rep), np.arange(1, n + 1),
                                eigen_cache=cache)
         T = _rows_by_x1(ll)

@@ -228,9 +228,7 @@ def expected_hitting_time(P, targets, start=None):
     """
     K = as_kernel(P)
     n = len(K)
-    targets = sorted({int(t) for t in targets})
-    if not targets:
-        raise ValueError("target set must be non-empty")
+    targets = sorted(set(StoppingRule("hitting", targets=tuple(targets)).targets))
     if targets[0] < 0 or targets[-1] >= n:
         raise ValueError(f"targets outside 0..{n - 1}")
     times = np.zeros(n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundParams, averaged_tv_bound
-from .kernels import FiniteKernel, _law_running_sums
+from .kernels import FiniteKernel, _is_integer, _law_running_sums
 
 __all__ = [
     "SharpnessInstance",
@@ -54,7 +54,7 @@ class SharpnessInstance:
             raise ValueError(f"epsilon must be in [0, 2*beta), got {self.epsilon!r}")
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (1/2, 1], got {self.gamma!r}")
-        if int(self.n) != self.n or self.n < 1:
+        if not _is_integer(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property
@@ -101,9 +101,11 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
 
 def tightness_table(beta, epsilon, gamma, n_max):
     """Rows ``(n, exact_tv, bound, gap)`` for horizons 1..n_max."""
+    if not _is_integer(n_max) or n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
     exact = _propagated_averaged_tv(beta, epsilon, gamma, n_max)
     rows = []
-    for n in range(1, int(n_max) + 1):
+    for n in range(1, n_max + 1):
         inst = SharpnessInstance(beta=beta, epsilon=epsilon, gamma=gamma, n=n)
         bound = averaged_tv_bound(
             BoundParams(epsilon=epsilon, n=n, alpha=inst.alpha, p0=inst.initial_tv)

@@ -15,7 +15,8 @@ from chain_perturb import (
     lowrank_log_table,
     squared_distances,
 )
-from chain_perturb.gp_mcmc import _spectrum, logsumexp
+from chain_perturb import gp_mcmc
+from chain_perturb.gp_mcmc import _eigen_cache, _spectrum, logsumexp
 from helpers import dense_log_likelihood, truncated_gram
 from oracles import (
     epsilon_alpha_for_gp,
@@ -104,6 +105,54 @@ class TestGenerateData:
         sample = (Z.T @ Z) / R
         tol = 4.0 * np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / R)
         assert np.all(np.abs(sample - target) <= tol)
+
+
+    @pytest.mark.parametrize("n,jittered", [(10, False), (50, True)])
+    def test_matches_per_replicate_factorization(self, n, jittered):
+        # the formula before the factor was cached, bit for bit; n=10 factors
+        # x2 Sigma directly, n=50 only after the 1e-10 jitter
+        cfg = GPConfig(n=n, m=2, seed=6)
+        cov_f = cfg.true_x2 * gram_matrix(cfg.true_x1, cfg.points)
+        try:
+            chol = np.linalg.cholesky(cov_f)
+            assert not jittered
+        except np.linalg.LinAlgError:
+            assert jittered
+            chol = np.linalg.cholesky(cov_f + 1e-10 * np.eye(n))
+        x3 = math.sqrt(cfg.true_x3_sq)
+        for rep in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(rep,)))
+            f = chol @ rng.standard_normal(n)
+            expected = x3 * f + x3 * rng.standard_normal(n)
+            np.testing.assert_array_equal(generate_data(cfg, rep), expected)
+
+    def test_one_latent_factor_per_config(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        gp_mcmc._latent_factor.cache_clear()
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        figure_sweep(GPConfig(n=50, m=2), 5)
+        assert 1 <= len(calls) <= 2
+
+
+class TestEigenCache:
+    @pytest.mark.parametrize("n", [2, 3, 30, 31, 200, 201])
+    def test_matches_full_eigh(self, n):
+        # the two half-size solves give the full spectrum, an orthonormal
+        # basis and the Gram matrix back, odd n (middle row) included
+        cfg = GPConfig(n=n, m=3)
+        for x1, (vals, vecs) in zip(cfg.grid_x1, _eigen_cache(cfg)):
+            G = gram_matrix(x1, cfg.points)
+            ref = np.clip(np.linalg.eigh(G)[0][::-1], 0.0, None)
+            assert np.all(np.diff(vals) <= 0.0)
+            assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+            assert np.abs((vecs * vals) @ vecs.T - G).max() <= 1e-10
+            assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
 
 
 class TestSpectrum:
@@ -286,6 +335,13 @@ class TestFigureSweep:
         assert all(r[2:] == listed[0][2:] for r in capped[11:])
         np.testing.assert_array_equal(lowrank_log_table(cfg, generate_data(cfg, 0), 40),
                                       lowrank_log_table(cfg, generate_data(cfg, 0), 12))
+
+    @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
+                                                      (True, 5, "replicates"),
+                                                      (1, 2.5, "qmax"), (1, True, "qmax")])
+    def test_rejects_non_integer_counts(self, replicates, qmax, name):
+        with pytest.raises(ValueError, match=name):
+            figure_sweep(GPConfig(n=10, m=2, seed=1), replicates, qmax=qmax)
 
     def test_rejects_rank_zero(self):
         cfg = GPConfig(n=10, m=2, seed=1)

@@ -120,6 +120,12 @@ class TestExpectedHittingTime:
         with pytest.raises(ValueError):
             expected_hitting_time(P, [5], 0)
 
+    @pytest.mark.parametrize("target", [True, 1.0])
+    def test_rejects_non_integer_target(self, target):
+        # True would otherwise be read as state 1 (4.0 on the flip pair)
+        with pytest.raises(ValueError, match="integer states"):
+            expected_hitting_time(P, [target], 0)
+
     @pytest.mark.parametrize("start", [-1, 2])
     def test_bad_start(self, start):
         with pytest.raises(ValueError):

@@ -131,6 +131,11 @@ class TestTightness:
         assert all(g <= 1e-12 for *_, g in rows)
         assert rows[0][0] == 1 and rows[-1][0] == 10
 
+    @pytest.mark.parametrize("n_max", [2.5, True, 0])
+    def test_rejects_non_integer_horizon(self, n_max):
+        with pytest.raises(ValueError, match="n_max"):
+            tightness_table(0.3, 0.05, 0.9, n_max)
+
 
 class TestInstanceValidation:
     def test_ranges(self):
@@ -142,6 +147,11 @@ class TestInstanceValidation:
             SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.5, n=1)
         with pytest.raises(ValueError):
             SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=0)
+
+    @pytest.mark.parametrize("n", [True, 1.0, 2.5])
+    def test_rejects_non_integer_horizon(self, n):
+        with pytest.raises(ValueError, match="n must"):
+            SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.9, n=n)
 
     def test_base_matrix_is_symmetric_flip(self):
         np.testing.assert_allclose(base_matrix(0.25), [[0.75, 0.25], [0.25, 0.75]])
