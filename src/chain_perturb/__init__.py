@@ -32,7 +32,6 @@ from .bounds import (
     BoundParams,
     BoundReport,
     avg_disagreement_bound,
-    averaged_tv_bound,
     base_concentration_bound,
     base_concentration_threshold,
     coupled_concentration_bound,
@@ -40,7 +39,6 @@ from .bounds import (
     coupled_variance_bound,
     decoupling_time_bound,
     evaluate_report_table,
-    path_law_bound,
     remark_perturbation_bounds,
     remark_tail_threshold,
     stationary_gap_bound,

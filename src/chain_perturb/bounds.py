@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidRegimeError
+from .kernels import _count
 
 __all__ = [
     "BoundParams",
     "BoundReport",
-    "decay_power",
     "avg_disagreement_bound",
-    "averaged_tv_bound",
     "coupled_variance_bound",
     "coupled_concentration_bound",
     "coupled_concentration_threshold",
@@ -29,7 +28,6 @@ __all__ = [
     "base_concentration_threshold",
     "stationary_gap_bound",
     "decoupling_time_bound",
-    "path_law_bound",
     "remark_perturbation_bounds",
     "remark_tail_threshold",
     "evaluate_report_table",
@@ -43,7 +41,7 @@ class BoundParams:
     Attributes
     ----------
     epsilon : float
-        Worst-case row perturbation (nonnegative).
+        Worst-case row perturbation, a TV distance in [0, 1].
     n : int
         Averaging horizon (positive).
     alpha : float or None
@@ -54,7 +52,10 @@ class BoundParams:
         Initial disagreement probability, or the TV distance of the two
         initial laws, in [0, 1].
     f_star : float
-        Half-oscillation seminorm of the observable (nonnegative).
+        Half-oscillation seminorm of the observable (finite, nonnegative).
+
+    Every comparison fails on NaN, so a NaN input raises like any other
+    out-of-range value.
     """
 
     epsilon: float
@@ -65,14 +66,10 @@ class BoundParams:
     f_star: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise InvalidRegimeError(f"epsilon must be nonnegative, got {self.epsilon!r}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 0.0 <= self.p0 <= 1.0:
-            raise ValueError(f"p0 must be in [0, 1], got {self.p0!r}")
-        if self.f_star < 0.0:
-            raise ValueError(f"f_star must be nonnegative, got {self.f_star!r}")
+        _require_unit("epsilon", self.epsilon, InvalidRegimeError)
+        object.__setattr__(self, "n", _count("n", self.n))
+        _require_unit("p0", self.p0)
+        _require_finite_nonnegative("f_star", self.f_star)
         if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
             raise InvalidRegimeError(f"alpha must be in [0, 1), got {self.alpha!r}")
         if self.a is not None and not 0.0 < self.a <= 1.0:
@@ -88,6 +85,23 @@ class BoundReport:
     raw: float | None
     capped: bool
     regime_ok: bool
+
+
+def _require_unit(name, value, error=ValueError):
+    """Raise ``error`` unless ``value`` lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise error(f"{name} must be in [0, 1], got {value!r}")
+
+
+def _require_finite_nonnegative(name, value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
+def _require_lambda(lam):
+    """The deviation parameter of every tail bound and threshold: finite and positive."""
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
 
 
 def _require_contraction(alpha, epsilon):
@@ -122,13 +136,6 @@ def _require_doeblin(params):
     return params.a
 
 
-def decay_power(base, n) -> float:
-    """``base ** n`` for ``base`` in [0, 1)."""
-    if base <= 0.0:
-        return 0.0
-    return base ** int(n)
-
-
 def avg_disagreement_bound(params: BoundParams) -> float:
     """Exact occupation of the dominating chain: bounds the time-averaged disagreement.
 
@@ -136,21 +143,16 @@ def avg_disagreement_bound(params: BoundParams) -> float:
     and the averaging weight ``w = (1 - (1-s)^n) / (n s)``.  Nondecreasing in
     ``p0`` and ``epsilon``, nonincreasing in ``alpha``; equals ``p0`` at n=1
     and tends to ``epsilon / s`` as n grows.
+
+    Read with ``p0`` as the TV distance of two initial laws, the same value
+    bounds the TV distance between the two time-averaged laws; it is attained
+    with equality by an explicit two-state family (see
+    :mod:`chain_perturb.sharpness`).
     """
     s = _require_cross(params)
     ratio = params.epsilon / s
-    w = (1.0 - decay_power(1.0 - s, params.n)) / (params.n * s)
+    w = (1.0 - (1.0 - s) ** params.n) / (params.n * s)  # 1 - s >= 0: the pair contracts
     return ratio + w * (params.p0 - ratio)
-
-
-def averaged_tv_bound(params: BoundParams) -> float:
-    """TV bound between the two time-averaged laws started from laws at TV distance ``p0``.
-
-    Same expression as :func:`avg_disagreement_bound`, with ``p0`` read as the
-    TV distance of the initial laws.  Attained with equality by an explicit
-    two-state family (see :mod:`chain_perturb.sharpness`).
-    """
-    return avg_disagreement_bound(params)
 
 
 def coupled_variance_bound(params: BoundParams) -> float:
@@ -169,8 +171,7 @@ def coupled_variance_bound(params: BoundParams) -> float:
 def coupled_concentration_bound(lam, params: BoundParams) -> float:
     """Azuma tail ``exp(-(alpha+epsilon)^2 lambda^2 / 2)`` for the coupled averages."""
     s = _require_cross(params)
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    _require_lambda(lam)
     return math.exp(-0.5 * s * s * lam * lam)
 
 
@@ -181,6 +182,7 @@ def coupled_concentration_threshold(lam, params: BoundParams, initial_disagreeme
     form; multiply by ``2 |f|_*`` for the f-average form.
     """
     s = _require_cross(params)
+    _require_lambda(lam)
     ind = 1.0 if initial_disagreement else 0.0
     return params.epsilon / s + ind / (params.n * s) + lam / math.sqrt(params.n)
 
@@ -198,43 +200,30 @@ def base_concentration_bound(lam, params: BoundParams) -> float:
     that ``lambda``.
     """
     a = _require_doeblin(params)
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    _require_lambda(lam)
     return 2.0 * math.exp(-a * a * lam * lam / 32.0)
 
 
 def base_concentration_threshold(lam, params: BoundParams) -> float:
     """Deviation level paired with :func:`base_concentration_bound`: ``4|f|_*/(n a) + lambda |f|_*/sqrt(n)``."""
     a = _require_doeblin(params)
+    _require_lambda(lam)
     return 4.0 * params.f_star / (params.n * a) + lam * params.f_star / math.sqrt(params.n)
 
 
 def stationary_gap_bound(epsilon, a) -> float:
     """TV gap between the two stationary measures: ``epsilon / a`` (uncapped)."""
-    if a is None or a <= 0.0:
+    if a is None or not a > 0.0:
         raise InvalidRegimeError(f"Doeblin constant must be positive, got {a!r}")
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
+    _require_unit("epsilon", epsilon)
     return epsilon / a
 
 
 def decoupling_time_bound(epsilon, expected_tau) -> float:
     """Probability the coupled pair separates before a stopping time: ``min(1, epsilon E[tau])``."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon!r}")
-    if expected_tau < 0.0 or not math.isfinite(expected_tau):
-        raise ValueError(f"expected_tau must be finite and nonnegative, got {expected_tau!r}")
+    _require_unit("epsilon", epsilon)
+    _require_finite_nonnegative("expected_tau", expected_tau)
     return min(1.0, epsilon * expected_tau)
-
-
-def path_law_bound(epsilon, expected_tau) -> float:
-    """TV bound between laws of a path functional measurable at a stopping time.
-
-    Same value as :func:`decoupling_time_bound`; requires equal initial laws
-    and a functional determined by the path up to ``tau`` (the caller's
-    responsibility -- not checkable here).
-    """
-    return decoupling_time_bound(epsilon, expected_tau)
 
 
 def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -247,15 +236,12 @@ def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundRe
     observable, so ``f_inf`` may validly be the half-oscillation ``|f|_*``.
     """
     a = _require_doeblin(params)
-    if f_inf < 0.0:
-        raise ValueError(f"f_inf must be nonnegative, got {f_inf!r}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    _require_finite_nonnegative("f_inf", f_inf)
+    tail = base_concentration_bound(lam, params)
     e, n = params.epsilon, params.n
     mean_bias = 4.0 * f_inf / (a * n) + 4.0 * e * f_inf / a
     second_moment = 3.0 / (a * a) * (16.0 * e * e + 16.0 / (n * n)) * f_inf ** 2 \
         + 12.0 / (a * a * n) * f_inf ** 2
-    tail = 2.0 * math.exp(-a * a * lam * lam / 32.0)
     return (
         _report("remark_mean_bias", mean_bias, cap=False),
         _report("remark_second_moment", second_moment, cap=False),
@@ -266,6 +252,8 @@ def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundRe
 def remark_tail_threshold(lam, params: BoundParams, f_inf) -> float:
     """Deviation level paired with the perturbation-route tail: ``(4/a)(e + 1/n) f_inf + lam f_inf/sqrt(n)``."""
     a = _require_doeblin(params)
+    _require_lambda(lam)
+    _require_finite_nonnegative("f_inf", f_inf)
     return 4.0 / a * (params.epsilon + 1.0 / params.n) * f_inf + lam * f_inf / math.sqrt(params.n)
 
 
@@ -289,6 +277,8 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
     ``expected_tau``.  The perturbation-route rows use ``params.f_star`` as the (centered)
     sup-norm of the observable.
     """
+    if lam is not None:
+        _require_lambda(lam)  # a bad lambda is an input error, not a regime failure
     rows = []
 
     def attempt(name, fn, cap):
@@ -297,8 +287,9 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
         except InvalidRegimeError:
             rows.append(_failed(name))
 
-    attempt("avg_disagreement", lambda: avg_disagreement_bound(params), cap=True)
-    attempt("averaged_tv", lambda: averaged_tv_bound(params), cap=True)
+    # averaged_tv reads p0 as the TV distance of the initial laws; same value
+    for name in ("avg_disagreement", "averaged_tv"):
+        attempt(name, lambda: avg_disagreement_bound(params), cap=True)
     attempt("coupled_variance", lambda: coupled_variance_bound(params), cap=False)
     attempt("variance_of_time_average", lambda: variance_of_time_average_bound(params), cap=False)
     if lam is not None:
@@ -306,8 +297,9 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
         attempt("base_concentration", lambda: base_concentration_bound(lam, params), cap=True)
     attempt("stationary_gap", lambda: stationary_gap_bound(params.epsilon, params.a), cap=True)
     if expected_tau is not None:
-        attempt("decoupling_time", lambda: decoupling_time_bound(params.epsilon, expected_tau), cap=True)
-        attempt("path_law", lambda: path_law_bound(params.epsilon, expected_tau), cap=True)
+        # a path functional measurable at the stopping time: same value
+        for name in ("decoupling_time", "path_law"):
+            attempt(name, lambda: decoupling_time_bound(params.epsilon, expected_tau), cap=True)
     if lam is not None:
         try:
             rows.extend(remark_perturbation_bounds(params, params.f_star, lam))

@@ -45,9 +45,10 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .kernels import (
     ProbDist,
+    _count,
     _is_integer,
+    _kernel_pair,
     as_dist,
-    as_kernel,
     cross_doeblin_constant,
     local_epsilon,
 )
@@ -102,10 +103,7 @@ def product_kernel_row(P_eps, P, xi) -> ProbDist:
     the diagonal carries mass ``rho`` (the leftover parts have disjoint
     supports).
     """
-    A = as_kernel(P_eps)
-    B = as_kernel(P)
-    if len(A) != len(B):
-        raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
+    A, B = _kernel_pair(P_eps, P)
     rho, (m, pos, neg) = _row_decomposition(A.rows[xi[0]], B.rows[xi[1]])
     joint = np.diag(m)
     if rho < 1.0:
@@ -209,14 +207,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     the initial pair is drawn from the maximal coupling of the two laws, so
     the initial disagreement probability equals their TV distance.
     """
-    A = as_kernel(P_eps)
-    B = as_kernel(P)
-    if len(A) != len(B):
-        raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be a positive integer, got {n_traj!r}")
+    A, B = _kernel_pair(P_eps, P)
+    n, n_traj = _count("n", n), _count("n_traj", n_traj)
     # The dominating chain moves to 1 exactly when the step's first uniform
     # reaches to_one[y] from its state y: 1-eps from 0, alpha from 1.
     to_one = np.array([1.0 - local_epsilon(A, B), cross_doeblin_constant(A, B)])
@@ -229,9 +221,9 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     table, pair_row = _pair_tables(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
     if batch_size is None:
-        batch_size = max(1, min(int(n_traj), 1_500_000 // max(steps, 1)))
-    for start in range(0, int(n_traj), batch_size):
-        count = min(batch_size, int(n_traj) - start)
+        batch_size = max(1, min(n_traj, 1_500_000 // steps))
+    for start in range(0, n_traj, batch_size):
+        count = min(batch_size, n_traj - start)
         U = _uniforms(seed, start, count, steps)
         xe = np.empty((count, n + 1), dtype=np.int32)
         xb = np.empty((count, n + 1), dtype=np.int32)

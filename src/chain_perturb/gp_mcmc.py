@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernels import _is_integer
+from .kernels import _count
 
 __all__ = [
     "GPConfig",
@@ -80,10 +80,7 @@ class GPConfig:
 
     def __post_init__(self):
         for name, low in (("n", 2), ("m", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         points = np.arange(1, self.n + 1) / float(self.n)
         max_sq = float(squared_distances(points).max())
         derived = {
@@ -285,10 +282,8 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     n = int(config.n)
-    qmax = n if qmax is None else qmax
-    for name, value in (("replicates", replicates), ("qmax", qmax)):
-        if not _is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    replicates = _count("replicates", replicates)
+    qmax = n if qmax is None else _count("qmax", qmax)
     cache = _eigen_cache(config)
     table = np.minimum(np.arange(1, qmax + 1), n) - 1  # rank-table row of ranks 1..qmax
     rows = []

@@ -46,19 +46,32 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _clean_weights(weights, what="weights"):
-    w = np.array(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{what} must be finite")
-    if w.min() < -_NEG_TOL:
-        raise ValueError(f"{what} contain a negative entry ({w.min():g})")
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"{what} sum to {total!r}, more than {ROW_SUM_TOL:g} away from 1")
-    return w / total
+def _count(name, value, low=1):
+    """``int(value)`` for an integer ``>= low``; a bool, a float or a smaller value raises."""
+    if not _is_integer(value) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _stochastic(mat, what):
+    """``mat`` with each vector along its last axis checked and renormalized exactly.
+
+    Entries must be finite and at least ``-1e-12`` (then clipped at 0), and
+    each vector's mass within :data:`ROW_SUM_TOL` of 1.
+    """
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{what} entries must be finite")
+    if mat.min() < -_NEG_TOL:
+        raise ValueError(f"{what} has a negative entry ({mat.min():g})")
+    mat = np.clip(mat, 0.0, None)
+    sums = mat.sum(axis=-1, keepdims=True)
+    bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if np.any(bad):
+        x = int(np.argmax(bad))
+        where = f"{what} row {x}" if mat.ndim > 1 else what
+        raise ValueError(f"{where} sums to {float(sums.flat[x])!r}, "
+                         f"more than {ROW_SUM_TOL:g} away from 1")
+    return mat / sums
 
 
 class ProbDist:
@@ -72,7 +85,10 @@ class ProbDist:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = _clean_weights(weights)
+        w = np.array(weights, dtype=float)
+        if w.ndim != 1 or w.size == 0:
+            raise ValueError("weights must be a non-empty 1-d vector")
+        w = _stochastic(w, "distribution")
         w.setflags(write=False)
         self.weights = w
 
@@ -105,17 +121,7 @@ class FiniteKernel:
         mat = np.array(rows, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValueError(f"kernel must be a non-empty square matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("kernel entries must be finite")
-        if mat.min() < -_NEG_TOL:
-            raise ValueError(f"kernel has a negative entry ({mat.min():g})")
-        mat = np.clip(mat, 0.0, None)
-        sums = mat.sum(axis=1)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            x = int(np.argmax(bad))
-            raise ValueError(f"row {x} sums to {sums[x]!r}, more than {ROW_SUM_TOL:g} away from 1")
-        mat = mat / sums[:, None]
+        mat = _stochastic(mat, "kernel")
         mat.setflags(write=False)
         self.rows = mat
         if state_labels is not None:
@@ -196,12 +202,17 @@ def doeblin_constant(P) -> float:
     return 1.0 - float(_pairwise_row_tv(K.rows, K.rows).max())
 
 
-def local_epsilon(P_eps, P) -> float:
-    """Worst-case row perturbation ``max_x tv(P_eps(x,.), P(x,.))``."""
-    A = as_kernel(P_eps)
-    B = as_kernel(P)
+def _kernel_pair(P_eps, P):
+    """Both kernels, validated; :class:`DimensionMismatchError` unless they share their states."""
+    A, B = as_kernel(P_eps), as_kernel(P)
     if len(A) != len(B):
         raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
+    return A, B
+
+
+def local_epsilon(P_eps, P) -> float:
+    """Worst-case row perturbation ``max_x tv(P_eps(x,.), P(x,.))``."""
+    A, B = _kernel_pair(P_eps, P)
     return 0.5 * float(np.abs(A.rows - B.rows).sum(axis=1).max())
 
 
@@ -212,10 +223,7 @@ def cross_doeblin_constant(P_eps, P) -> float:
     fast a coupled pair re-agrees after a disagreement.  With identical
     kernels this reduces exactly to :func:`doeblin_constant`.
     """
-    A = as_kernel(P_eps)
-    B = as_kernel(P)
-    if len(A) != len(B):
-        raise DimensionMismatchError(f"kernels live on {len(A)} vs {len(B)} states")
+    A, B = _kernel_pair(P_eps, P)
     return 1.0 - float(_pairwise_row_tv(A.rows, B.rows).max())
 
 
@@ -272,7 +280,7 @@ def _law_running_sums(law, M, n):
     negative entry (it need not be a kernel).
     """
     total = np.zeros_like(law)
-    for k in range(int(n)):
+    for k in range(n):
         if k:
             law = law @ M
         total = total + law
@@ -281,8 +289,7 @@ def _law_running_sums(law, M, n):
 
 def n_step_average_law(nu, P, n) -> ProbDist:
     """Time-averaged law ``(1/n) sum_{k=0}^{n-1} nu P^k``."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = _count("n", n)
     K = as_kernel(P)
     law = as_dist(nu).weights
     if law.size != len(K):
@@ -297,6 +304,10 @@ def n_step_average_law(nu, P, n) -> ProbDist:
 # decimal literals.  The constructor enforces the 1e-9 acceptance tolerance.
 
 def kernel_from_json(doc) -> FiniteKernel:
-    if "rows" not in doc:
-        raise ValueError("kernel document must contain a 'rows' field")
-    return FiniteKernel(doc["rows"], state_labels=doc.get("states"))
+    if not isinstance(doc, dict) or "rows" not in doc:
+        raise ValueError("kernel document must be an object with a 'rows' field, "
+                         f"got {type(doc).__name__}")
+    states = doc.get("states")
+    if states is not None and not isinstance(states, list):
+        raise ValueError(f"kernel field 'states' must be a list of labels, got {states!r}")
+    return FiniteKernel(doc["rows"], state_labels=states)

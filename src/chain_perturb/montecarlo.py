@@ -29,6 +29,7 @@ import numpy as np
 
 from .bounds import (
     BoundParams,
+    _require_lambda,
     avg_disagreement_bound,
     base_concentration_bound,
     base_concentration_threshold,
@@ -36,14 +37,15 @@ from .bounds import (
     coupled_concentration_threshold,
     coupled_variance_bound,
     decoupling_time_bound,
-    path_law_bound,
 )
 from .coupling import _as_initial, iter_coupled_batches
 from .errors import DimensionMismatchError, NumericalFailureError
 from .kernels import (
     FiniteKernel,
     StateFunction,
+    _count,
     _is_integer,
+    _kernel_pair,
     as_kernel,
     as_state_function,
     cross_doeblin_constant,
@@ -111,18 +113,13 @@ class ExperimentConfig:
     stopping: StoppingRule | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p_eps", as_kernel(self.p_eps))
-        object.__setattr__(self, "p", as_kernel(self.p))
-        if len(self.p_eps) != len(self.p):
-            raise DimensionMismatchError(
-                f"kernels live on {len(self.p_eps)} vs {len(self.p)} states"
-            )
-        _as_initial(self.x0_eps, len(self.p), "x0_eps")
-        _as_initial(self.x0, len(self.p), "x0")
+        p_eps, p = _kernel_pair(self.p_eps, self.p)
+        object.__setattr__(self, "p_eps", p_eps)
+        object.__setattr__(self, "p", p)
+        _as_initial(self.x0_eps, len(p), "x0_eps")
+        _as_initial(self.x0, len(p), "x0")
         for name, low in (("n", 1), ("replicates", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if not _is_integer(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if self.f is not None:
             object.__setattr__(self, "f", as_state_function(self.f))
             if len(self.f) != len(self.p):
@@ -170,7 +167,7 @@ def closeness_params(config: ExperimentConfig) -> BoundParams:
     a = doeblin_constant(config.p)
     return BoundParams(
         epsilon=local_epsilon(config.p_eps, config.p),
-        n=int(config.n),
+        n=config.n,
         alpha=cross_doeblin_constant(config.p_eps, config.p),
         a=a if a > 0.0 else None,
         p0=initial_disagreement_prob(config),
@@ -195,7 +192,7 @@ def _run_checks(config: ExperimentConfig, checks):
     parts = [[] for _ in checks]
     # batches arrive in trajectory order
     for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
-                                      int(config.n), int(config.replicates), config.master_seed):
+                                      config.n, config.replicates, config.master_seed):
         for check, values in zip(checks, parts):
             values.append(check.per_batch(batch))
     return [check.finish(np.concatenate(values)) for check, values in zip(checks, parts)]
@@ -253,7 +250,7 @@ def expected_hitting_time(P, targets, start=None):
 # checks: each validates its inputs before anything is simulated
 
 def _disagreement(config, params, lam):
-    n = int(config.n)
+    n = config.n
     bound = avg_disagreement_bound(params)
     return _Check(lambda batch: batch.z[:, :n].mean(axis=1),
                   lambda v: _result("disagreement", v, bound))
@@ -263,7 +260,7 @@ def _average_difference(config, params, lam):
     if config.f is None:
         raise ValueError("config.f is required for the average-difference check")
     fv = config.f.values
-    n = int(config.n)
+    n = config.n
     bound = coupled_variance_bound(params)
 
     def per_batch(batch):
@@ -276,7 +273,7 @@ def _average_difference(config, params, lam):
 def _tail(config, params, lam):
     # threshold of a trajectory, indexed by its initial disagreement 0 or 1
     thr = np.array([coupled_concentration_threshold(lam, params, d) for d in (False, True)])
-    n = int(config.n)
+    n = config.n
     bound = coupled_concentration_bound(lam, params)
     return _Check(lambda batch: batch.z[:, :n].mean(axis=1) >= thr[batch.z[:, 0]],
                   lambda v: _result("tail", v, bound))
@@ -288,7 +285,7 @@ def _base_tail(config, params, lam):
     thr = base_concentration_threshold(lam, params)
     fv = config.f.values
     mu_f = float(invariant_measure(config.p).weights @ fv)
-    n = int(config.n)
+    n = config.n
     bound = base_concentration_bound(lam, params)
     return _Check(lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
                   lambda v: _result("base_tail", v, bound))
@@ -300,7 +297,7 @@ def _stopping_rule(config, params):
         raise ValueError("config.stopping is required for decoupling checks")
     if params.p0 != 0.0:
         raise ValueError("decoupling checks require equal initial states/laws")
-    if rule.kind == "deterministic" and int(rule.time) > int(config.n):
+    if rule.kind == "deterministic" and int(rule.time) > config.n:
         raise ValueError("deterministic stopping time exceeds the simulated horizon")
     return rule
 
@@ -312,7 +309,7 @@ def _decoupling(config, params, lam):
     else:
         e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
     bound = decoupling_time_bound(params.epsilon, e_tau)  # E[tau ^ n] <= E[tau]
-    n = int(config.n)
+    n = config.n
     on = _target_table(rule.targets, len(config.p))
 
     def per_batch(batch):
@@ -346,8 +343,10 @@ def _path_law(config, params, lam):
     if params.p0 != 0.0:
         raise ValueError("path-law check requires equal initial laws")
     e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    bound = path_law_bound(params.epsilon, e_tau)  # tau ^ (n + 1) is a function of tau
-    n = int(config.n)
+    # the laws of tau ^ (n + 1), a function of tau, are as close as those of
+    # any path functional measurable at tau: min(1, epsilon E[tau])
+    bound = decoupling_time_bound(params.epsilon, e_tau)
+    n = config.n
     on = _target_table(rule.targets, len(config.p))
 
     def per_batch(batch):
@@ -386,15 +385,17 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
 
     Every check reads the same run of horizon ``n``; ``decoupling`` and
     ``path_law`` stop at ``tau ^ n`` and ``tau ^ (n + 1)``.  Unknown names and
-    invalid configs are rejected before anything is simulated.  ``lam`` only
-    matters for the tail checks.  Each result equals, bit for bit, the
-    matching ``empirical_*`` call, where there is one.
+    invalid configs are rejected before anything is simulated, and so is a
+    ``lam`` that is not finite and positive, although only the tail checks
+    read it.  Each result equals, bit for bit, the matching ``empirical_*``
+    call, where there is one.
     """
     names = list(names)
     unknown = [name for name in names if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
+    _require_lambda(lam)
     params = closeness_params(config)
     return _run_checks(config, [_CHECKS[name](config, params, lam) for name in names])
 

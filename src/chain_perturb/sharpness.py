@@ -7,10 +7,12 @@ and the cross constant is ``2 beta - eps``.  Powers of the perturbed matrix
 have a closed form through the eigenpair ``(1, 1 - 2 beta)``, so the TV
 distance between the stationary law ``(1/2, 1/2)`` and the time-averaged
 perturbed law is exactly computable -- and it coincides with the generic
-averaged-TV certificate at every horizon.  :func:`tightness_table` checks the
-certificate against the averaged law propagated step by step through the
-perturbed matrix, so a wrong certificate fails; the closed forms are the
-tests' references, not package code.
+averaged-TV certificate (:func:`~chain_perturb.bounds.avg_disagreement_bound`
+with ``p0`` read as the initial TV distance) at every horizon.
+:func:`tightness_table` checks the certificate against the averaged law
+propagated step by step through the perturbed matrix, so a wrong
+certificate fails; the closed forms are the tests' references, not package
+code.
 
 The propagation is pure algebra and stays valid for ``eps`` up to
 ``2 beta``; the perturbed matrix is a stochastic matrix only for
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, averaged_tv_bound
-from .kernels import FiniteKernel, _is_integer, _law_running_sums
+from .bounds import BoundParams, avg_disagreement_bound
+from .kernels import FiniteKernel, _count, _law_running_sums
 
 __all__ = [
     "SharpnessInstance",
@@ -54,8 +56,7 @@ class SharpnessInstance:
             raise ValueError(f"epsilon must be in [0, 2*beta), got {self.epsilon!r}")
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (1/2, 1], got {self.gamma!r}")
-        if not _is_integer(self.n) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _count("n", self.n))
 
     @property
     def alpha(self) -> float:
@@ -101,13 +102,12 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
 
 def tightness_table(beta, epsilon, gamma, n_max):
     """Rows ``(n, exact_tv, bound, gap)`` for horizons 1..n_max."""
-    if not _is_integer(n_max) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    n_max = _count("n_max", n_max)
     exact = _propagated_averaged_tv(beta, epsilon, gamma, n_max)
     rows = []
     for n in range(1, n_max + 1):
         inst = SharpnessInstance(beta=beta, epsilon=epsilon, gamma=gamma, n=n)
-        bound = averaged_tv_bound(
+        bound = avg_disagreement_bound(
             BoundParams(epsilon=epsilon, n=n, alpha=inst.alpha, p0=inst.initial_tv)
         )
         tv = float(exact[n - 1])

@@ -26,7 +26,7 @@ from chain_perturb import (
     invariant_measure,
     lowrank_log_table,
 )
-from chain_perturb.bounds import _require_contraction, decay_power
+from chain_perturb.bounds import _require_contraction
 from chain_perturb.gp_mcmc import _cross_tv, _local_tv, _rows_by_x1
 
 
@@ -114,7 +114,7 @@ def exact_averaged_tv(inst: SharpnessInstance) -> float:
     """
     s = 2.0 * inst.beta
     ratio = inst.epsilon / s
-    w = (1.0 - decay_power(1.0 - s, inst.n)) / (s * inst.n)
+    w = (1.0 - (1.0 - s) ** inst.n) / (s * inst.n)
     return ratio + (inst.initial_tv - ratio) * w
 
 

@@ -7,7 +7,6 @@ from chain_perturb import (
     BoundParams,
     InvalidRegimeError,
     avg_disagreement_bound,
-    averaged_tv_bound,
     base_concentration_bound,
     base_concentration_threshold,
     coupled_concentration_bound,
@@ -15,7 +14,6 @@ from chain_perturb import (
     coupled_variance_bound,
     decoupling_time_bound,
     evaluate_report_table,
-    path_law_bound,
     remark_perturbation_bounds,
     remark_tail_threshold,
     stationary_gap_bound,
@@ -90,10 +88,10 @@ class TestAveragedTvBound:
         params = cross_params(n=25, p0=0.0)
         s = 0.5
         w = (1.0 - (1.0 - s) ** 25) / (25 * s)
-        assert averaged_tv_bound(params) == pytest.approx(0.2 * (1.0 - w), abs=1e-15)
+        assert avg_disagreement_bound(params) == pytest.approx(0.2 * (1.0 - w), abs=1e-15)
 
     def test_single_step_with_disjoint_laws(self):
-        assert averaged_tv_bound(cross_params(n=1, p0=1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert avg_disagreement_bound(cross_params(n=1, p0=1.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestCoupledVarianceBound:
@@ -180,14 +178,14 @@ class TestStationaryGapBound:
 class TestDecouplingAndPathLaw:
     def test_zero_eps(self):
         assert decoupling_time_bound(0.0, 100.0) == 0.0
-        assert path_law_bound(0.0, 3.0) == 0.0
+        assert decoupling_time_bound(0.0, 3.0) == 0.0
 
     def test_plug_in(self):
         assert decoupling_time_bound(0.01, 30.0) == pytest.approx(0.3, rel=1e-15)
 
     def test_capped_at_one(self):
         assert decoupling_time_bound(0.5, 10.0) == 1.0
-        assert path_law_bound(0.9, 100.0) == 1.0
+        assert decoupling_time_bound(0.9, 100.0) == 1.0
 
     def test_exact_deterministic_law_below_linear_bound(self):
         # 1 - (1-eps)^N <= eps * N for every eps in [0,1], N >= 0
@@ -238,6 +236,57 @@ class TestBoundParamsValidation:
     def test_bad_p0(self):
         with pytest.raises(ValueError):
             BoundParams(epsilon=0.1, n=1, p0=1.5)
+
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_non_integer_horizon(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            BoundParams(epsilon=0.1, n=n)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, 1.5])
+    def test_epsilon_outside_unit_interval(self, epsilon):
+        # every comparison fails on NaN, so NaN is out of range
+        with pytest.raises(InvalidRegimeError, match="epsilon must be in"):
+            BoundParams(epsilon=epsilon, n=1)
+
+    @pytest.mark.parametrize("f_star", [math.nan, math.inf])
+    def test_f_star_not_finite(self, f_star):
+        with pytest.raises(ValueError, match="f_star must be finite"):
+            BoundParams(epsilon=0.1, n=1, f_star=f_star)
+
+
+_FULL = BoundParams(epsilon=0.05, n=100, alpha=0.4, a=0.5, f_star=1.0)
+# every bound and threshold that reads lambda, as a function of lambda
+_LAMBDA_READERS = {
+    "coupled_concentration_bound": lambda lam: coupled_concentration_bound(lam, _FULL),
+    "base_concentration_bound": lambda lam: base_concentration_bound(lam, _FULL),
+    "remark_perturbation_bounds": lambda lam: remark_perturbation_bounds(_FULL, 1.0, lam),
+    "coupled_concentration_threshold": lambda lam: coupled_concentration_threshold(lam, _FULL),
+    "base_concentration_threshold": lambda lam: base_concentration_threshold(lam, _FULL),
+    "remark_tail_threshold": lambda lam: remark_tail_threshold(lam, _FULL, 1.0),
+    "evaluate_report_table": lambda lam: evaluate_report_table(BoundParams(epsilon=0.1, n=10),
+                                                               lam=lam),
+}
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("reader", sorted(_LAMBDA_READERS))
+def test_lambda_must_be_finite_and_positive(reader, lam):
+    with pytest.raises(ValueError, match="lambda must be finite and positive"):
+        _LAMBDA_READERS[reader](lam)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stationary_gap_bound(math.nan, 0.5),
+    lambda: stationary_gap_bound(0.1, math.nan),
+    lambda: remark_perturbation_bounds(_FULL, math.nan, 1.0),
+    lambda: remark_tail_threshold(1.0, _FULL, math.nan),
+    lambda: decoupling_time_bound(math.nan, 3.0),
+    lambda: decoupling_time_bound(0.1, math.nan),
+], ids=["gap-epsilon", "gap-a", "remark-f_inf", "remark-threshold-f_inf",
+        "decoupling-epsilon", "decoupling-etau"])
+def test_nan_scalar_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestReportTable:

@@ -98,6 +98,20 @@ class TestBounds:
         assert "avg_disagreement" in out
         assert "false" in out  # regime_ok False rows: no alpha, no a given
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epsilon", "nan"], "epsilon must be in [0, 1]"),
+        (["--epsilon", "1.5"], "epsilon must be in [0, 1]"),
+        (["--epsilon", "0.1", "--fstar", "nan"], "f_star must be finite"),
+        (["--epsilon", "0.1", "--lambda", "nan"], "lambda must be finite and positive"),
+    ], ids=["epsilon-nan", "epsilon-above-one", "fstar-nan", "lambda-nan"])
+    def test_out_of_range_scalar_exits_2(self, tmp_path, capsys, flags, message):
+        # a NaN used to print as a bound with regime_ok=true and exit 0
+        rc = main(["--out-dir", str(tmp_path), "bounds", "--alpha", "0.4", "--a", "0.5",
+                   "--n", "10", "--lambda", "1"] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bounds.csv").exists()
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out-dir", str(tmp_path), "bounds", "--nonsense", "1"])
@@ -299,9 +313,15 @@ class TestVerify:
         ({"lambda": "2"}, "lambda must be a real number"),
         ({"experiments": "disagreement"}, "experiments must be a list"),
         ({"experiments": [["disagreement"]]}, "experiments must be a list"),
+        ({"lambda": float("nan")}, "lambda must be finite and positive"),
+        ({"pair": {"P": 5, "P_eps": {"rows": [[1.0]]}}}, "kernel document must be an object"),
+        ({"pair": {"P": "rows", "P_eps": {"rows": [[1.0]]}}}, "kernel document must be an object"),
+        ({"pair": {"P": {"rows": [[1.0]], "states": 5}, "P_eps": {"rows": [[1.0]]}}},
+         "kernel field 'states' must be a list"),
     ], ids=["n-float", "replicates-float", "n-bool", "x0-bool", "x0-float", "x0-string",
             "x0_eps-bool", "x0_eps-float", "x0_eps-string", "seed-float", "lambda-string",
-            "experiments-string", "experiments-nested"])
+            "experiments-string", "experiments-nested", "lambda-nan", "pair-P-int",
+            "pair-P-string", "pair-states-int"])
     def test_mistyped_config_exits_two(self, tmp_path, pair_file, capsys, override, message):
         cfg = self.write_config(tmp_path, pair_file, **override)
         out = tmp_path / "out"

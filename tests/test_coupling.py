@@ -448,6 +448,13 @@ class TestSimulateCoupled:
         with pytest.raises(ValueError):
             next(iter_coupled_batches(*FLIP_PAIR, x0_eps, x0, 5, 3, seed=1))
 
+    @pytest.mark.parametrize("n, n_traj", [(True, 3), (5, 2.5), (5, True)],
+                             ids=["n-bool", "n_traj-float", "n_traj-bool"])
+    def test_non_integer_count_rejected(self, n, n_traj):
+        # True is not a horizon of 1 and 2.5 trajectories are not 2
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            next(iter_coupled_batches(*FLIP_PAIR, 0, 0, n, n_traj, seed=1))
+
     def test_z_is_disagreement_indicator(self):
         batch = stack_batches(*FLIP_PAIR, 0, 1, 30, 50, seed=37)
         np.testing.assert_array_equal(batch.z, (batch.x != batch.x_eps).astype(np.int8))

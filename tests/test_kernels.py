@@ -277,6 +277,12 @@ class TestAverageLaw:
         with pytest.raises(ValueError):
             n_step_average_law([1.0, 0.0], np.eye(2), 0)
 
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_rejects_non_integer_horizon(self, n):
+        # 2.5 used to sum two steps and divide by 2.5
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            n_step_average_law([1.0, 0.0], np.eye(2), n)
+
 
 class TestValidationAndSerialization:
     def test_round_trip_kernel(self):

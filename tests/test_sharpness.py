@@ -4,7 +4,7 @@ import pytest
 from chain_perturb import (
     BoundParams,
     SharpnessInstance,
-    averaged_tv_bound,
+    avg_disagreement_bound,
     base_matrix,
     cross_doeblin_constant,
     doeblin_constant,
@@ -91,7 +91,7 @@ class TestExactAveragedTv:
         inst = SharpnessInstance(beta=beta, epsilon=0.0, gamma=gamma, n=n)
         expected = (gamma - 0.5) * (1.0 - (1.0 - 2 * beta) ** n) / (2 * beta * n)
         assert exact_averaged_tv(inst) == pytest.approx(expected, abs=1e-15)
-        bound = averaged_tv_bound(BoundParams(epsilon=0.0, n=n, alpha=2 * beta, p0=gamma - 0.5))
+        bound = avg_disagreement_bound(BoundParams(epsilon=0.0, n=n, alpha=2 * beta, p0=gamma - 0.5))
         assert bound == pytest.approx(expected, abs=1e-15)
 
 

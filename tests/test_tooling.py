@@ -26,6 +26,13 @@ UNCALLED_EXPORTS = {
     "kernel_pair": "the example family of the README quick start",
 }
 
+# Package definitions outside kernels.py that read ``_is_integer`` directly
+# instead of through ``kernels._count``, each with the reason it may.
+INTEGER_TEST_READERS = {
+    "_as_initial": "it dispatches on the test: an integer is a state, anything else a distribution",
+    "StoppingRule": "its messages ('integer time', 'integer states') are part of the tested contract",
+}
+
 
 def test_traced_package_names_exist():
     # the benchmark's tracer wraps these by name and refuses to run if one is gone
@@ -72,3 +79,19 @@ def test_every_export_has_a_package_caller():
     assert [name for name in uncalled if name not in UNCALLED_EXPORTS] == []
     # an entry whose name gained a caller or left the package is stale
     assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
+def test_integer_test_is_read_through_count():
+    # a count checked by hand outside kernels.py drifts from kernels._count
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "_is_integer":
+                    readers.add(getattr(stmt, "name", path.name))
+    assert sorted(readers - set(INTEGER_TEST_READERS)) == []
+    # an entry that no longer reads the test is stale
+    assert sorted(readers) == sorted(INTEGER_TEST_READERS)
