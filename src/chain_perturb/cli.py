@@ -108,6 +108,14 @@ def _load_pair(source, base=""):
     return kernel_from_json(source["P_eps"]), kernel_from_json(source["P"])
 
 
+def _write_csv(out_dir, name, header, lines):
+    """Write ``header`` and the already formatted ``lines`` to ``name``; return the text."""
+    text = "\n".join([header, *lines]) + "\n"
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write(text)
+    return text
+
+
 def _write_manifest(out_dir, command, snapshot, seed, outputs, started):
     for name in outputs:
         if not os.path.exists(os.path.join(out_dir, name)):
@@ -129,11 +137,8 @@ def _cmd_constants(args, out_dir):
     a = doeblin_constant(p)
     alpha = cross_doeblin_constant(p_eps, p)
     eps = local_epsilon(p_eps, p)
-    lines = ["a,alpha,epsilon", f"{_fmt(a)},{_fmt(alpha)},{_fmt(eps)}"]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    with open(os.path.join(out_dir, "constants.csv"), "w") as fh:
-        fh.write(text)
+    sys.stdout.write(_write_csv(out_dir, "constants.csv", "a,alpha,epsilon",
+                                [f"{_fmt(a)},{_fmt(alpha)},{_fmt(eps)}"]))
     return EXIT_OK, ["constants.csv"], None
 
 
@@ -152,15 +157,13 @@ def _cmd_bounds(args, out_dir):
          str(r.regime_ok).lower()]
         for r in reports
     ]
-    csv_text = "\n".join([",".join(header)] + [",".join(row) for row in rows]) + "\n"
+    csv_text = _write_csv(out_dir, "bounds.csv", ",".join(header), [",".join(row) for row in rows])
     if args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
         for line in [header] + rows:
             sys.stdout.write("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip() + "\n")
-    with open(os.path.join(out_dir, "bounds.csv"), "w") as fh:
-        fh.write(csv_text)
     return EXIT_OK, ["bounds.csv"], None
 
 
@@ -233,30 +236,20 @@ def _experiment_setup(path):
 def _cmd_verify(args, out_dir):
     config, experiments, lam, doc = _experiment_setup(args.config)
     results = run_experiments(experiments, config, lam=lam)
-    lines = ["name,estimate,std_error,bound,satisfied,replicates"]
     for r in results:
-        lines.append(",".join([
-            r.name, _fmt(r.estimate), _fmt(r.std_error), _fmt(r.bound),
-            str(r.satisfied).lower(), str(r.replicates_used),
-        ]))
-        sys.stdout.write(
-            f"{r.name}: estimate={_fmt(r.estimate)} bound={_fmt(r.bound)} "
-            f"satisfied={str(r.satisfied).lower()}\n"
-        )
-    with open(os.path.join(out_dir, "verify.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        sys.stdout.write(f"{r.name}: estimate={_fmt(r.estimate)} bound={_fmt(r.bound)} "
+                         f"satisfied={str(r.satisfied).lower()}\n")
+    _write_csv(out_dir, "verify.csv", "name,estimate,std_error,bound,satisfied,replicates",
+               [f"{r.name},{_fmt(r.estimate)},{_fmt(r.std_error)},{_fmt(r.bound)},"
+                f"{str(r.satisfied).lower()},{r.replicates_used}" for r in results])
     code = EXIT_OK if all(r.satisfied for r in results) else EXIT_UNSATISFIED
     return code, ["verify.csv"], doc.get("seed", 0)
 
 
 def _cmd_sharpness(args, out_dir):
     rows = tightness_table(args.beta, args.eps, args.gamma, args.nmax)
-    lines = ["n,exact_tv,bound,gap"]
-    lines += [f"{n},{_fmt(e)},{_fmt(b)},{_fmt(g)}" for n, e, b, g in rows]
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    with open(os.path.join(out_dir, "sharpness.csv"), "w") as fh:
-        fh.write(text)
+    sys.stdout.write(_write_csv(out_dir, "sharpness.csv", "n,exact_tv,bound,gap",
+                                [f"{n},{_fmt(e)},{_fmt(b)},{_fmt(g)}" for n, e, b, g in rows]))
     worst = max(g for *_, g in rows)
     code = EXIT_OK if worst <= TIGHTNESS_TOL else EXIT_UNSATISFIED
     return code, ["sharpness.csv"], None
@@ -267,11 +260,9 @@ def _cmd_gp_sweep(args, out_dir):
     n, m, replicates = (d if g is None else g for g, d in zip(given, _GP_SIZES[args.full_scale]))
     config = GPConfig(n=n, m=m, seed=args.seed)
     rows = figure_sweep(config, replicates, eps_threshold=args.eps_threshold, qmax=args.qmax)
-    lines = ["replicate,q,epsilon,alpha,ratio"]
-    lines += [f"{r.replicate},{r.q},{_fmt(r.epsilon)},{_fmt(r.alpha)},{_fmt(r.ratio)}"
-              for r in rows]
-    with open(os.path.join(out_dir, "sweep.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(out_dir, "sweep.csv", "replicate,q,epsilon,alpha,ratio",
+               [f"{r.replicate},{r.q},{_fmt(r.epsilon)},{_fmt(r.alpha)},{_fmt(r.ratio)}"
+                for r in rows])
     snap = config_snapshot(config)
     snap["replicates"] = int(replicates)
     snap["eps_threshold"] = float(args.eps_threshold)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernels import _count
+from .kernels import _count, _max_cross_tv, _row_tv
 
 __all__ = [
     "GPConfig",
@@ -115,9 +115,8 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     the observation covariance is ``x3^2 (I + x2 Sigma)``.  Reproducible from
     ``(config.seed, replicate)``.
     """
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(int(replicate),))
-    )
+    key = (_count("replicate", replicate, low=0),)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=key))
     f = _latent_factor(config.n) @ rng.standard_normal(int(config.n))
     x3 = math.sqrt(config.true_x3_sq)
     return x3 * f + x3 * rng.standard_normal(int(config.n))
@@ -210,9 +209,9 @@ def lowrank_log_table(config, z, q, eigen_cache=None) -> np.ndarray:
     and above give the full-rank table.  ``eigen_cache`` reuses the spectra of
     :func:`_eigen_cache` across datasets.
     """
-    ranks = np.asarray(q, dtype=int)
-    if np.any(ranks < 1):
-        raise ValueError(f"ranks must be >= 1, got {q!r}")
+    ranks = np.asarray(q)
+    if ranks.dtype.kind not in "iu" or np.any(ranks < 1):
+        raise ValueError(f"ranks must be integers >= 1, got {q!r}")
     cache = eigen_cache if eigen_cache is not None else _eigen_cache(config)
     z = np.asarray(z, dtype=float)
     n = z.size
@@ -244,26 +243,10 @@ def _conditional_tables(ll):
 
 
 def _rows_by_x1(ll):
-    """Distinct transition rows as (..., m, m, m): entry [..., i1, j1, j2] = s[j1,j2] r[i1,j2]."""
+    """Distinct transition rows, (..., m, m^2): entry [..., i1, j1*m + j2] = s[j1,j2] r[i1,j2]."""
     r, s = _conditional_tables(ll)
-    return s[..., None, :, :] * r[..., :, None, :]
-
-
-def _local_tv(T_a, T_b):
-    # max over i1 of the TV between row i1 of T_a and row i1 of T_b, per leading rank
-    m = T_b.shape[0]
-    flat_a = T_a.reshape(T_a.shape[:-3] + (m, m * m))
-    return 0.5 * np.abs(flat_a - T_b.reshape(m, m * m)).sum(axis=-1).max(axis=-1)
-
-
-def _cross_tv(T_a, T_b):
-    # max over (i1, j1) of the TV between row i1 of T_a and row j1 of T_b, per
-    # leading rank; one i1 at a time keeps memory at K m^3, not K m^4
-    m = T_b.shape[0]
-    flat_a = T_a.reshape(T_a.shape[:-3] + (m, m * m))
-    flat_b = T_b.reshape(m, m * m)
-    return np.max([0.5 * np.abs(flat_a[..., i1, None, :] - flat_b).sum(axis=-1).max(axis=-1)
-                   for i1 in range(m)], axis=0)
+    rows = s[..., None, :, :] * r[..., :, None, :]
+    return rows.reshape(rows.shape[:-2] + (-1,))
 
 
 def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[SweepRow]:
@@ -291,11 +274,11 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
         ll = lowrank_log_table(config, generate_data(config, rep), np.arange(1, n + 1),
                                eigen_cache=cache)
         T = _rows_by_x1(ll)
-        eps = _local_tv(T, T[-1])[table]
+        eps = _row_tv(T, T[-1]).max(axis=-1)[table]
         below = np.flatnonzero(eps < eps_threshold)
         keep = int(below[0]) + 1 if below.size else qmax
         eps = eps[:keep]
-        alpha = 1.0 - _cross_tv(T[:table[keep - 1] + 1], T[-1])[table[:keep]]
+        alpha = 1.0 - _max_cross_tv(T[:table[keep - 1] + 1], T[-1])[table[:keep]]
         for q, (e, a) in enumerate(zip(eps, alpha), start=1):
             rows.append(SweepRow(rep, q, float(e), float(a),
                                  0.0 if e == 0.0 else float(e / (a + e))))

@@ -53,6 +53,28 @@ def _count(name, value, low=1):
     return int(value)
 
 
+def _entry_types(values, depth):
+    """Types of the entries ``depth`` levels into a nested sequence; an ndarray gives its dtype."""
+    if isinstance(values, np.ndarray):
+        return {values.dtype.type}
+    if depth <= 1:
+        return set(map(type, values)) if depth else {type(values)}
+    return set().union(*(_entry_types(v, depth - 1) for v in values))
+
+
+def _reals(values, what):
+    """``values`` as a new float array; a string, bool, None or mapping entry raises ValueError.
+
+    An ndarray is judged by its dtype, so a float array pays no per-entry scan.
+    """
+    arr = np.array(values)
+    bad = sorted(t.__name__ for t in _entry_types(values, arr.ndim)
+                 if not issubclass(t, numbers.Real) or issubclass(t, bool))
+    if bad:
+        raise ValueError(f"{what} entries must be real numbers, got {', '.join(bad)}")
+    return arr.astype(float, copy=False)
+
+
 def _stochastic(mat, what):
     """``mat`` with each vector along its last axis checked and renormalized exactly.
 
@@ -85,7 +107,7 @@ class ProbDist:
     __slots__ = ("weights",)
 
     def __init__(self, weights):
-        w = np.array(weights, dtype=float)
+        w = _reals(weights, "distribution")
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
         w = _stochastic(w, "distribution")
@@ -111,24 +133,17 @@ class FiniteKernel:
         ``rows[x, y]`` is the one-step probability of moving from state ``x``
         to state ``y``.  Each row must be a valid probability vector (same
         tolerance as :class:`ProbDist`); rows are renormalized exactly.
-    state_labels : sequence, optional
-        Opaque labels carried along for reporting; defaults to ``0..n-1``.
     """
 
-    __slots__ = ("rows", "state_labels")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, state_labels=None):
-        mat = np.array(rows, dtype=float)
+    def __init__(self, rows):
+        mat = _reals(rows, "kernel")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] == 0:
             raise ValueError(f"kernel must be a non-empty square matrix, got shape {mat.shape}")
         mat = _stochastic(mat, "kernel")
         mat.setflags(write=False)
         self.rows = mat
-        if state_labels is not None:
-            state_labels = list(state_labels)
-            if len(state_labels) != mat.shape[0]:
-                raise ValueError("state_labels length must match the number of states")
-        self.state_labels = state_labels
 
     def __len__(self):
         return self.rows.shape[0]
@@ -143,7 +158,7 @@ class StateFunction:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.array(values, dtype=float)
+        v = _reals(values, "state function")
         if v.ndim != 1 or v.size == 0:
             raise ValueError("state function must be a non-empty 1-d vector")
         if not np.all(np.isfinite(v)):
@@ -182,13 +197,21 @@ def tv_distance(p, q) -> float:
     qw = as_dist(q).weights
     if pw.size != qw.size:
         raise DimensionMismatchError(f"distributions live on {pw.size} vs {qw.size} states")
-    return 0.5 * float(np.abs(pw - qw).sum())
+    return float(_row_tv(pw, qw))
 
 
-def _pairwise_row_tv(A, B):
-    # (n, m) matrix of TV distances between every row of A and every row of B,
-    # one row of A at a time so memory stays O(S^2).
-    return 0.5 * np.array([np.abs(row - B).sum(axis=1) for row in A])
+def _row_tv(p, q):
+    """TV distance ``0.5 * sum |p - q|`` along the last axis; the other axes broadcast."""
+    return 0.5 * np.abs(p - q).sum(axis=-1)
+
+
+def _max_cross_tv(A, B):
+    """Largest TV distance between a row of ``A`` and a row of ``B``, rows on axis -2.
+
+    Leading axes are kept; one row of ``A`` at a time keeps memory O(S^2) per leading index.
+    """
+    return np.max([_row_tv(A[..., i, None, :], B).max(axis=-1) for i in range(A.shape[-2])],
+                  axis=0)
 
 
 def doeblin_constant(P) -> float:
@@ -199,7 +222,7 @@ def doeblin_constant(P) -> float:
     ``[0, 1]``; ``a = 1`` exactly when all rows are identical.
     """
     K = as_kernel(P)
-    return 1.0 - float(_pairwise_row_tv(K.rows, K.rows).max())
+    return 1.0 - float(_max_cross_tv(K.rows, K.rows))
 
 
 def _kernel_pair(P_eps, P):
@@ -213,7 +236,7 @@ def _kernel_pair(P_eps, P):
 def local_epsilon(P_eps, P) -> float:
     """Worst-case row perturbation ``max_x tv(P_eps(x,.), P(x,.))``."""
     A, B = _kernel_pair(P_eps, P)
-    return 0.5 * float(np.abs(A.rows - B.rows).sum(axis=1).max())
+    return float(_row_tv(A.rows, B.rows).max())
 
 
 def cross_doeblin_constant(P_eps, P) -> float:
@@ -224,7 +247,7 @@ def cross_doeblin_constant(P_eps, P) -> float:
     kernels this reduces exactly to :func:`doeblin_constant`.
     """
     A, B = _kernel_pair(P_eps, P)
-    return 1.0 - float(_pairwise_row_tv(A.rows, B.rows).max())
+    return 1.0 - float(_max_cross_tv(A.rows, B.rows))
 
 
 def invariant_measure(P) -> ProbDist:
@@ -307,7 +330,8 @@ def kernel_from_json(doc) -> FiniteKernel:
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("kernel document must be an object with a 'rows' field, "
                          f"got {type(doc).__name__}")
+    K = FiniteKernel(doc["rows"])
     states = doc.get("states")
-    if states is not None and not isinstance(states, list):
-        raise ValueError(f"kernel field 'states' must be a list of labels, got {states!r}")
-    return FiniteKernel(doc["rows"], state_labels=states)
+    if states is not None and (not isinstance(states, list) or len(states) != len(K)):
+        raise ValueError(f"kernel field 'states' must be a list of {len(K)} labels, got {states!r}")
+    return K

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundParams, avg_disagreement_bound
-from .kernels import FiniteKernel, _count, _law_running_sums
+from .kernels import FiniteKernel, _count, _law_running_sums, _row_tv
 
 __all__ = [
     "SharpnessInstance",
@@ -97,7 +97,7 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
     where the perturbed matrix has a negative entry.
     """
     sums = _law_running_sums(np.array([gamma, 1.0 - gamma]), perturbed_matrix(beta, epsilon), n_max)
-    return np.array([0.5 * np.abs(total / (k + 1) - 0.5).sum() for k, total in enumerate(sums)])
+    return np.array([_row_tv(total / (k + 1), 0.5) for k, total in enumerate(sums)])
 
 
 def tightness_table(beta, epsilon, gamma, n_max):

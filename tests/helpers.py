@@ -55,5 +55,4 @@ def stack_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
 
 def kernel_to_json(P) -> dict:
     K = as_kernel(P)
-    labels = K.state_labels if K.state_labels is not None else list(range(len(K)))
-    return {"states": list(labels), "rows": [[float(v) for v in row] for row in K.rows]}
+    return {"states": list(range(len(K))), "rows": [[float(v) for v in row] for row in K.rows]}

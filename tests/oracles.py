@@ -20,14 +20,16 @@ from chain_perturb import (
     StateFunction,
     as_kernel,
     as_state_function,
+    cross_doeblin_constant,
     doeblin_constant,
     f_star_norm,
     gram_matrix,
     invariant_measure,
+    local_epsilon,
     lowrank_log_table,
 )
 from chain_perturb.bounds import _require_contraction
-from chain_perturb.gp_mcmc import _cross_tv, _local_tv, _rows_by_x1
+from chain_perturb.gp_mcmc import _rows_by_x1
 
 
 @dataclass(frozen=True)
@@ -167,23 +169,19 @@ def gibbs_transition_matrix(config, z, rank=None) -> FiniteKernel:
     construction: the ``m`` rows of each block are identical).
     """
     ll = exact_log_table(config, z) if rank is None else lowrank_log_table(config, z, rank)
-    rows = _rows_by_x1(ll)
-    m = int(config.m)
-    P = np.empty((m * m, m * m))
-    for i1 in range(m):
-        P[i1 * m:(i1 + 1) * m, :] = rows[i1].reshape(1, -1)
-    labels = [f"x1={x1:.8g}|x2={x2:.8g}" for x1 in config.grid_x1 for x2 in config.grid_x2]
-    return FiniteKernel(P, state_labels=labels)
+    return FiniteKernel(np.repeat(_rows_by_x1(ll), int(config.m), axis=0))
 
 
 def epsilon_alpha_for_gp(config, z, q):
     """Exact closeness constants of the (exact, rank-q) Gibbs pair.
 
-    Exploits the row structure: rows depend only on the length-scale atom, so
-    the maxima over the ``m^2 x m^2`` state space reduce to ``m x m`` row
-    pairs.  The exact side comes from dense factorizations, independently of
-    the eigen tables :func:`figure_sweep` uses.  Returns ``(epsilon, alpha)``.
+    Enumerates every state and state pair of the explicit ``m^2 x m^2``
+    kernels with the public :func:`local_epsilon` and
+    :func:`cross_doeblin_constant`, not the ``m x m`` row maxima of
+    :func:`figure_sweep`.  The exact side comes from dense factorizations,
+    independently of the eigen tables the sweep uses.  Returns
+    ``(epsilon, alpha)``.
     """
-    T = _rows_by_x1(exact_log_table(config, z))
-    Te = _rows_by_x1(lowrank_log_table(config, z, q))
-    return float(_local_tv(Te, T)), 1.0 - float(_cross_tv(Te, T))
+    K = gibbs_transition_matrix(config, z)
+    Kq = gibbs_transition_matrix(config, z, rank=q)
+    return local_epsilon(Kq, K), cross_doeblin_constant(Kq, K)

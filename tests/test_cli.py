@@ -318,10 +318,20 @@ class TestVerify:
         ({"pair": {"P": "rows", "P_eps": {"rows": [[1.0]]}}}, "kernel document must be an object"),
         ({"pair": {"P": {"rows": [[1.0]], "states": 5}, "P_eps": {"rows": [[1.0]]}}},
          "kernel field 'states' must be a list"),
+        ({"pair": {"P": {"rows": [[1.0]], "states": [0, 1]}, "P_eps": {"rows": [[1.0]]}}},
+         "kernel field 'states' must be a list of 1 labels"),
+        ({"pair": {"P": {"rows": {"a": 1}}, "P_eps": {"rows": [[1.0]]}}},
+         "kernel entries must be real numbers"),
+        ({"pair": {"P": {"rows": [["0.75", "0.25"], [True, False]]},
+                   "P_eps": {"rows": [[0.75, 0.25], [0.25, 0.75]]}}},
+         "kernel entries must be real numbers"),
+        ({"f": {"a": 1}}, "state function entries must be real numbers"),
+        ({"f": ["0", "1"]}, "state function entries must be real numbers"),
     ], ids=["n-float", "replicates-float", "n-bool", "x0-bool", "x0-float", "x0-string",
             "x0_eps-bool", "x0_eps-float", "x0_eps-string", "seed-float", "lambda-string",
             "experiments-string", "experiments-nested", "lambda-nan", "pair-P-int",
-            "pair-P-string", "pair-states-int"])
+            "pair-P-string", "pair-states-int", "pair-states-length", "pair-rows-object",
+            "pair-rows-strings-bools", "f-object", "f-strings"])
     def test_mistyped_config_exits_two(self, tmp_path, pair_file, capsys, override, message):
         cfg = self.write_config(tmp_path, pair_file, **override)
         out = tmp_path / "out"

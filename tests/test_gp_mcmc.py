@@ -278,12 +278,14 @@ class TestEpsilonAlpha:
         assert eps <= 1e-8
         assert 0.0 < alpha <= 1.0
 
-    def test_matches_full_kernel_enumeration(self):
-        cfg = GPConfig(n=3, m=2, seed=8)
+    @pytest.mark.parametrize("n, m, q", [(3, 2, 1), (12, 3, 4), (30, 4, 30)],
+                             ids=["n3-m2-q1", "n12-m3-q4", "n30-m4-q30"])
+    def test_matches_full_kernel_enumeration(self, n, m, q):
+        cfg = GPConfig(n=n, m=m, seed=8)
         z = generate_data(cfg, 0)
         K = gibbs_transition_matrix(cfg, z)
-        Kq = gibbs_transition_matrix(cfg, z, rank=1)
-        eps, alpha = epsilon_alpha_for_gp(cfg, z, q=1)
+        Kq = gibbs_transition_matrix(cfg, z, rank=q)
+        eps, alpha = epsilon_alpha_for_gp(cfg, z, q=q)
         assert eps == pytest.approx(local_epsilon(Kq, K), abs=1e-13)
         assert alpha == pytest.approx(cross_doeblin_constant(Kq, K), abs=1e-13)
 
@@ -342,6 +344,19 @@ class TestFigureSweep:
     def test_rejects_non_integer_counts(self, replicates, qmax, name):
         with pytest.raises(ValueError, match=name):
             figure_sweep(GPConfig(n=10, m=2, seed=1), replicates, qmax=qmax)
+
+    @pytest.mark.parametrize("replicate", [1.7, True], ids=["float", "bool"])
+    def test_generate_data_rejects_non_integer_replicate(self, replicate):
+        # both used to return replicate 1's data
+        with pytest.raises(ValueError, match="replicate must be an integer >= 0"):
+            generate_data(GPConfig(n=10, m=2, seed=1), replicate)
+
+    @pytest.mark.parametrize("q", [2.5, True, [1, 2.5]], ids=["float", "bool", "float-in-list"])
+    def test_lowrank_table_rejects_non_integer_rank(self, q):
+        # 2.5 used to give the rank-2 table
+        cfg = GPConfig(n=10, m=2, seed=1)
+        with pytest.raises(ValueError, match="ranks must be integers >= 1"):
+            lowrank_log_table(cfg, generate_data(cfg, 0), q)
 
     def test_rejects_rank_zero(self):
         cfg = GPConfig(n=10, m=2, seed=1)

@@ -17,6 +17,7 @@ from chain_perturb import (
     local_epsilon,
     n_step_average_law,
     SharpnessInstance,
+    StateFunction,
     tv_distance,
 )
 from helpers import kernel_to_json, power_iteration_mu, random_dist, random_kernel, random_pair
@@ -307,6 +308,35 @@ class TestValidationAndSerialization:
         with pytest.raises(ValueError):
             FiniteKernel([[0.5, 0.5]])
 
-    def test_labels_preserved(self):
-        K = FiniteKernel([[1.0]], state_labels=["only"])
-        assert kernel_to_json(K)["states"] == ["only"]
+    @pytest.mark.parametrize("build, values", [
+        (FiniteKernel, {"a": 1}),
+        (FiniteKernel, [["0.75", "0.25"], [True, False]]),
+        (FiniteKernel, [[True, False], [False, True]]),
+        (FiniteKernel, [[1.0, 0.0], [True, 0.0]]),
+        (FiniteKernel, [[0.5, 0.5], [None, 1.0]]),
+        (ProbDist, ["0.5", "0.5"]),
+        (ProbDist, None),
+        (StateFunction, {"a": 1}),
+        (StateFunction, [0.0, False]),
+        (StateFunction, np.array([True, False])),
+    ], ids=["kernel-object", "kernel-strings-bools", "kernel-bools", "kernel-bool-among-floats",
+            "kernel-null", "dist-strings", "dist-null", "function-object",
+            "function-bool-among-floats", "function-bool-array"])
+    def test_non_real_entries_rejected(self, build, values):
+        # a mapping used to raise TypeError; strings and bools were read as numbers
+        with pytest.raises(ValueError, match="entries must be real numbers"):
+            build(values)
+
+    def test_real_entries_of_any_numeric_type_accepted(self):
+        K = FiniteKernel([[np.int64(1), 0], [np.float32(0.5), 0.5]])
+        np.testing.assert_array_equal(K.rows, [[1.0, 0.0], [0.5, 0.5]])
+        assert StateFunction([2**70, 0]).values[0] == 2.0**70
+
+    def test_float_array_converts_without_entry_scan(self):
+        class NoIter(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("entries scanned one by one")
+
+        rows = np.full((2, 2), 0.5).view(NoIter)
+        np.testing.assert_array_equal(FiniteKernel(rows).rows, 0.5)
+        assert rows.flags.writeable

@@ -33,6 +33,12 @@ INTEGER_TEST_READERS = {
     "StoppingRule": "its messages ('integer time', 'integer states') are part of the tested contract",
 }
 
+# Package definitions outside kernels.py that call ``np.abs``, each with the
+# reason it is not a TV distance, which goes through ``kernels._row_tv``.
+ABS_CALLERS = {
+    "_base_tail": "it measures how far a time average lies from mu f, not a TV distance",
+}
+
 
 def test_traced_package_names_exist():
     # the benchmark's tracer wraps these by name and refuses to run if one is gone
@@ -95,3 +101,19 @@ def test_integer_test_is_read_through_count():
     assert sorted(readers - set(INTEGER_TEST_READERS)) == []
     # an entry that no longer reads the test is stale
     assert sorted(readers) == sorted(INTEGER_TEST_READERS)
+
+
+def test_tv_is_read_through_kernels():
+    # a TV distance computed by hand outside kernels.py drifts from kernels._row_tv
+    callers = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "kernels.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Attribute) and node.attr == "abs"
+                        and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                    callers.add(getattr(stmt, "name", path.name))
+    assert sorted(callers - set(ABS_CALLERS)) == []
+    # an entry that no longer calls np.abs is stale
+    assert sorted(callers) == sorted(ABS_CALLERS)
