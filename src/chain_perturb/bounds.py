@@ -11,6 +11,7 @@ than returning NaN or infinity, so a returned number is always a certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidRegimeError
@@ -54,8 +55,8 @@ class BoundParams:
     f_star : float
         Half-oscillation seminorm of the observable (finite, nonnegative).
 
-    Every comparison fails on NaN, so a NaN input raises like any other
-    out-of-range value.
+    Every real is checked by :func:`_require`: a bool or a non-number raises
+    ValueError, and NaN fails every range like any other out-of-range value.
     """
 
     epsilon: float
@@ -70,10 +71,11 @@ class BoundParams:
         object.__setattr__(self, "n", _count("n", self.n))
         _require_unit("p0", self.p0)
         _require_finite_nonnegative("f_star", self.f_star)
-        if self.alpha is not None and not 0.0 <= self.alpha < 1.0:
-            raise InvalidRegimeError(f"alpha must be in [0, 1), got {self.alpha!r}")
-        if self.a is not None and not 0.0 < self.a <= 1.0:
-            raise InvalidRegimeError(f"a must be in (0, 1], got {self.a!r}")
+        if self.alpha is not None:
+            _require("alpha", self.alpha, "in [0, 1)", lambda v: 0.0 <= v < 1.0,
+                     InvalidRegimeError)
+        if self.a is not None:
+            _require("a", self.a, "in (0, 1]", lambda v: 0.0 < v <= 1.0, InvalidRegimeError)
 
 
 @dataclass(frozen=True)
@@ -87,21 +89,29 @@ class BoundReport:
     regime_ok: bool
 
 
+def _require(name, value, rule, ok, error=ValueError):
+    """The one test of a real scalar: a real number, not a bool, for which ``ok`` holds.
+
+    Anything else raises ``error``, a ValueError.  Every comparison fails on
+    NaN, so NaN is outside every rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number; {name} must be {rule}, got {value!r}")
+    if not ok(value):
+        raise error(f"{name} must be {rule}, got {value!r}")
+
+
 def _require_unit(name, value, error=ValueError):
-    """Raise ``error`` unless ``value`` lies in [0, 1]."""
-    if not 0.0 <= value <= 1.0:
-        raise error(f"{name} must be in [0, 1], got {value!r}")
+    _require(name, value, "in [0, 1]", lambda v: 0.0 <= v <= 1.0, error)
 
 
 def _require_finite_nonnegative(name, value):
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    _require(name, value, "finite and nonnegative", lambda v: 0.0 <= v < math.inf)
 
 
 def _require_lambda(lam):
     """The deviation parameter of every tail bound and threshold: finite and positive."""
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    _require("lambda", lam, "finite and positive", lambda v: 0.0 < v < math.inf)
 
 
 def _require_contraction(alpha, epsilon):
@@ -213,8 +223,7 @@ def base_concentration_threshold(lam, params: BoundParams) -> float:
 
 def stationary_gap_bound(epsilon, a) -> float:
     """TV gap between the two stationary measures: ``epsilon / a`` (uncapped)."""
-    if a is None or not a > 0.0:
-        raise InvalidRegimeError(f"Doeblin constant must be positive, got {a!r}")
+    _require("Doeblin constant", a, "positive", lambda v: v > 0.0, InvalidRegimeError)
     _require_unit("epsilon", epsilon)
     return epsilon / a
 

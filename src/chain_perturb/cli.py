@@ -12,7 +12,6 @@ import argparse
 import csv
 import itertools
 import json
-import numbers
 import os
 import sys
 import time
@@ -209,8 +208,6 @@ def _experiment_setup(path):
     if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
         raise ValueError(f"experiments must be a list of names, got {experiments!r}")
     lam = doc.get("lambda", 1.0)
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-        raise ValueError(f"lambda must be a real number, got {lam!r}")
     stopping = None
     if "stopping" in doc:
         sd = doc["stopping"]

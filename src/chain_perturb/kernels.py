@@ -53,6 +53,25 @@ def _count(name, value, low=1):
     return int(value)
 
 
+def _target_states(targets):
+    """``targets`` as a tuple of ints; an empty set or a non-integer state raises."""
+    targets = tuple(targets)
+    if not targets:
+        raise ValueError("hitting rule needs a non-empty target set")
+    for t in targets:
+        if not _is_integer(t):
+            raise ValueError(f"hitting targets must be integer states, got {t!r}")
+    return tuple(map(int, targets))
+
+
+def _target_table(targets, n_states):
+    """Boolean lookup table over ``n_states`` states, True on ``targets``, states in range."""
+    targets = _target_states(targets)
+    if min(targets) < 0 or max(targets) >= n_states:
+        raise ValueError(f"targets outside 0..{n_states - 1}")
+    return np.isin(np.arange(n_states), targets)
+
+
 def _entry_types(values, depth):
     """Types of the entries ``depth`` levels into a nested sequence; an ndarray gives its dtype."""
     if isinstance(values, np.ndarray):
@@ -254,9 +273,9 @@ def invariant_measure(P) -> ProbDist:
     """Stationary distribution ``mu`` with ``mu P = mu``.
 
     Solves the linear system ``(P' - I) mu = 0`` with a normalization row
-    appended, which is exact at the scales this package targets.  Uniqueness
-    requires a positive Doeblin constant; when ``a = 0`` a solution is still
-    returned but a non-uniqueness warning is emitted.
+    appended, which is exact at the scales this package targets.  ``mu`` is
+    unique exactly when the system has rank ``S`` (one closed class, which
+    ``a = 0`` allows: the periodic flip); else a warning comes with it.
 
     Raises
     ------
@@ -265,16 +284,16 @@ def invariant_measure(P) -> ProbDist:
     """
     K = as_kernel(P)
     n = len(K)
-    if doeblin_constant(K) <= 0.0:
-        warnings.warn(
-            "kernel has no uniform row overlap (a = 0); the stationary measure may not be unique",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     A = np.vstack([K.rows.T - np.eye(n), np.ones((1, n))])
     b = np.zeros(n + 1)
     b[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(A, b, rcond=None)
+    mu, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank < n:
+        warnings.warn(
+            f"stationary system has rank {rank} < {n}; the stationary measure is not unique",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     mu = np.clip(mu, 0.0, None)
     total = mu.sum()
     if not np.isfinite(total) or total <= 0.0:

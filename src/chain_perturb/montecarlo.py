@@ -46,6 +46,8 @@ from .kernels import (
     _count,
     _is_integer,
     _kernel_pair,
+    _target_states,
+    _target_table,
     as_kernel,
     as_state_function,
     cross_doeblin_constant,
@@ -90,12 +92,7 @@ class StoppingRule:
                 raise ValueError("deterministic rule needs an integer time >= 1, "
                                  f"got {self.time!r}")
         else:
-            if not self.targets:
-                raise ValueError("hitting rule needs a non-empty target set")
-            for t in self.targets:
-                if not _is_integer(t):
-                    raise ValueError(f"hitting targets must be integer states, got {t!r}")
-            object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+            object.__setattr__(self, "targets", _target_states(self.targets))
 
 
 @dataclass(frozen=True)
@@ -155,10 +152,8 @@ def _result(name, values, bound):
 def initial_disagreement_prob(config: ExperimentConfig) -> float:
     """P(X_0 != X_0^eps) under the maximal coupling of the initial laws (their TV distance)."""
     S = len(config.p)
-    state_e, w_e = _as_initial(config.x0_eps, S, "x0_eps")
-    state_b, w_b = _as_initial(config.x0, S, "x0")
-    if state_e is not None and state_b is not None:
-        return float(state_e != state_b)
+    _, w_e = _as_initial(config.x0_eps, S, "x0_eps")
+    _, w_b = _as_initial(config.x0, S, "x0")
     return tv_distance(w_e, w_b)
 
 
@@ -210,13 +205,6 @@ def _first_hit_times(states, on, missing):
 _ON_ONE = np.array([False, True])  # target {1} of the binary paths z and y
 
 
-def _target_table(targets, n_states):
-    """Boolean lookup table over ``n_states`` states, True on ``targets``."""
-    on = np.zeros(n_states, dtype=bool)
-    on[list(targets)] = True
-    return on
-
-
 def expected_hitting_time(P, targets, start=None):
     """Exact expected hitting time of ``targets``, by inverting ``I - P`` off the target set.
 
@@ -225,13 +213,8 @@ def expected_hitting_time(P, targets, start=None):
     """
     K = as_kernel(P)
     n = len(K)
-    targets = sorted(set(StoppingRule("hitting", targets=tuple(targets)).targets))
-    if targets[0] < 0 or targets[-1] >= n:
-        raise ValueError(f"targets outside 0..{n - 1}")
+    others = np.flatnonzero(~_target_table(targets, n))
     times = np.zeros(n)
-    off_target = np.ones(n, dtype=bool)
-    off_target[targets] = False
-    others = np.flatnonzero(off_target)
     if others.size:
         A = np.eye(others.size) - K.rows[np.ix_(others, others)]
         try:
@@ -291,68 +274,57 @@ def _base_tail(config, params, lam):
                   lambda v: _result("base_tail", v, bound))
 
 
-def _stopping_rule(config, params):
+def _stopping(config, params, kinds):
+    """The bound ``min(1, epsilon E[tau])`` of the one rule ``config.stopping``, and ``tau``.
+
+    The rule must be one of ``kinds``, the starts equal and a deterministic
+    time within the horizon.  ``tau(states, cap)`` is ``tau ^ cap`` per base
+    chain trajectory; ``E[tau] >= E[tau ^ cap]``, so the bound holds at any cap.
+    """
     rule = config.stopping
-    if rule is None:
-        raise ValueError("config.stopping is required for decoupling checks")
+    if rule is None or rule.kind not in kinds:
+        raise ValueError(f"this check needs a {' or '.join(kinds)} stopping rule, got {rule!r}")
     if params.p0 != 0.0:
-        raise ValueError("decoupling checks require equal initial states/laws")
-    if rule.kind == "deterministic" and int(rule.time) > config.n:
-        raise ValueError("deterministic stopping time exceeds the simulated horizon")
-    return rule
-
-
-def _decoupling(config, params, lam):
-    rule = _stopping_rule(config, params)
+        raise ValueError("stopping-time checks require equal initial states/laws")
     if rule.kind == "deterministic":
-        e_tau = float(rule.time)
-    else:
-        e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
-    bound = decoupling_time_bound(params.epsilon, e_tau)  # E[tau ^ n] <= E[tau]
-    n = config.n
+        if rule.time > config.n:
+            raise ValueError("deterministic stopping time exceeds the simulated horizon")
+        return (decoupling_time_bound(params.epsilon, float(rule.time)),
+                lambda states, cap: min(rule.time, cap))
     on = _target_table(rule.targets, len(config.p))
-
-    def per_batch(batch):
-        # first disagreement step (n + 1: none in the run) against tau ^ n
-        s_eps = _first_hit_times(batch.z, _ON_ONE, n + 1)
-        if rule.kind == "deterministic":
-            return s_eps <= rule.time
-        return s_eps <= _first_hit_times(batch.x, on, n)
-
-    return _Check(per_batch, lambda v: _result("decoupling", v, bound))
+    return (decoupling_time_bound(params.epsilon,
+                                  expected_hitting_time(config.p, rule.targets, config.x0)),
+            lambda states, cap: _first_hit_times(states, on, cap))
 
 
-def _bounding_decoupling(config, params, lam):
-    rule = config.stopping
-    if rule is None or rule.kind != "deterministic":
-        raise ValueError("bounding-chain decoupling needs a deterministic stopping rule")
-    _stopping_rule(config, params)
-    N = int(rule.time)
-    bound = decoupling_time_bound(params.epsilon, float(N))
+def _decoupling_of(name, path, kinds):
+    """Check ``name``: P(the binary ``path`` of a batch first reads 1 by ``tau ^ n``).
 
-    def per_batch(batch):
-        return _first_hit_times(batch.y, _ON_ONE, N + 1) <= N
+    ``path`` is ``"z"``, the disagreement indicator, or ``"y"``, the
+    dominating chain, which reads 1 wherever ``z`` does.
+    """
+    def check(config, params, lam):
+        bound, tau = _stopping(config, params, kinds)
+        n = config.n
 
-    return _Check(per_batch, lambda v: _result("bounding_decoupling", v, bound))
+        def per_batch(batch):
+            # first step reading 1 (n + 1: none in the run) against tau ^ n
+            return _first_hit_times(getattr(batch, path), _ON_ONE, n + 1) <= tau(batch.x, n)
+
+        return _Check(per_batch, lambda v: _result(name, v, bound))
+
+    return check
 
 
 def _path_law(config, params, lam):
-    rule = config.stopping
-    if rule is None or rule.kind != "hitting":
-        raise ValueError("path-law check needs a hitting stopping rule")
-    if params.p0 != 0.0:
-        raise ValueError("path-law check requires equal initial laws")
-    e_tau = expected_hitting_time(config.p, rule.targets, config.x0)
     # the laws of tau ^ (n + 1), a function of tau, are as close as those of
     # any path functional measurable at tau: min(1, epsilon E[tau])
-    bound = decoupling_time_bound(params.epsilon, e_tau)
+    bound, tau = _stopping(config, params, ("hitting",))
     n = config.n
-    on = _target_table(rule.targets, len(config.p))
 
     def per_batch(batch):
         # tau ^ (n + 1) of each marginal: a hit after step n reads n + 1
-        return np.stack([_first_hit_times(batch.x, on, n + 1),
-                         _first_hit_times(batch.x_eps, on, n + 1)], axis=1)
+        return np.stack([tau(batch.x, n + 1), tau(batch.x_eps, n + 1)], axis=1)
 
     def finish(v):
         tau_p, tau_q = v[:, 0], v[:, 1]
@@ -372,8 +344,8 @@ _CHECKS = {
     "average_difference": _average_difference,
     "tail": _tail,
     "base_tail": _base_tail,
-    "decoupling": _decoupling,
-    "bounding_decoupling": _bounding_decoupling,
+    "decoupling": _decoupling_of("decoupling", "z", ("deterministic", "hitting")),
+    "bounding_decoupling": _decoupling_of("bounding_decoupling", "y", ("deterministic",)),
     "path_law": _path_law,
 }
 

@@ -253,6 +253,14 @@ class TestBoundParamsValidation:
         with pytest.raises(ValueError, match="f_star must be finite"):
             BoundParams(epsilon=0.1, n=1, f_star=f_star)
 
+    @pytest.mark.parametrize("field", ["epsilon", "alpha", "a", "p0", "f_star"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_real_fields_reject_bools_and_strings(self, field, value):
+        # True would otherwise be stored and read as 1
+        kwargs = {"epsilon": 0.1, "n": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            BoundParams(**kwargs)
+
 
 _FULL = BoundParams(epsilon=0.05, n=100, alpha=0.4, a=0.5, f_star=1.0)
 # every bound and threshold that reads lambda, as a function of lambda
@@ -268,7 +276,7 @@ _LAMBDA_READERS = {
 }
 
 
-@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf, True, "2"])
 @pytest.mark.parametrize("reader", sorted(_LAMBDA_READERS))
 def test_lambda_must_be_finite_and_positive(reader, lam):
     with pytest.raises(ValueError, match="lambda must be finite and positive"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,13 @@ class TestInvariantMeasure:
     def test_no_gap_warns(self):
         with pytest.warns(RuntimeWarning):
             invariant_measure(np.eye(3))
+
+    def test_periodic_flip_is_unique_without_warning(self):
+        # a = 0, yet mu = (1/2, 1/2) is the only stationary measure
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = invariant_measure(FiniteKernel([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(mu.weights, [0.5, 0.5], atol=1e-15)
 
     def test_fixed_point_residual(self):
         P = random_kernel(np.random.default_rng(2), 8)

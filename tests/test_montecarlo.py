@@ -421,6 +421,29 @@ class TestRunExperiments:
             results = run_experiments(["decoupling", "path_law"], cfg)
         assert [r.name for r in results] == ["decoupling", "path_law"]
 
+    _HIT = StoppingRule(kind="hitting", targets=(1,))
+    _DET = StoppingRule(kind="deterministic", time=5)
+
+    @pytest.mark.parametrize("name, kw", [
+        ("decoupling", {}),
+        ("decoupling", dict(stopping=_HIT, x0_eps=1)),
+        ("decoupling", dict(stopping=StoppingRule(kind="deterministic", time=21))),
+        ("bounding_decoupling", {}),
+        ("bounding_decoupling", dict(stopping=_HIT)),
+        ("bounding_decoupling", dict(stopping=_DET, x0_eps=1)),
+        ("bounding_decoupling", dict(stopping=StoppingRule(kind="deterministic", time=21))),
+        ("path_law", {}),
+        ("path_law", dict(stopping=_DET)),
+        ("path_law", dict(stopping=_HIT, x0_eps=1)),
+    ], ids=["decoupling-no-rule", "decoupling-unequal-starts", "decoupling-time-above-n",
+            "bounding-no-rule", "bounding-hitting-rule", "bounding-unequal-starts",
+            "bounding-time-above-n", "path_law-no-rule", "path_law-deterministic-rule",
+            "path_law-unequal-starts"])
+    def test_stopping_rule_rejected_before_simulating(self, sim_calls, name, kw):
+        with pytest.raises(ValueError):
+            run_experiments([name], flip_config(n=20, replicates=10, **kw))
+        assert sim_calls == []
+
     def test_unknown_name_rejected_before_simulating(self, sim_calls):
         with pytest.raises(ValueError, match="nonsense"):
             run_experiments(["disagreement", "nonsense"], flip_config(**self.CONFIG))

@@ -39,6 +39,12 @@ ABS_CALLERS = {
     "_base_tail": "it measures how far a time average lies from mu f, not a TV distance",
 }
 
+# Package definitions that read the attribute ``.stopping``, each with the
+# reason it may: the rule checks and ``tau`` of every stopping-time check.
+STOPPING_READERS = {
+    "_stopping": "it checks the rule once and gives every stopping-time check its bound and tau",
+}
+
 
 def test_traced_package_names_exist():
     # the benchmark's tracer wraps these by name and refuses to run if one is gone
@@ -117,3 +123,16 @@ def test_tv_is_read_through_kernels():
     assert sorted(callers - set(ABS_CALLERS)) == []
     # an entry that no longer calls np.abs is stale
     assert sorted(callers) == sorted(ABS_CALLERS)
+
+
+def test_stopping_rule_is_read_in_one_place():
+    # a check that reads config.stopping itself drifts from montecarlo._stopping
+    readers = set()
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr == "stopping":
+                    readers.add(getattr(stmt, "name", path.name))
+    assert sorted(readers - set(STOPPING_READERS)) == []
+    # an entry that no longer reads the rule is stale
+    assert sorted(readers) == sorted(STOPPING_READERS)
