@@ -91,7 +91,11 @@ class StoppingRule:
             if not _is_integer(self.time) or self.time < 1:
                 raise ValueError("deterministic rule needs an integer time >= 1, "
                                  f"got {self.time!r}")
+            if tuple(self.targets):
+                raise ValueError(f"deterministic rule reads no targets, got {self.targets!r}")
         else:
+            if self.time is not None:
+                raise ValueError(f"hitting rule reads no time, got {self.time!r}")
             object.__setattr__(self, "targets", _target_states(self.targets))
 
 

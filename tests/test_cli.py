@@ -345,7 +345,9 @@ class TestVerify:
         ({"kind": "hitting", "targets": [1.7]}, "integer states"),
         ("hitting", "stopping must be an object"),
         ({"kind": "hitting", "targets": 1}, "targets must be a list"),
-    ], ids=["time-float", "targets-float", "string", "targets-int"])
+        ({"kind": "deterministic", "time": 5, "targets": [1]}, "reads no targets"),
+        ({"kind": "hitting", "targets": [1], "time": 5}, "reads no time"),
+    ], ids=["time-float", "targets-float", "string", "targets-int", "stray-targets", "stray-time"])
     def test_malformed_stopping_exits_two(self, tmp_path, pair_file, capsys, stopping, message):
         cfg = self.write_config(tmp_path, pair_file, experiments=["decoupling"], stopping=stopping)
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,9 +145,10 @@ class TestEigenCache:
     @pytest.mark.parametrize("n", [2, 3, 30, 31, 200, 201])
     def test_matches_full_eigh(self, n):
         # the two half-size solves give the full spectrum, an orthonormal
-        # basis and the Gram matrix back, odd n (middle row) included
+        # basis and the Gram matrix back, odd n (middle row) included; the
+        # generator yields one atom at a time, every atom once
         cfg = GPConfig(n=n, m=3)
-        for x1, (vals, vecs) in zip(cfg.grid_x1, _eigen_cache(cfg)):
+        for x1, (vals, vecs) in zip(cfg.grid_x1, _eigen_cache(cfg), strict=True):
             G = gram_matrix(x1, cfg.points)
             ref = np.clip(np.linalg.eigh(G)[0][::-1], 0.0, None)
             assert np.all(np.diff(vals) <= 0.0)
@@ -337,6 +339,31 @@ class TestFigureSweep:
         assert all(r[2:] == listed[0][2:] for r in capped[11:])
         np.testing.assert_array_equal(lowrank_log_table(cfg, generate_data(cfg, 0), 40),
                                       lowrank_log_table(cfg, generate_data(cfg, 0), 12))
+
+    def test_replicate_blocks_give_the_same_rows(self):
+        # 25 replicates at n=10 take three eigen passes of at most n datasets
+        cfg = GPConfig(n=10, m=2, seed=1)
+        rows = figure_sweep(cfg, 25)
+        assert [r for r in rows if r.replicate < 5] == figure_sweep(cfg, 5)
+        assert sorted({r.replicate for r in rows}) == list(range(25))
+        for r in rows:
+            if r.replicate in (9, 10, 24):  # both sides of a block edge, and the last block
+                eps, alpha = epsilon_alpha_for_gp(cfg, generate_data(cfg, r.replicate), r.q)
+                assert abs(r.epsilon - eps) <= 1e-10 and abs(r.alpha - alpha) <= 1e-10
+
+    def test_peak_memory_does_not_grow_with_m(self):
+        # one atom's n x n eigenvectors and one chunk of rank rows are alive at a
+        # time; keeping every atom's eigenvectors took 13.4 n^2 floats at m=8
+        for m in (4, 8):
+            cfg = GPConfig(n=301, m=m, seed=1)
+            generate_data(cfg, 0)  # the latent factor is cached per n, outside the sweep
+            tracemalloc.start()
+            try:
+                figure_sweep(cfg, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6 * cfg.n ** 2 * 8, (m, peak / (8 * cfg.n ** 2))
 
     @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
                                                       (True, 5, "replicates"),

@@ -244,6 +244,17 @@ class TestStoppingRule:
         with pytest.raises(ValueError, match="integer states"):
             StoppingRule(kind="hitting", targets=targets)
 
+    @pytest.mark.parametrize("kind, fields, message", [
+        ("deterministic", dict(time=5, targets=(1.7, "x")), "deterministic rule reads no targets"),
+        ("deterministic", dict(time=5, targets=[1]), "deterministic rule reads no targets"),
+        ("hitting", dict(time=2.5, targets=(1,)), "hitting rule reads no time"),
+        ("hitting", dict(time=3, targets=(1,)), "hitting rule reads no time"),
+    ], ids=["det-bad-targets", "det-targets", "hit-float-time", "hit-time"])
+    def test_field_the_kind_does_not_read_is_rejected(self, kind, fields, message):
+        # a stray field used to be stored unchecked and then ignored
+        with pytest.raises(ValueError, match=message):
+            StoppingRule(kind=kind, **fields)
+
     def test_numpy_integers_accepted(self):
         assert StoppingRule(kind="deterministic", time=np.int64(5)).time == 5
         assert StoppingRule(kind="hitting", targets=[np.int32(1), 0]).targets == (1, 0)
