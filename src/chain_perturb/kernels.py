@@ -53,9 +53,17 @@ def _count(name, value, low=1):
     return int(value)
 
 
+def _state_tuple(targets):
+    """``targets`` as a tuple; a value that is not a collection raises ValueError."""
+    try:
+        return tuple(targets)
+    except TypeError:
+        raise ValueError(f"targets must be a collection of states, got {targets!r}") from None
+
+
 def _target_states(targets):
-    """``targets`` as a tuple of ints; an empty set or a non-integer state raises."""
-    targets = tuple(targets)
+    """``targets`` as a tuple of ints; a non-collection, an empty set or a non-integer raises."""
+    targets = _state_tuple(targets)
     if not targets:
         raise ValueError("hitting rule needs a non-empty target set")
     for t in targets:

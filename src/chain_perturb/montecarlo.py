@@ -46,6 +46,7 @@ from .kernels import (
     _count,
     _is_integer,
     _kernel_pair,
+    _state_tuple,
     _target_states,
     _target_table,
     as_kernel,
@@ -91,7 +92,7 @@ class StoppingRule:
             if not _is_integer(self.time) or self.time < 1:
                 raise ValueError("deterministic rule needs an integer time >= 1, "
                                  f"got {self.time!r}")
-            if tuple(self.targets):
+            if _state_tuple(self.targets):
                 raise ValueError(f"deterministic rule reads no targets, got {self.targets!r}")
         else:
             if self.time is not None:

@@ -341,12 +341,22 @@ class TestStepperOracle:
                 U = contract_uniforms(trial, self.COUNT, steps)
                 self.check(P_eps, P, eps, alpha, x0_eps, x0, U, seed=trial)
 
+    def test_matches_pair_tables_on_contract_uniforms_in_short_chunks(self, monkeypatch):
+        # 7-step chunks: 25 steps (26 with a law start) cross three chunk boundaries
+        monkeypatch.setattr(coupling, "_STEP_CHUNK", 7)
+        self.test_matches_pair_tables_on_contract_uniforms()
+
     def test_matches_pair_tables_on_planted_uniforms(self, monkeypatch):
         # uniforms 0.0 and the largest double below 1 at about a third of the draws each
         rng = np.random.default_rng(73)
         planted = {}
-        monkeypatch.setattr(coupling, "_uniforms",
-                            lambda seed, start, count, steps: planted["U"][start:start + count])
+
+        def planted_chunks(seed, start, count, steps):
+            width = coupling._STEP_CHUNK
+            for k0 in range(0, steps, width):
+                yield planted["U"][start:start + count, k0:k0 + width]
+
+        monkeypatch.setattr(coupling, "_uniform_chunks", planted_chunks)
         for trial in range(40):
             P_eps, P, eps, alpha = oracle_pair(rng)
             for x0_eps, x0 in self.starts(rng, len(P)):
@@ -435,6 +445,46 @@ class TestSimulateCoupled:
         np.testing.assert_array_equal(runs[0].x_eps, xe)
         np.testing.assert_array_equal(runs[0].x, xb)
         np.testing.assert_array_equal(runs[0].y, y)
+
+    @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
+                             ids=["state-start", "law-start"])
+    def test_short_chunks_independent_across_blocks(self, monkeypatch, x0_eps, x0):
+        # 5 steps (6 with a law start) cross two 2-step chunk boundaries
+        monkeypatch.setattr(coupling, "_STEP_CHUNK", 2)
+        self.test_batch_size_independent_across_blocks(x0_eps, x0)
+
+    @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
+                             ids=["state-start", "law-start"])
+    def test_long_horizon_matches_contract(self, x0_eps, x0):
+        # 600 steps (601 with a law start) take a full 500-step chunk and a short one
+        n, count = 600, 40
+        assert coupling._STEP_CHUNK < n
+        batch = stack_batches(*FLIP_PAIR, x0_eps, x0, n, count, seed=43, batch_size=15)
+        steps = n + (0 if isinstance(x0_eps, int) else 1)
+        xe, xb, y = reference_paths(*FLIP_PAIR, x0_eps, x0, contract_uniforms(43, count, steps),
+                                    0.1, 0.4)
+        np.testing.assert_array_equal(batch.x_eps, xe)
+        np.testing.assert_array_equal(batch.x, xb)
+        np.testing.assert_array_equal(batch.y, y)
+
+    def test_peak_memory_does_not_grow_with_n(self):
+        # one chunk of uniforms besides the paths, not all n steps' (19 MB here)
+        count, n = 200, 4000
+        tracemalloc.start()
+        try:
+            for _ in iter_coupled_batches(*FLIP_PAIR, 0, 0, n, count, seed=47):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        paths = 10 * count * (n + 1)  # x_eps, x int32; y, z int8
+        assert peak <= 1.5 * (paths + 24 * count * coupling._STEP_CHUNK)
+
+    @pytest.mark.parametrize("batch_size", [-3, 0, 2.5, True, "4"])
+    def test_bad_batch_size_rejected(self, batch_size):
+        # -3 used to yield no batch at all, and 0 a range() error
+        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
+            next(iter_coupled_batches(*FLIP_PAIR, 0, 0, 5, 3, seed=1, batch_size=batch_size))
 
     def test_distribution_starts_sample_maximal_coupling(self):
         P_eps, P = FLIP_PAIR

@@ -120,6 +120,10 @@ class TestExpectedHittingTime:
         with pytest.raises(ValueError):
             expected_hitting_time(P, [5], 0)
 
+    def test_rejects_a_single_state_for_a_set(self):
+        with pytest.raises(ValueError, match="collection of states"):
+            expected_hitting_time(P, 1)
+
     @pytest.mark.parametrize("target", [True, 1.0])
     def test_rejects_non_integer_target(self, target):
         # True would otherwise be read as state 1 (4.0 on the flip pair)
@@ -253,6 +257,15 @@ class TestStoppingRule:
     def test_field_the_kind_does_not_read_is_rejected(self, kind, fields, message):
         # a stray field used to be stored unchecked and then ignored
         with pytest.raises(ValueError, match=message):
+            StoppingRule(kind=kind, **fields)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("hitting", dict(targets=5)),
+        ("deterministic", dict(time=5, targets=5)),
+    ], ids=["hitting", "deterministic"])
+    def test_targets_must_be_a_collection(self, kind, fields):
+        # a bare state used to raise TypeError: 'int' object is not iterable
+        with pytest.raises(ValueError, match="collection of states"):
             StoppingRule(kind=kind, **fields)
 
     def test_numpy_integers_accepted(self):
