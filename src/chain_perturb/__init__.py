@@ -65,7 +65,6 @@ from .montecarlo import (
     run_experiments,
 )
 from .sharpness import (
-    SharpnessInstance,
     base_matrix,
     kernel_pair,
     perturbed_matrix,

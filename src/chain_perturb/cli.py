@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -171,8 +170,7 @@ def _cmd_simulate(args, out_dir):
     p_eps, p = _load_pair(args.pair)
     n, single = args.n, args.replicates == 1
     batches = iter_coupled_batches(p_eps, p, args.x0_eps, args.x0, n, args.replicates, args.seed)
-    # the first batch runs every input check before a file is opened
-    batches = itertools.chain([next(batches)], batches)
+    batch = next(batches)  # the first batch runs every input check before a file is opened
     name = "trajectory.csv" if single else "summary.csv"
     disagreements = 0
     with open(os.path.join(out_dir, name), "w", newline="") as fh:
@@ -181,7 +179,7 @@ def _cmd_simulate(args, out_dir):
             writer.writerow(["step", "x", "x_eps", "z", "y"])
         else:
             writer.writerow(["seed", "n", "disagreement_fraction", "first_decoupling_step"])
-        for batch in batches:
+        while batch is not None:
             z = batch.z[:, :n]
             disagreements += int(np.count_nonzero(z))
             if single:
@@ -192,6 +190,8 @@ def _cmd_simulate(args, out_dir):
                 firsts = np.where(batch.z.any(axis=1), batch.z.argmax(axis=1), -1).tolist()
                 writer.writerows([batch.first_index + i, n, format(frac, ".17g"), first]
                                  for i, (frac, first) in enumerate(zip(fracs, firsts)))
+            del batch, z  # one batch alive while the next is drawn
+            batch = next(batches, None)
     sys.stdout.write(
         f"simulated {args.replicates} trajectories of length {n + 1}; "
         f"mean disagreement fraction {_fmt(disagreements / (args.replicates * n))}\n"

@@ -210,7 +210,7 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     the initial disagreement probability equals their TV distance.
     """
     A, B = _kernel_pair(P_eps, P)
-    n, n_traj = _count("n", n), _count("n_traj", n_traj)
+    n, n_traj, seed = _count("n", n), _count("n_traj", n_traj), _count("seed", seed, low=0)
     # The dominating chain moves to 1 exactly when the step's first uniform
     # reaches to_one[y] from its state y: 1-eps from 0, alpha from 1.
     to_one = np.array([1.0 - local_epsilon(A, B), cross_doeblin_constant(A, B)])
@@ -259,8 +259,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
             xe[:, k + 1] = cur_e
             xb[:, k + 1] = cur_b
         del u, uniforms  # free this batch's chunk buffer before the next batch draws its own
-        z = (xe != xb).astype(np.int8)
-        yield CoupledBatch(x_eps=xe, x=xb, z=z, y=y, first_index=start)
+        yield CoupledBatch(x_eps=xe, x=xb, z=(xe != xb).astype(np.int8), y=y, first_index=start)
+        del xe, xb, y  # a consumer that dropped the batch holds no path of it while the next is drawn
 
 
 _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget

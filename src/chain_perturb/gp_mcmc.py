@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .bounds import _require, _require_finite_nonnegative
 from .errors import NumericalFailureError
 from .kernels import _count, _max_cross_tv, _row_tv
 
@@ -106,8 +107,7 @@ def squared_distances(points) -> np.ndarray:
 
 def gram_matrix(x1, points) -> np.ndarray:
     """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal)."""
-    if x1 <= 0.0:
-        raise ValueError(f"length-scale parameter must be positive, got {x1!r}")
+    _require("x1", x1, "finite and positive", lambda v: 0.0 < v < math.inf)
     return np.exp(-x1 * squared_distances(points))
 
 
@@ -266,8 +266,8 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
 
     For each replicate dataset and each rank ``q = 1 .. qmax`` (default
     ``n``; ``qmax < 1`` is rejected), stopping at the first rank whose
-    ``epsilon`` drops below ``eps_threshold``, records ``(replicate, q,
-    epsilon, alpha, epsilon/(alpha+epsilon))``.
+    ``epsilon`` drops below ``eps_threshold`` (finite, nonnegative), records
+    ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
     side, are slices of one table of prefix sums (:func:`lowrank_log_table`);
     ranks above ``n`` give the full-rank rows.  One eigen pass serves a block
@@ -277,6 +277,7 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     order, so whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     n = int(config.n)
+    _require_finite_nonnegative("eps_threshold", eps_threshold)
     replicates = _count("replicates", replicates)
     qmax = n if qmax is None else _count("qmax", qmax)
     rows = []

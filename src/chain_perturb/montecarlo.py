@@ -195,6 +195,7 @@ def _run_checks(config: ExperimentConfig, checks):
                                       config.n, config.replicates, config.master_seed):
         for check, values in zip(checks, parts):
             values.append(check.per_batch(batch))
+        del batch  # one batch alive while the next is drawn
     return [check.finish(np.concatenate(values)) for check, values in zip(checks, parts)]
 
 

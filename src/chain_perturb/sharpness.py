@@ -21,15 +21,12 @@ The propagation is pure algebra and stays valid for ``eps`` up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import BoundParams, avg_disagreement_bound
+from .bounds import BoundParams, _require, avg_disagreement_bound
 from .kernels import FiniteKernel, _count, _law_running_sums, _row_tv
 
 __all__ = [
-    "SharpnessInstance",
     "base_matrix",
     "perturbed_matrix",
     "kernel_pair",
@@ -38,35 +35,6 @@ __all__ = [
 
 #: Largest ``|exact - bound|`` that the ``sharpness`` command accepts as equality.
 TIGHTNESS_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SharpnessInstance:
-    """Parameters of the equality family: flip rate, perturbation, initial tilt, horizon."""
-
-    beta: float
-    epsilon: float
-    gamma: float
-    n: int
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 0.5:
-            raise ValueError(f"beta must be in (0, 1/2], got {self.beta!r}")
-        if not 0.0 <= self.epsilon < 2.0 * self.beta:
-            raise ValueError(f"epsilon must be in [0, 2*beta), got {self.epsilon!r}")
-        if not 0.5 < self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in (1/2, 1], got {self.gamma!r}")
-        object.__setattr__(self, "n", _count("n", self.n))
-
-    @property
-    def alpha(self) -> float:
-        """Cross contraction constant of the pair, ``2 beta - epsilon``."""
-        return 2.0 * self.beta - self.epsilon
-
-    @property
-    def initial_tv(self) -> float:
-        """TV distance between the tilted start ``(gamma, 1-gamma)`` and ``(1/2, 1/2)``."""
-        return self.gamma - 0.5
 
 
 def base_matrix(beta) -> np.ndarray:
@@ -82,11 +50,10 @@ def perturbed_matrix(beta, epsilon) -> np.ndarray:
 
 
 def kernel_pair(beta, epsilon):
-    """Validated kernels ``(P_eps, P)`` for the family; requires ``epsilon <= beta``."""
-    if epsilon > beta:
-        raise ValueError(
-            f"epsilon={epsilon!r} > beta={beta!r}: perturbed matrix has a negative entry"
-        )
+    """Validated kernels ``(P_eps, P)`` for ``beta`` in (0, 1/2] and ``epsilon`` in [0, beta]."""
+    _require("beta", beta, "in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
+    _require("epsilon", epsilon, "in [0, beta]; above beta the perturbed matrix has a "
+             "negative entry", lambda v: 0.0 <= v <= beta)
     return FiniteKernel(perturbed_matrix(beta, epsilon)), FiniteKernel(base_matrix(beta))
 
 
@@ -101,15 +68,21 @@ def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:
 
 
 def tightness_table(beta, epsilon, gamma, n_max):
-    """Rows ``(n, exact_tv, bound, gap)`` for horizons 1..n_max."""
+    """Rows ``(n, exact_tv, bound, gap)`` for horizons 1..n_max.
+
+    ``beta`` lies in (0, 1/2], ``epsilon`` in [0, 2 beta) and ``gamma`` in
+    (1/2, 1].  The bound reads the cross constant ``2 beta - epsilon`` and,
+    as ``p0``, the TV distance ``gamma - 1/2`` of the start from ``(1/2, 1/2)``.
+    """
+    _require("beta", beta, "in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
+    _require("epsilon", epsilon, "in [0, 2*beta)", lambda v: 0.0 <= v < 2.0 * beta)
+    _require("gamma", gamma, "in (1/2, 1]", lambda v: 0.5 < v <= 1.0)
     n_max = _count("n_max", n_max)
     exact = _propagated_averaged_tv(beta, epsilon, gamma, n_max)
+    alpha, p0 = 2.0 * beta - epsilon, gamma - 0.5
     rows = []
     for n in range(1, n_max + 1):
-        inst = SharpnessInstance(beta=beta, epsilon=epsilon, gamma=gamma, n=n)
-        bound = avg_disagreement_bound(
-            BoundParams(epsilon=epsilon, n=n, alpha=inst.alpha, p0=inst.initial_tv)
-        )
+        bound = avg_disagreement_bound(BoundParams(epsilon=epsilon, n=n, alpha=alpha, p0=p0))
         tv = float(exact[n - 1])
         rows.append((n, tv, bound, abs(tv - bound)))
     return rows

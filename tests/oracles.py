@@ -16,7 +16,6 @@ from chain_perturb import (
     FiniteKernel,
     InvalidRegimeError,
     NumericalFailureError,
-    SharpnessInstance,
     StateFunction,
     as_kernel,
     as_state_function,
@@ -96,11 +95,11 @@ def poisson_solve(P, f) -> StateFunction:
     return StateFunction(psi)
 
 
-def perturbed_power_closed_form(inst: SharpnessInstance, k) -> np.ndarray:
+def perturbed_power_closed_form(beta, epsilon, k) -> np.ndarray:
     """k-th power of the perturbed matrix via the eigenvalue ``1 - 2 beta``."""
     if k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    b, e = inst.beta, inst.epsilon
+    b, e = beta, epsilon
     r = (1.0 - 2.0 * b) ** int(k)
     return np.array([
         [(b + e) + (b - e) * r, (b - e) - (b - e) * r],
@@ -108,16 +107,16 @@ def perturbed_power_closed_form(inst: SharpnessInstance, k) -> np.ndarray:
     ]) / (2.0 * b)
 
 
-def exact_averaged_tv(inst: SharpnessInstance) -> float:
+def exact_averaged_tv(beta, epsilon, gamma, n) -> float:
     """Exact TV distance between ``(1/2, 1/2)`` and the time-averaged perturbed law.
 
     ``e/s + (tv0 - e/s) * (1 - (1-s)^n) / (s n)`` with ``s = 2 beta`` (which
     equals ``alpha + epsilon`` here) and ``tv0 = gamma - 1/2``.
     """
-    s = 2.0 * inst.beta
-    ratio = inst.epsilon / s
-    w = (1.0 - (1.0 - s) ** inst.n) / (s * inst.n)
-    return ratio + (inst.initial_tv - ratio) * w
+    s = 2.0 * beta
+    ratio = epsilon / s
+    w = (1.0 - (1.0 - s) ** n) / (s * n)
+    return ratio + (gamma - 0.5 - ratio) * w
 
 
 def marginal_log_likelihood(x1, x2, z, points, prior_b=2.0, prior_a=2.0) -> float:

@@ -235,6 +235,20 @@ class TestSimulateStreaming:
         # holding every replicate costs ~0.75 KB per trajectory, ~1.3 MB more here
         assert peaks[2000] <= peaks[200] + 256 * 1024
 
+    def test_one_batch_alive_at_a_time(self, tmp_path, pair_file, capsys, monkeypatch):
+        # simulate held the first batch, and the one before the current, while it drew the next
+        pin_batch_size(monkeypatch, 2000)
+        self.run(tmp_path / "warm", pair_file, capsys, 100, 10)
+        peaks = {}
+        for replicates in (2000, 6000):
+            tracemalloc.start()
+            try:
+                self.run(tmp_path / str(replicates), pair_file, capsys, 100, replicates)
+                peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6000] <= 1.15 * peaks[2000]
+
 
 class TestVerify:
     def write_config(self, tmp_path, pair_file, **extra):
@@ -398,3 +412,12 @@ class TestGpSweep:
         assert rc == 2
         assert "qmax" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    def test_nan_eps_threshold_exits_two(self, tmp_path, capsys):
+        # it swept every rank and wrote NaN, which is not JSON, into config.json
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "gp-sweep", "--n", "20", "--m", "2",
+                   "--replicates", "1", "--eps-threshold", "nan"])
+        assert rc == 2
+        assert "eps_threshold" in capsys.readouterr().err
+        assert not (out / "config.json").exists()

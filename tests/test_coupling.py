@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -480,6 +481,20 @@ class TestSimulateCoupled:
         paths = 10 * count * (n + 1)  # x_eps, x int32; y, z int8
         assert peak <= 1.5 * (paths + 24 * count * coupling._STEP_CHUNK)
 
+    def test_one_batch_alive_at_a_time(self):
+        # a consumer that drops each batch never holds two batches' paths
+        def peak(n_traj):
+            tracemalloc.start()
+            try:
+                collections.deque(iter_coupled_batches(*FLIP_PAIR, 0, 0, 100, n_traj, seed=5,
+                                                       batch_size=2000), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # first-call allocations are not the batch's
+        assert peak(3 * 2000) <= 1.15 * peak(2000)
+
     @pytest.mark.parametrize("batch_size", [-3, 0, 2.5, True, "4"])
     def test_bad_batch_size_rejected(self, batch_size):
         # -3 used to yield no batch at all, and 0 a range() error
@@ -504,6 +519,12 @@ class TestSimulateCoupled:
         # True is not a horizon of 1 and 2.5 trajectories are not 2
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             next(iter_coupled_batches(*FLIP_PAIR, 0, 0, n, n_traj, seed=1))
+
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "3", -1])
+    def test_bad_seed_rejected(self, seed):
+        # None drew OS entropy, True ran as seed 1, the others failed inside numpy
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            next(iter_coupled_batches(*FLIP_PAIR, 0, 0, 5, 3, seed=seed))
 
     def test_z_is_disagreement_indicator(self):
         batch = stack_batches(*FLIP_PAIR, 0, 1, 30, 50, seed=37)

@@ -90,6 +90,12 @@ class TestGramMatrix:
         with pytest.raises(ValueError):
             gram_matrix(0.0, np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("x1", [float("nan"), float("inf"), True])
+    def test_rejects_scale_that_is_not_a_finite_real(self, x1):
+        # NaN gave an all-NaN matrix, inf a NaN diagonal, True the scale 1
+        with pytest.raises(ValueError, match="x1 must be"):
+            gram_matrix(x1, np.array([0.0, 1.0]))
+
 
 class TestGenerateData:
     def test_reproducible(self):
@@ -384,6 +390,13 @@ class TestFigureSweep:
         cfg = GPConfig(n=10, m=2, seed=1)
         with pytest.raises(ValueError, match="ranks must be integers >= 1"):
             lowrank_log_table(cfg, generate_data(cfg, 0), q)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), -1.0, True, "x"])
+    def test_rejects_bad_eps_threshold_before_drawing_data(self, monkeypatch, threshold):
+        # NaN and -1 swept every rank, True ran as 1, "x" failed inside numpy
+        monkeypatch.setattr(gp_mcmc, "generate_data", lambda *a: pytest.fail("data drawn"))
+        with pytest.raises(ValueError, match="eps_threshold must be"):
+            figure_sweep(GPConfig(n=10, m=2, seed=1), 1, eps_threshold=threshold)
 
     def test_rejects_rank_zero(self):
         cfg = GPConfig(n=10, m=2, seed=1)

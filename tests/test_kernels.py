@@ -17,7 +17,6 @@ from chain_perturb import (
     kernel_pair,
     local_epsilon,
     n_step_average_law,
-    SharpnessInstance,
     StateFunction,
     tv_distance,
 )
@@ -272,14 +271,14 @@ class TestAverageLaw:
 
     def test_matches_closed_form_power_average(self):
         # oracle: average the closed-form matrix powers of the perturbed flip chain
-        inst = SharpnessInstance(beta=0.25, epsilon=0.1, gamma=0.85, n=30)
-        P_eps, _ = kernel_pair(inst.beta, inst.epsilon)
-        nu = np.array([inst.gamma, 1.0 - inst.gamma])
+        beta, eps, gamma, n = 0.25, 0.1, 0.85, 30
+        P_eps, _ = kernel_pair(beta, eps)
+        nu = np.array([gamma, 1.0 - gamma])
         avg = np.zeros(2)
-        for k in range(inst.n):
-            avg += nu @ perturbed_power_closed_form(inst, k)
-        avg /= inst.n
-        law = n_step_average_law(nu, P_eps, inst.n)
+        for k in range(n):
+            avg += nu @ perturbed_power_closed_form(beta, eps, k)
+        avg /= n
+        law = n_step_average_law(nu, P_eps, n)
         np.testing.assert_allclose(law.weights, avg, atol=1e-12)
 
     def test_rejects_bad_horizon(self):

@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -402,6 +404,21 @@ class TestEmpiricalPathLaw:
 class TestRunExperiments:
     CONFIG = dict(n=60, replicates=300, seed=3, f=[0.0, 1.0],
                   stopping=StoppingRule(kind="hitting", targets=(1,)))
+
+    def test_one_batch_alive_at_a_time(self, monkeypatch):
+        # the checks held the previous batch while the next was drawn
+        monkeypatch.setattr(mc, "iter_coupled_batches",
+                            functools.partial(mc.iter_coupled_batches, batch_size=2000))
+        run_experiments(["disagreement"], flip_config(n=100, replicates=10))  # warm up
+        peaks = {}
+        for replicates in (2000, 6000):
+            tracemalloc.start()
+            try:
+                run_experiments(["disagreement"], flip_config(n=100, replicates=replicates))
+                peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6000] <= 1.15 * peaks[2000]
 
     @pytest.fixture()
     def sim_calls(self, monkeypatch):

@@ -66,19 +66,30 @@ def test_readme_python_blocks_run():
         exec(compile(code, "README.md", "exec"), {})
 
 
-def package_references():
-    """Names that package code reads, each outside the definition that binds it."""
-    used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
+def package_nodes(skip=()):
+    """``(definer, node)`` for every AST node of package code outside the files ``skip``.
+
+    ``definer`` is the name the enclosing top-level statement binds (a
+    function or class), or the file name for any other statement.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in skip:
             continue
         for stmt in ast.parse(path.read_text()).body:
-            own = getattr(stmt, "name", None)
+            definer = getattr(stmt, "name", path.name)
             for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name is not None and name != own:
-                    used.add(name)
-    return used
+                yield definer, node
+
+
+def _read_name(node):
+    """The name a ``Name`` or an attribute access reads, else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def package_references():
+    """Names that package code reads, each outside the definition that binds it."""
+    return {name for definer, node in package_nodes(skip=("__init__.py",))
+            if (name := _read_name(node)) is not None and name != definer}
 
 
 def test_every_export_has_a_package_caller():
@@ -95,15 +106,8 @@ def test_every_export_has_a_package_caller():
 
 def test_integer_test_is_read_through_count():
     # a count checked by hand outside kernels.py drifts from kernels._count
-    readers = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "kernels.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name == "_is_integer":
-                    readers.add(getattr(stmt, "name", path.name))
+    readers = {d for d, node in package_nodes(skip=("kernels.py",))
+               if _read_name(node) == "_is_integer"}
     assert sorted(readers - set(INTEGER_TEST_READERS)) == []
     # an entry that no longer reads the test is stale
     assert sorted(readers) == sorted(INTEGER_TEST_READERS)
@@ -111,15 +115,9 @@ def test_integer_test_is_read_through_count():
 
 def test_tv_is_read_through_kernels():
     # a TV distance computed by hand outside kernels.py drifts from kernels._row_tv
-    callers = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "kernels.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            for node in ast.walk(stmt):
-                if (isinstance(node, ast.Attribute) and node.attr == "abs"
-                        and isinstance(node.value, ast.Name) and node.value.id == "np"):
-                    callers.add(getattr(stmt, "name", path.name))
+    callers = {d for d, node in package_nodes(skip=("kernels.py",))
+               if isinstance(node, ast.Attribute) and node.attr == "abs"
+               and isinstance(node.value, ast.Name) and node.value.id == "np"}
     assert sorted(callers - set(ABS_CALLERS)) == []
     # an entry that no longer calls np.abs is stale
     assert sorted(callers) == sorted(ABS_CALLERS)
@@ -127,12 +125,8 @@ def test_tv_is_read_through_kernels():
 
 def test_stopping_rule_is_read_in_one_place():
     # a check that reads config.stopping itself drifts from montecarlo._stopping
-    readers = set()
-    for path in PACKAGE.glob("*.py"):
-        for stmt in ast.parse(path.read_text()).body:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Attribute) and node.attr == "stopping":
-                    readers.add(getattr(stmt, "name", path.name))
+    readers = {d for d, node in package_nodes()
+               if isinstance(node, ast.Attribute) and node.attr == "stopping"}
     assert sorted(readers - set(STOPPING_READERS)) == []
     # an entry that no longer reads the rule is stale
     assert sorted(readers) == sorted(STOPPING_READERS)
