@@ -22,9 +22,12 @@ S^2 pairs is tabulated (3 S^3 + S^2 floats, within the O(S^2) budget at that
 size), so no step ever splits a row pair.  For larger S only the S diagonal
 pairs ``(x, x)`` are: a coupled pair always sits on the diagonal, and a pair
 off it maps to -1 and splits its two kernel rows in the step that needs
-them.  Every draw inverts a CDF row by binary search, O(log S) per
-trajectory and step, so the stepper's memory is O(S^2 + batch * S) plus one
-chunk of 500 steps of the batch's uniforms and the batch's paths.
+them.  A draw from the tables inverts a CDF row by binary search, O(log S),
+and a coupled pair searches once for both chains.  A pair off the table
+builds the CDFs of only the parts it reads (two, or one when it couples) and
+inverts them by a linear count, O(S).  The stepper's memory is
+O(S^2 + batch * S) plus one chunk of 500 steps of the batch's uniforms and
+the batch's paths.
 
 RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
 ``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
@@ -161,22 +164,54 @@ def _pick(cdf, rows, u):
     return pos - base
 
 
-_LEFTOVER = np.array([[1], [2]])  # the leftover part of each chain in a split's cdf
-
-
 def _draw(split, rows, u):
     """Next pair of states from rows ``rows`` of ``split``, with uniforms ``u`` (count, 3).
 
     ``u[:, 0]`` decides whether the pair moves together.  A coupled pair
     reads the shared part with ``u[:, 1]`` for both chains; otherwise the
     approximating chain reads its leftover part with ``u[:, 1]`` and the base
-    chain its own with ``u[:, 2]``.  Both chains are one binary search.
+    chain its own with ``u[:, 2]``.  One binary search serves both chains of
+    a coupled pair; a free pair searches a second time, for the base chain,
+    in the same call.
     """
     rho, cdf = split
-    coupled = u[:, 0] < rho[rows]
-    part = np.where(coupled, 0, _LEFTOVER)
-    nxt_e, nxt_b = _pick(cdf, rows + rho.size * part, np.where(coupled, u[:, 1], u[:, 1:].T))
-    return nxt_e, nxt_b
+    free = u[:, 0] >= rho[rows]
+    loose = np.flatnonzero(free)
+    # the approximating chain reads part 0 or 1 of its row, a free base chain part 2
+    rows = np.concatenate([rows + rho.size * free, rows[loose] + 2 * rho.size])
+    return _both_chains(_pick(cdf, rows, np.concatenate([u[:, 1], u[loose, 2]])), loose)
+
+
+def _draw_fresh(rows_eps, rows_base, u):
+    """:func:`_draw` on the split of each paired row, built for this one draw.
+
+    Only the parts a pair reads get a CDF: the shared part of a coupled
+    pair, the approximating chain's leftover part of a free one, and the
+    base chain's leftover part of the free pairs alone.  The few fresh rows
+    are inverted by the linear count that :func:`_pick` equals, with the
+    same bits as a draw from the split's sampling tables.
+    """
+    m = np.minimum(rows_eps, rows_base)
+    free = u[:, 0] >= m.sum(axis=-1)
+    loose = np.flatnonzero(free)
+    # rows_eps - m is max(rows_eps - rows_base, 0) bit for bit, and likewise for the base
+    parts = np.concatenate([np.where(free[:, None], rows_eps - m, m),
+                            rows_base[loose] - m[loose]])
+    picks = (_cdf(parts) <= np.concatenate([u[:, 1], u[loose, 2]])[:, None]).sum(axis=1)
+    return _both_chains(picks, loose)
+
+
+def _both_chains(picks, loose):
+    """Split one search's ``picks`` into ``(nxt_e, nxt_b)``.
+
+    ``picks`` holds every pair's approximating chain, then the base chain of
+    each pair in ``loose``; every other base chain moves with its
+    approximating chain.
+    """
+    count = picks.size - loose.size
+    nxt_b = picks[:count].copy()
+    nxt_b[loose] = picks[count:]
+    return picks[:count], nxt_b
 
 
 def _as_initial(value, n_states, name):
@@ -241,7 +276,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         xe[:, 0] = cur_e
         xb[:, 0] = cur_b
         y = np.empty((count, n + 1), dtype=np.int8)
-        y[:, 0] = cur_e != cur_b
+        cur_y = (cur_e != cur_b).view(np.int8)
+        y[:, 0] = cur_y
         for k in range(n):
             u = next(uniforms)
             rows = pair_row[cur_e, cur_b]
@@ -250,12 +286,12 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
             nxt_e, nxt_b = _draw(table, rows, u)
             off = np.flatnonzero(rows < 0)
             if off.size:
-                split = _split(A.rows[cur_e[off]], B.rows[cur_b[off]])
-                nxt_e[off], nxt_b[off] = _draw(split, np.arange(off.size), u[off])
+                nxt_e[off], nxt_b[off] = _draw_fresh(A.rows[cur_e[off]], B.rows[cur_b[off]], u[off])
             cur_e, cur_b = nxt_e, nxt_b
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
-            y[:, k + 1] = u[:, 0] >= to_one[y[:, k]]
+            cur_y = (u[:, 0] >= to_one[cur_y]).view(np.int8)
+            y[:, k + 1] = cur_y
             xe[:, k + 1] = cur_e
             xb[:, k + 1] = cur_b
         del u, uniforms  # free this batch's chunk buffer before the next batch draws its own

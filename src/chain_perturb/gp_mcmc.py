@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bounds import _require, _require_finite_nonnegative
-from .errors import NumericalFailureError
-from .kernels import _count, _max_cross_tv, _row_tv
+from .errors import DimensionMismatchError, NumericalFailureError
+from .kernels import _count, _max_cross_tv, _reals, _row_tv
 
 __all__ = [
     "GPConfig",
@@ -222,11 +222,17 @@ def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
     array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks of ``n``
     and above give the full-rank table.  ``spectrum`` is ``z``'s entry of
     :func:`_spectra`; without it one eigen pass is made for ``z`` alone.
+    ``z`` must hold ``config.n`` finite reals.
     """
     ranks = np.asarray(q)
     if ranks.dtype.kind not in "iu" or np.any(ranks < 1):
         raise ValueError(f"ranks must be integers >= 1, got {q!r}")
-    z = np.asarray(z, dtype=float)
+    z = _reals(z, "z")
+    if z.shape != (config.n,):
+        raise DimensionMismatchError(f"z must be a vector of {config.n} observations, "
+                                     f"got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z entries must be finite")
     vals, coef_sq, logdet = spectrum if spectrum is not None else _spectra(config, [z])[0]
     n = z.size
     x2 = np.asarray(config.grid_x2, dtype=float)[:, None]

@@ -50,6 +50,12 @@ CASES = {
                        "--replicates", "1100", "--seed", "3", "--x0", "0", "--x0-eps", "2"],
     "simulate_pair12": ["simulate", "--pair", "pair12.json", "--n", "40",
                         "--replicates", "1100", "--seed", "4", "--x0", "1", "--x0-eps", "5"],
+    # unequal law starts: the initial pair is drawn from the one-row split of
+    # the two laws, leftover parts included; at S = 12 off-diagonal pairs are
+    # untabulated, and 1100 trajectories cross the first RNG block
+    "verify_pair12": ["verify", "--config", "verify_pair12.json"],
+    # one equal law start (a fully shared split) and a deterministic rule
+    "verify_pair12_equal": ["verify", "--config", "verify_pair12_equal.json"],
     # 1200 steps cross two 500-step chunks of uniforms
     "trajectory": ["simulate", "--pair", "tie_pair.json", "--n", "1200", "--seed", "2"],
 }

@@ -384,6 +384,68 @@ class TestStepperOracle:
             np.testing.assert_array_equal(_pick(cdf, rows, u), linear_pick(cdf[rows], u))
 
 
+def reference_draw(rows_eps, rows_base, u):
+    """One coupled draw per row pair, at its definition: linear picks on all three parts' CDFs."""
+    m = np.minimum(rows_eps, rows_base)
+    coupled = u[:, 0] < m.sum(axis=1)
+    common = linear_pick(reference_cdf(m), u[:, 1])
+    own_e = linear_pick(reference_cdf(np.clip(rows_eps - rows_base, 0.0, None)), u[:, 1])
+    own_b = linear_pick(reference_cdf(np.clip(rows_base - rows_eps, 0.0, None)), u[:, 2])
+    return np.where(coupled, common, own_e), np.where(coupled, common, own_b)
+
+
+class TestDraw:
+    """Both draw paths, the tabulated and the fresh split, against the definition, exactly."""
+
+    U_MAX = np.nextafter(1.0, 0.0)
+
+    @staticmethod
+    def row_pairs(rng, R, S):
+        """R pairs of probability rows with zero entries; some equal, some one ulp apart."""
+        rows = sparse_weights(rng, (2, R, S))
+        rows[rows.sum(axis=2) == 0.0, 0] = 1.0
+        pe, pb = rows / rows.sum(axis=2, keepdims=True)
+        kind = rng.integers(0, 4, size=R)
+        same = (kind == 1) | (kind == 2)
+        pb[same] = pe[same]                           # no leftover mass
+        for i in np.flatnonzero(kind == 2):           # leftover masses 0 and one ulp
+            j = rng.choice(np.flatnonzero(pb[i] > 0.0))
+            pb[i, j] = np.nextafter(pb[i, j], 2.0)
+        t = rng.uniform(0.0, 1.0, size=(R, 1))
+        pb = np.where(kind[:, None] == 3, (1.0 - t) * pe + t * pb, pb)
+        return pe, pb
+
+    def uniforms(self, rng, pe, pb):
+        """0.0, the largest double below 1, or a value on the split: rho, or an entry of a part's CDF."""
+        R, S = pe.shape
+        m = np.minimum(pe, pb)
+        parts = [reference_cdf(m), reference_cdf(np.clip(pe - pb, 0.0, None)),
+                 reference_cdf(np.clip(pb - pe, 0.0, None))]
+        col = rng.integers(0, S, size=R)
+        on_split = np.stack([m.sum(axis=1),
+                             np.where(rng.random((R, 1)) < 0.5, parts[0], parts[1])[np.arange(R), col],
+                             parts[2][np.arange(R), col]], axis=1)
+        on_split = np.minimum(on_split, self.U_MAX)
+        u = rng.random((R, 3))
+        which = rng.integers(0, 4, size=u.shape)
+        u[which == 0] = 0.0
+        u[which == 1] = self.U_MAX
+        return np.where(which == 2, on_split, u)
+
+    def test_both_paths_match_definition(self):
+        rng = np.random.default_rng(83)
+        for _ in range(300):
+            R, S = int(rng.integers(1, 9)), int(rng.integers(1, 25))
+            pe, pb = self.row_pairs(rng, R, S)
+            rows = rng.integers(0, R, size=64)
+            u = self.uniforms(rng, pe[rows], pb[rows])
+            want_e, want_b = reference_draw(pe[rows], pb[rows], u)
+            for got_e, got_b in (coupling._draw(_split(pe, pb), rows, u),
+                                 coupling._draw_fresh(pe[rows], pb[rows], u)):
+                np.testing.assert_array_equal(got_e, want_e)
+                np.testing.assert_array_equal(got_b, want_b)
+
+
 class TestSimulateCoupled:
     def test_identical_kernels_never_decouple(self):
         _, P = FLIP_PAIR

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chain_perturb import (
+    DimensionMismatchError,
     GPConfig,
     NumericalFailureError,
     cross_doeblin_constant,
@@ -390,6 +391,18 @@ class TestFigureSweep:
         cfg = GPConfig(n=10, m=2, seed=1)
         with pytest.raises(ValueError, match="ranks must be integers >= 1"):
             lowrank_log_table(cfg, generate_data(cfg, 0), q)
+
+    @pytest.mark.parametrize("z, error, match", [
+        (np.full(10, np.nan), ValueError, "z entries must be finite"),
+        (np.r_[np.zeros(9), np.inf], ValueError, "z entries must be finite"),
+        (np.zeros(5), DimensionMismatchError, "vector of 10 observations"),
+        (np.zeros((2, 10)), DimensionMismatchError, "vector of 10 observations"),
+        (["a"] * 10, ValueError, "z entries must be real numbers"),
+    ], ids=["nan", "inf", "short", "matrix", "string"])
+    def test_lowrank_table_rejects_bad_data(self, z, error, match):
+        # an all-NaN z returned an all-NaN table; a 5-entry z failed inside matmul
+        with pytest.raises(error, match=match):
+            lowrank_log_table(GPConfig(n=10, m=2, seed=1), z, 2)
 
     @pytest.mark.parametrize("threshold", [float("nan"), -1.0, True, "x"])
     def test_rejects_bad_eps_threshold_before_drawing_data(self, monkeypatch, threshold):
