@@ -16,18 +16,19 @@ consumer (the checks, the ``simulate`` command) reduces or writes a chunk
 before the next one is drawn.  The closeness constants that drive the
 dominating chain are always computed from the kernels themselves.
 
-The split is held as sampling tables, each part a table of row CDFs, with an
-S x S map from a state pair to its table row.  When S <= 5 every one of the
-S^2 pairs is tabulated (3 S^3 + S^2 floats, within the O(S^2) budget at that
-size), so no step ever splits a row pair.  For larger S only the S diagonal
-pairs ``(x, x)`` are: a coupled pair always sits on the diagonal, and a pair
-off it maps to -1 and splits its two kernel rows in the step that needs
-them.  A draw from the tables inverts a CDF row by binary search, O(log S),
-and a coupled pair searches once for both chains.  A pair off the table
-builds the CDFs of only the parts it reads (two, or one when it couples) and
-inverts them by a linear count, O(S).  The stepper's memory is
-O(S^2 + batch * S) plus one chunk of 500 steps of the batch's uniforms and
-the batch's paths.
+The split is held as sampling tables, each part a table of row CDFs.  When
+S <= 5 every one of the S^2 pairs is tabulated (3 S^3 + S^2 floats, within
+the O(S^2) budget at that size): the pair ``(e, b)`` reads row ``e * S + b``,
+so no step ever splits a row pair.  For larger S only the S diagonal pairs
+``(x, x)`` are, at row ``x``: a coupled pair always sits on the diagonal.
+Every pair draws from the row of its approximating chain's state, and a pair
+off the diagonal is then drawn again from the split of its two kernel rows,
+built in the step that needs it; so is a start drawn from two laws.  A draw
+from the tables inverts a CDF row by binary search, O(log S), and a coupled
+pair searches once for both chains.  A fresh split gets the CDFs of only the
+parts a pair reads (two, or one when it couples), inverted by a linear
+count, O(S).  The stepper's memory is O(S^2 + batch * S) plus one chunk of
+500 steps of the batch's uniforms and the batch's paths.
 
 RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
 ``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
@@ -84,19 +85,6 @@ class CoupledBatch:
         return self.x.shape[1]
 
 
-def _row_decomposition(p, q):
-    """Pointwise-minimum split of probability vectors (last axis): ``(rho, parts)``.
-
-    ``parts`` stacks, on a new leading axis, the pointwise minimum ``min``
-    and the positive parts ``pos`` and ``neg`` of ``p - q`` and ``q - p``,
-    which have disjoint supports; ``rho = sum(min)`` is the shared mass.
-    Broadcasts over leading axes.
-    """
-    m = np.minimum(p, q)
-    parts = np.stack([m, np.maximum(p - q, 0.0), np.maximum(q - p, 0.0)])
-    return m.sum(axis=-1), parts
-
-
 def product_kernel_row(P_eps, P, xi) -> ProbDist:
     """Explicit joint one-step law on state pairs out of the pair ``xi``.
 
@@ -109,10 +97,12 @@ def product_kernel_row(P_eps, P, xi) -> ProbDist:
     supports).
     """
     A, B = _kernel_pair(P_eps, P)
-    rho, (m, pos, neg) = _row_decomposition(A.rows[xi[0]], B.rows[xi[1]])
+    p, q = A.rows[xi[0]], B.rows[xi[1]]
+    m = np.minimum(p, q)
+    rho = m.sum()
     joint = np.diag(m)
     if rho < 1.0:
-        joint += np.outer(pos, neg) / (1.0 - rho)
+        joint += np.outer(p - m, q - m) / (1.0 - rho)
     return ProbDist(joint.ravel())
 
 
@@ -120,11 +110,12 @@ def _split(rows_eps, rows_base):
     """Sampling form of the split of R paired rows: ``(rho, cdf)``.
 
     ``rho`` (R,) is the shared mass of each row pair; ``cdf`` (3, R, S) holds
-    the row CDFs (:func:`_cdf`) of the shared part and of the two leftover
-    parts.
+    the row CDFs (:func:`_cdf`) of the shared part, the pointwise minimum
+    ``m``, and of the two leftover parts ``rows_eps - m`` and
+    ``rows_base - m``, which have disjoint supports.
     """
-    rho, parts = _row_decomposition(rows_eps, rows_base)
-    return rho, _cdf(parts)
+    m = np.minimum(rows_eps, rows_base)
+    return m.sum(axis=-1), _cdf(np.stack([m, rows_eps - m, rows_base - m]))
 
 
 def _cdf(rows):
@@ -253,9 +244,11 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     init_e, we = _as_initial(x0_eps, S, "x0_eps")
     init_b, wb = _as_initial(x0, S, "x0")
     sample_init = init_e is None or init_b is None
-    if sample_init:
-        init_split = _split(we[None, :], wb[None, :])
-    table, pair_row = _pair_tables(A.rows, B.rows)
+    all_pairs = S <= _ALL_PAIRS_MAX
+    if all_pairs:
+        table = _split(np.repeat(A.rows, S, 0), np.tile(B.rows, (S, 1)))
+    else:
+        table = _split(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
     if batch_size is None:
         batch_size = max(1, min(n_traj, 1_500_000 // steps))
@@ -269,7 +262,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         xe = np.empty((count, n + 1), dtype=np.int32)
         xb = np.empty((count, n + 1), dtype=np.int32)
         if sample_init:
-            cur_e, cur_b = _draw(init_split, np.zeros(count, dtype=np.intp), next(uniforms))
+            cur_e, cur_b = _draw_fresh(np.broadcast_to(we, (count, S)),
+                                       np.broadcast_to(wb, (count, S)), next(uniforms))
         else:
             cur_e = np.full(count, init_e, dtype=np.intp)
             cur_b = np.full(count, init_b, dtype=np.intp)
@@ -280,14 +274,16 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         y[:, 0] = cur_y
         for k in range(n):
             u = next(uniforms)
-            rows = pair_row[cur_e, cur_b]
-            # A -1 row indexes the table from its end, so its draw stays in
-            # bounds; the pair's own split replaces it.
-            nxt_e, nxt_b = _draw(table, rows, u)
-            off = np.flatnonzero(rows < 0)
-            if off.size:
-                nxt_e[off], nxt_b[off] = _draw_fresh(A.rows[cur_e[off]], B.rows[cur_b[off]], u[off])
-            cur_e, cur_b = nxt_e, nxt_b
+            if all_pairs:
+                cur_e, cur_b = _draw(table, cur_e * S + cur_b, u)
+            else:
+                # Drawing every pair, not the diagonal ones alone, and then
+                # redrawing the rest measured no slower on a dense S=200 pair.
+                nxt_e, nxt_b = _draw(table, cur_e, u)
+                off = np.flatnonzero(cur_e != cur_b)
+                if off.size:
+                    nxt_e[off], nxt_b[off] = _draw_fresh(A.rows[cur_e[off]], B.rows[cur_b[off]], u[off])
+                cur_e, cur_b = nxt_e, nxt_b
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
             cur_y = (u[:, 0] >= to_one[cur_y]).view(np.int8)
@@ -300,22 +296,6 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
 
 
 _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget
-
-
-def _pair_tables(rows_eps, rows_base):
-    """The tabulated split and the S x S map from a state pair to its row (-1: untabulated).
-
-    All S^2 pairs when S <= 5, pair ``(e, b)`` at row ``e * S + b``;
-    otherwise the S diagonal pairs only, pair ``(x, x)`` at row ``x``.
-    """
-    S = rows_eps.shape[0]
-    if S <= _ALL_PAIRS_MAX:
-        table = _split(np.repeat(rows_eps, S, 0), np.tile(rows_base, (S, 1)))
-        return table, np.arange(S * S).reshape(S, S)
-    pair_row = np.full((S, S), -1, dtype=np.intp)
-    np.fill_diagonal(pair_row, np.arange(S))
-    return _split(rows_eps, rows_base), pair_row
-
 
 _BLOCK = 1024  # trajectories per RNG substream; part of the RNG contract
 

@@ -362,13 +362,15 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
     """Run the named checks on one coupled run; results in the order of ``names``.
 
     Every check reads the same run of horizon ``n``; ``decoupling`` and
-    ``path_law`` stop at ``tau ^ n`` and ``tau ^ (n + 1)``.  Unknown names and
-    invalid configs are rejected before anything is simulated, and so is a
-    ``lam`` that is not finite and positive, although only the tail checks
-    read it.  Each result equals, bit for bit, the matching ``empirical_*``
-    call, where there is one.
+    ``path_law`` stop at ``tau ^ n`` and ``tau ^ (n + 1)``.  An empty
+    ``names``, unknown names and invalid configs are rejected before anything
+    is simulated, and so is a ``lam`` that is not finite and positive,
+    although only the tail checks read it.  Each result equals, bit for bit,
+    the matching ``empirical_*`` call, where there is one.
     """
     names = list(names)
+    if not names:
+        raise ValueError(f"no experiment named; known: {', '.join(EXPERIMENT_NAMES)}")
     unknown = [name for name in names if name not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown experiment(s) {', '.join(map(repr, unknown))}; "

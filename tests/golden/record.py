@@ -6,8 +6,10 @@ except ``manifest.json`` (it records a duration), plus ``stdout.txt``.
 ``tests/test_golden.py`` reruns every case and compares bytes, so any change
 to a stored output must rewrite it here and say why in CHANGES.md.
 
-``gp-sweep`` is left out: the last digits of its ``sweep.csv`` depend on the
-LAPACK ``eigh`` in use.
+One file is compared with a tolerance: the last digits of ``gp-sweep``'s
+``sweep.csv`` depend on the LAPACK ``eigh`` in use, so the ``gp_sweep`` case
+requires the same ``(replicate, q)`` rows with values within 1e-12; its
+``config.json`` and stdout are compared byte for byte.
 
 The ``trajectory`` case runs ``tie_pair.json``, whose rows 0 and 2 are built
 from the uniforms of seed 2, trajectory 0: its first two draws land exactly
@@ -50,14 +52,16 @@ CASES = {
                        "--replicates", "1100", "--seed", "3", "--x0", "0", "--x0-eps", "2"],
     "simulate_pair12": ["simulate", "--pair", "pair12.json", "--n", "40",
                         "--replicates", "1100", "--seed", "4", "--x0", "1", "--x0-eps", "5"],
-    # unequal law starts: the initial pair is drawn from the one-row split of
-    # the two laws, leftover parts included; at S = 12 off-diagonal pairs are
+    # unequal law starts: the initial pair is drawn from the split of the two
+    # laws, leftover parts included; at S = 12 off-diagonal pairs are
     # untabulated, and 1100 trajectories cross the first RNG block
     "verify_pair12": ["verify", "--config", "verify_pair12.json"],
     # one equal law start (a fully shared split) and a deterministic rule
     "verify_pair12_equal": ["verify", "--config", "verify_pair12_equal.json"],
     # 1200 steps cross two 500-step chunks of uniforms
     "trajectory": ["simulate", "--pair", "tie_pair.json", "--n", "1200", "--seed", "2"],
+    # desk scale (n=100, m=5)
+    "gp_sweep": ["gp-sweep", "--replicates", "20"],
 }
 
 _INPUT_FLAGS = {"--pair", "--config"}

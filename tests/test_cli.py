@@ -10,9 +10,11 @@ import tracemalloc
 
 import pytest
 
-from chain_perturb import VerificationResult, iter_coupled_batches, kernel_pair
+from chain_perturb import iter_coupled_batches, kernel_pair
 from chain_perturb.cli import main
 import chain_perturb.cli as cli_mod
+import chain_perturb.montecarlo as mc_mod
+from golden.record import INPUTS
 from helpers import kernel_to_json, stack_batches
 
 
@@ -286,16 +288,27 @@ class TestVerify:
         rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
         assert rc == 0
 
-    def test_unsatisfied_exits_one(self, tmp_path, pair_file, monkeypatch):
-        # wiring test: force an unsatisfied result through the dispatcher
-        def fake(names, config, lam=1.0):
-            return [VerificationResult(name=name, estimate=1.0, std_error=0.0,
-                                       bound=0.0, satisfied=False, replicates_used=1)
-                    for name in names]
-        monkeypatch.setattr(cli_mod, "run_experiments", fake)
-        cfg = self.write_config(tmp_path, pair_file, experiments=["disagreement"])
-        rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
+    def test_unsatisfied_exits_one(self, tmp_path, monkeypatch):
+        # a real run of the verify_flip config: only the disagreement row reads the halved bound
+        bound = mc_mod.avg_disagreement_bound
+        monkeypatch.setattr(mc_mod, "avg_disagreement_bound", lambda params: bound(params) / 2)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config",
+                   str(INPUTS / "verify_flip.json")])
         assert rc == 1
+        satisfied = {r["name"]: r["satisfied"] for r in read_csv(out / "verify.csv")}
+        assert satisfied.pop("disagreement") == "false"
+        assert len(satisfied) == 5 and set(satisfied.values()) == {"true"}
+
+    def test_no_experiments_exits_two_before_simulating(self, tmp_path, pair_file, monkeypatch):
+        # an empty list simulated the whole run and exited 0 with a header-only verify.csv
+        def never(*args, **kwargs):
+            raise AssertionError("simulated")
+        monkeypatch.setattr(mc_mod, "iter_coupled_batches", never)
+        cfg = self.write_config(tmp_path, pair_file, experiments=[])
+        rc = main(["--out-dir", str(tmp_path / "out"), "verify", "--config", str(cfg)])
+        assert rc == 2
+        assert not (tmp_path / "out" / "verify.csv").exists()
 
     def test_numerical_failure_exits_three(self, tmp_path, pair_file, monkeypatch):
         from chain_perturb import NumericalFailureError

@@ -434,6 +434,7 @@ class TestDraw:
 
     def test_both_paths_match_definition(self):
         rng = np.random.default_rng(83)
+        law_rng = np.random.default_rng(89)  # the law starts' uniforms; rng's stream is unchanged
         for _ in range(300):
             R, S = int(rng.integers(1, 9)), int(rng.integers(1, 25))
             pe, pb = self.row_pairs(rng, R, S)
@@ -444,6 +445,15 @@ class TestDraw:
                                  coupling._draw_fresh(pe[rows], pb[rows], u)):
                 np.testing.assert_array_equal(got_e, want_e)
                 np.testing.assert_array_equal(got_b, want_b)
+            # a law start: one row pair broadcast (stride 0) to every draw, against
+            # C-ordered copies (a row sum over an F-ordered copy may differ in the last bit)
+            law_e, law_b = (np.repeat(p[rows[:1]], rows.size, axis=0) for p in (pe, pb))
+            u = self.uniforms(law_rng, law_e, law_b)
+            want_e, want_b = reference_draw(law_e, law_b, u)
+            got_e, got_b = coupling._draw_fresh(np.broadcast_to(pe[rows[0]], (rows.size, S)),
+                                                np.broadcast_to(pb[rows[0]], (rows.size, S)), u)
+            np.testing.assert_array_equal(got_e, want_e)
+            np.testing.assert_array_equal(got_b, want_b)
 
 
 class TestSimulateCoupled:

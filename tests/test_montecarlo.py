@@ -491,3 +491,9 @@ class TestRunExperiments:
         with pytest.raises(ValueError):
             run_experiments(["disagreement", "average_difference"], flip_config())
         assert sim_calls == []
+
+    def test_empty_names_rejected_before_simulating(self, sim_calls):
+        # an empty list ran the whole coupled simulation and returned []
+        with pytest.raises(ValueError, match="no experiment"):
+            run_experiments([], flip_config(**self.CONFIG))
+        assert sim_calls == []
