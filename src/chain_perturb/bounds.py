@@ -235,14 +235,15 @@ def decoupling_time_bound(epsilon, expected_tau) -> float:
     return min(1.0, epsilon * expected_tau)
 
 
-def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundReport, BoundReport, BoundReport]:
+def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[float, float, float]:
     """Perturbation-route estimates built from the Poisson solution of the base chain.
 
-    Returns three reports: mean bias ``4 f_inf/(a n) + 4 e f_inf / a``, second
-    moment ``(3/a^2)(16 e^2 + 16/n^2) f_inf^2 + 12 f_inf^2/(a^2 n)``, and the
-    tail value ``2 exp(-a^2 lam^2/32)`` matching
-    :func:`remark_tail_threshold`.  All three are invariant under shifting the
-    observable, so ``f_inf`` may validly be the half-oscillation ``|f|_*``.
+    Returns ``(mean_bias, second_moment, tail)``: mean bias ``4 f_inf/(a n) +
+    4 e f_inf / a``, second moment ``(3/a^2)(16 e^2 + 16/n^2) f_inf^2 + 12
+    f_inf^2/(a^2 n)``, and the tail value ``2 exp(-a^2 lam^2/32)`` matching
+    :func:`remark_tail_threshold`, uncapped like
+    :func:`base_concentration_bound`.  All three are invariant under shifting
+    the observable, so ``f_inf`` may validly be the half-oscillation ``|f|_*``.
     """
     a = _require_doeblin(params)
     _require_finite_nonnegative("f_inf", f_inf)
@@ -251,11 +252,7 @@ def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[BoundRe
     mean_bias = 4.0 * f_inf / (a * n) + 4.0 * e * f_inf / a
     second_moment = 3.0 / (a * a) * (16.0 * e * e + 16.0 / (n * n)) * f_inf ** 2 \
         + 12.0 / (a * a * n) * f_inf ** 2
-    return (
-        _report("remark_mean_bias", mean_bias, cap=False),
-        _report("remark_second_moment", second_moment, cap=False),
-        _report("remark_tail", tail, cap=True),
-    )
+    return mean_bias, second_moment, tail
 
 
 def remark_tail_threshold(lam, params: BoundParams, f_inf) -> float:
@@ -266,15 +263,29 @@ def remark_tail_threshold(lam, params: BoundParams, f_inf) -> float:
     return 4.0 / a * (params.epsilon + 1.0 / params.n) * f_inf + lam * f_inf / math.sqrt(params.n)
 
 
-def _report(name, raw, cap):
-    # Probability/TV-valued entries are capped at 1; the raw value is kept.
-    if cap and raw > 1.0:
-        return BoundReport(name, 1.0, raw, True, True)
-    return BoundReport(name, raw, raw, False, True)
+def _remark(k):
+    """Row value: entry ``k`` of :func:`remark_perturbation_bounds`, read with ``f_inf = |f|_*``."""
+    return lambda p, lam, tau: remark_perturbation_bounds(p, p.f_star, lam)[k]
 
 
-def _failed(name):
-    return BoundReport(name, None, None, False, False)
+# The report table, in print order: (name, capped at 1, extra input, value).
+# A row whose extra input, lambda or E[tau], is not given is left out.
+_ROWS = (
+    ("avg_disagreement", True, None, lambda p, lam, tau: avg_disagreement_bound(p)),
+    # reads p0 as the TV distance of the initial laws: the same value
+    ("averaged_tv", True, None, lambda p, lam, tau: avg_disagreement_bound(p)),
+    ("coupled_variance", False, None, lambda p, lam, tau: coupled_variance_bound(p)),
+    ("variance_of_time_average", False, None, lambda p, lam, tau: variance_of_time_average_bound(p)),
+    ("coupled_concentration", True, "lam", lambda p, lam, tau: coupled_concentration_bound(lam, p)),
+    ("base_concentration", True, "lam", lambda p, lam, tau: base_concentration_bound(lam, p)),
+    ("stationary_gap", True, None, lambda p, lam, tau: stationary_gap_bound(p.epsilon, p.a)),
+    ("decoupling_time", True, "tau", lambda p, lam, tau: decoupling_time_bound(p.epsilon, tau)),
+    # a path functional measurable at the stopping time: the same value
+    ("path_law", True, "tau", lambda p, lam, tau: decoupling_time_bound(p.epsilon, tau)),
+    ("remark_mean_bias", False, "lam", _remark(0)),
+    ("remark_second_moment", False, "lam", _remark(1)),
+    ("remark_tail", True, "lam", _remark(2)),
+)
 
 
 def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> list[BoundReport]:
@@ -283,36 +294,22 @@ def evaluate_report_table(params: BoundParams, lam=None, expected_tau=None) -> l
     Bounds whose constants are missing or out of regime appear with
     ``regime_ok=False`` instead of raising, so the table is always complete.
     The tail rows require ``lam``; the decoupling rows require
-    ``expected_tau``.  The perturbation-route rows use ``params.f_star`` as the (centered)
-    sup-norm of the observable.
+    ``expected_tau``.  Probability- and TV-valued rows are capped at 1, the
+    raw value kept.  The perturbation-route rows use ``params.f_star`` as the
+    (centered) sup-norm of the observable.
     """
     if lam is not None:
         _require_lambda(lam)  # a bad lambda is an input error, not a regime failure
+    given = {None: True, "lam": lam is not None, "tau": expected_tau is not None}
     rows = []
-
-    def attempt(name, fn, cap):
+    for name, cap, needs, value in _ROWS:
+        if not given[needs]:
+            continue
         try:
-            rows.append(_report(name, fn(), cap))
+            raw = value(params, lam, expected_tau)
         except InvalidRegimeError:
-            rows.append(_failed(name))
-
-    # averaged_tv reads p0 as the TV distance of the initial laws; same value
-    for name in ("avg_disagreement", "averaged_tv"):
-        attempt(name, lambda: avg_disagreement_bound(params), cap=True)
-    attempt("coupled_variance", lambda: coupled_variance_bound(params), cap=False)
-    attempt("variance_of_time_average", lambda: variance_of_time_average_bound(params), cap=False)
-    if lam is not None:
-        attempt("coupled_concentration", lambda: coupled_concentration_bound(lam, params), cap=True)
-        attempt("base_concentration", lambda: base_concentration_bound(lam, params), cap=True)
-    attempt("stationary_gap", lambda: stationary_gap_bound(params.epsilon, params.a), cap=True)
-    if expected_tau is not None:
-        # a path functional measurable at the stopping time: same value
-        for name in ("decoupling_time", "path_law"):
-            attempt(name, lambda: decoupling_time_bound(params.epsilon, expected_tau), cap=True)
-    if lam is not None:
-        try:
-            rows.extend(remark_perturbation_bounds(params, params.f_star, lam))
-        except InvalidRegimeError:
-            rows.extend(_failed(n) for n in
-                        ("remark_mean_bias", "remark_second_moment", "remark_tail"))
+            rows.append(BoundReport(name, None, None, False, False))
+            continue
+        capped = cap and raw > 1.0
+        rows.append(BoundReport(name, 1.0 if capped else raw, raw, capped, True))
     return rows

@@ -23,12 +23,13 @@ so no step ever splits a row pair.  For larger S only the S diagonal pairs
 ``(x, x)`` are, at row ``x``: a coupled pair always sits on the diagonal.
 Every pair draws from the row of its approximating chain's state, and a pair
 off the diagonal is then drawn again from the split of its two kernel rows,
-built in the step that needs it; so is a start drawn from two laws.  A draw
-from the tables inverts a CDF row by binary search, O(log S), and a coupled
-pair searches once for both chains.  A fresh split gets the CDFs of only the
+built in the step that needs it, at most 512 pairs at a time; a start drawn
+from two laws reads the one-row split of the two laws.  A draw from the
+tables inverts a CDF row by binary search, O(log S), and a coupled pair
+searches once for both chains.  A fresh split gets the CDFs of only the
 parts a pair reads (two, or one when it couples), inverted by a linear
-count, O(S).  The stepper's memory is O(S^2 + batch * S) plus one chunk of
-500 steps of the batch's uniforms and the batch's paths.
+count, O(S).  The stepper's memory is O(S^2 + batch * n): the batch's paths,
+one chunk of 500 steps of its uniforms and one slice of fresh splits.
 
 RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
 ``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
@@ -262,8 +263,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         xe = np.empty((count, n + 1), dtype=np.int32)
         xb = np.empty((count, n + 1), dtype=np.int32)
         if sample_init:
-            cur_e, cur_b = _draw_fresh(np.broadcast_to(we, (count, S)),
-                                       np.broadcast_to(wb, (count, S)), next(uniforms))
+            cur_e, cur_b = _draw(_split(we[None], wb[None]), np.zeros(count, np.intp),
+                                 next(uniforms))
         else:
             cur_e = np.full(count, init_e, dtype=np.intp)
             cur_b = np.full(count, init_b, dtype=np.intp)
@@ -281,8 +282,9 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
                 # redrawing the rest measured no slower on a dense S=200 pair.
                 nxt_e, nxt_b = _draw(table, cur_e, u)
                 off = np.flatnonzero(cur_e != cur_b)
-                if off.size:
-                    nxt_e[off], nxt_b[off] = _draw_fresh(A.rows[cur_e[off]], B.rows[cur_b[off]], u[off])
+                for lo in range(0, off.size, _FRESH_ROWS):
+                    sl = off[lo:lo + _FRESH_ROWS]
+                    nxt_e[sl], nxt_b[sl] = _draw_fresh(A.rows[cur_e[sl]], B.rows[cur_b[sl]], u[sl])
                 cur_e, cur_b = nxt_e, nxt_b
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
@@ -296,6 +298,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
 
 
 _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget
+
+_FRESH_ROWS = 512  # off-diagonal pairs per fresh split: a few (512, S) arrays, whatever the batch
 
 _BLOCK = 1024  # trajectories per RNG substream; part of the RNG contract
 

@@ -179,16 +179,18 @@ class _Check(NamedTuple):
     """One check over the coupled run of horizon ``n``.
 
     ``per_batch`` maps a :class:`CoupledBatch` to one value (or row of
-    values) per trajectory; ``finish`` turns the values of all replicates,
-    in trajectory order, into the check's result.
+    values) per trajectory; ``terms`` turns the values of all replicates, in
+    trajectory order, into one term per replicate, whose mean is the
+    estimate held against ``bound``.
     """
 
     per_batch: Callable
-    finish: Callable
+    bound: float
+    terms: Callable = lambda values: values
 
 
-def _run_checks(config: ExperimentConfig, checks):
-    """Results of ``checks``, all read from one coupled run of horizon ``n``."""
+def _run_checks(config: ExperimentConfig, names, checks):
+    """Results of ``checks``, named ``names``, all read from one coupled run of horizon ``n``."""
     parts = [[] for _ in checks]
     # batches arrive in trajectory order
     for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
@@ -196,7 +198,8 @@ def _run_checks(config: ExperimentConfig, checks):
         for check, values in zip(checks, parts):
             values.append(check.per_batch(batch))
         del batch  # one batch alive while the next is drawn
-    return [check.finish(np.concatenate(values)) for check, values in zip(checks, parts)]
+    return [_result(name, check.terms(np.concatenate(values)), check.bound)
+            for name, check, values in zip(names, checks, parts)]
 
 
 def _first_hit_times(states, on, missing):
@@ -240,9 +243,7 @@ def expected_hitting_time(P, targets, start=None):
 
 def _disagreement(config, params, lam):
     n = config.n
-    bound = avg_disagreement_bound(params)
-    return _Check(lambda batch: batch.z[:, :n].mean(axis=1),
-                  lambda v: _result("disagreement", v, bound))
+    return _Check(lambda batch: batch.z[:, :n].mean(axis=1), avg_disagreement_bound(params))
 
 
 def _average_difference(config, params, lam):
@@ -250,22 +251,20 @@ def _average_difference(config, params, lam):
         raise ValueError("config.f is required for the average-difference check")
     fv = config.f.values
     n = config.n
-    bound = coupled_variance_bound(params)
 
     def per_batch(batch):
         diff = fv[batch.x[:, :n]].mean(axis=1) - fv[batch.x_eps[:, :n]].mean(axis=1)
         return diff ** 2
 
-    return _Check(per_batch, lambda v: _result("average_difference", v, bound))
+    return _Check(per_batch, coupled_variance_bound(params))
 
 
 def _tail(config, params, lam):
     # threshold of a trajectory, indexed by its initial disagreement 0 or 1
     thr = np.array([coupled_concentration_threshold(lam, params, d) for d in (False, True)])
     n = config.n
-    bound = coupled_concentration_bound(lam, params)
     return _Check(lambda batch: batch.z[:, :n].mean(axis=1) >= thr[batch.z[:, 0]],
-                  lambda v: _result("tail", v, bound))
+                  coupled_concentration_bound(lam, params))
 
 
 def _base_tail(config, params, lam):
@@ -275,9 +274,8 @@ def _base_tail(config, params, lam):
     fv = config.f.values
     mu_f = float(invariant_measure(config.p).weights @ fv)
     n = config.n
-    bound = base_concentration_bound(lam, params)
     return _Check(lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
-                  lambda v: _result("base_tail", v, bound))
+                  base_concentration_bound(lam, params))
 
 
 def _stopping(config, params, kinds):
@@ -303,8 +301,8 @@ def _stopping(config, params, kinds):
             lambda states, cap: _first_hit_times(states, on, cap))
 
 
-def _decoupling_of(name, path, kinds):
-    """Check ``name``: P(the binary ``path`` of a batch first reads 1 by ``tau ^ n``).
+def _decoupling_of(path, kinds):
+    """The check P(the binary ``path`` of a batch first reads 1 by ``tau ^ n``).
 
     ``path`` is ``"z"``, the disagreement indicator, or ``"y"``, the
     dominating chain, which reads 1 wherever ``z`` does.
@@ -317,7 +315,7 @@ def _decoupling_of(name, path, kinds):
             # first step reading 1 (n + 1: none in the run) against tau ^ n
             return _first_hit_times(getattr(batch, path), _ON_ONE, n + 1) <= tau(batch.x, n)
 
-        return _Check(per_batch, lambda v: _result(name, v, bound))
+        return _Check(per_batch, bound)
 
     return check
 
@@ -332,7 +330,7 @@ def _path_law(config, params, lam):
         # tau ^ (n + 1) of each marginal: a hit after step n reads n + 1
         return np.stack([tau(batch.x, n + 1), tau(batch.x_eps, n + 1)], axis=1)
 
-    def finish(v):
+    def terms(v):
         tau_p, tau_q = v[:, 0], v[:, 1]
         p_hat = np.bincount(tau_p, minlength=n + 2) / tau_p.size
         q_hat = np.bincount(tau_q, minlength=n + 2) / tau_q.size
@@ -340,9 +338,9 @@ def _path_law(config, params, lam):
         # replicate, whose mean is the plug-in estimate and whose spread gives
         # the paired standard error.
         signs = np.sign(p_hat - q_hat)
-        return _result("path_law", 0.5 * (signs[tau_p] - signs[tau_q]), bound)
+        return 0.5 * (signs[tau_p] - signs[tau_q])
 
-    return _Check(per_batch, finish)
+    return _Check(per_batch, bound, terms)
 
 
 _CHECKS = {
@@ -350,8 +348,8 @@ _CHECKS = {
     "average_difference": _average_difference,
     "tail": _tail,
     "base_tail": _base_tail,
-    "decoupling": _decoupling_of("decoupling", "z", ("deterministic", "hitting")),
-    "bounding_decoupling": _decoupling_of("bounding_decoupling", "y", ("deterministic",)),
+    "decoupling": _decoupling_of("z", ("deterministic", "hitting")),
+    "bounding_decoupling": _decoupling_of("y", ("deterministic",)),
     "path_law": _path_law,
 }
 
@@ -377,7 +375,7 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
     _require_lambda(lam)
     params = closeness_params(config)
-    return _run_checks(config, [_CHECKS[name](config, params, lam) for name in names])
+    return _run_checks(config, names, [_CHECKS[name](config, params, lam) for name in names])
 
 
 def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:

@@ -273,7 +273,7 @@ def test_criterion_12_remark_mean_bias():
     est = float(per_rep.mean())
     se = float(per_rep.std(ddof=1) / np.sqrt(R))
     params = cp.BoundParams(epsilon=0.1, n=n, a=0.5)
-    bound = cp.remark_perturbation_bounds(params, 1.0, 1.0)[0].value
+    bound = cp.remark_perturbation_bounds(params, 1.0, 1.0)[0]
     ok = abs(mu_f - est) <= bound + 3.0 * se
     elapsed = time.monotonic() - t0
     report(12, ok and elapsed < 60.0,

@@ -198,21 +198,21 @@ class TestRemarkBounds:
     def test_plug_in_mean_bias(self):
         params = BoundParams(epsilon=0.05, n=100, a=0.5)
         mean_bias, second, tail = remark_perturbation_bounds(params, 1.0, 1.0)
-        assert mean_bias.value == pytest.approx(0.08 + 0.4, rel=1e-12)
+        assert mean_bias == pytest.approx(0.08 + 0.4, rel=1e-12)
 
     def test_zero_observable(self):
         params = BoundParams(epsilon=0.05, n=100, a=0.5)
         mean_bias, second, tail = remark_perturbation_bounds(params, 0.0, 1.0)
-        assert mean_bias.value == 0.0
-        assert second.value == 0.0
+        assert mean_bias == 0.0
+        assert second == 0.0
 
     def test_zero_eps_recovers_single_chain_shape(self):
         params = BoundParams(epsilon=0.0, n=50, a=0.5)
         mean_bias, second, tail = remark_perturbation_bounds(params, 1.0, 2.0)
-        assert mean_bias.value == pytest.approx(4.0 / (0.5 * 50), rel=1e-12)
-        assert second.value == pytest.approx(
+        assert mean_bias == pytest.approx(4.0 / (0.5 * 50), rel=1e-12)
+        assert second == pytest.approx(
             (3.0 / 0.25) * (16.0 / 2500.0) + 12.0 / (0.25 * 50), rel=1e-12)
-        assert tail.raw == pytest.approx(2.0 * math.exp(-0.25 * 4.0 / 32.0), rel=1e-12)
+        assert tail == pytest.approx(2.0 * math.exp(-0.25 * 4.0 / 32.0), rel=1e-12)
 
     def test_threshold(self):
         params = BoundParams(epsilon=0.05, n=100, a=0.5)

@@ -300,6 +300,43 @@ class TestVerify:
         assert satisfied.pop("disagreement") == "false"
         assert len(satisfied) == 5 and set(satisfied.values()) == {"true"}
 
+    # each bound evaluator the checks read, and the checks that read it
+    READERS = {
+        "avg_disagreement_bound": {"disagreement"},
+        "coupled_variance_bound": {"average_difference"},
+        "coupled_concentration_bound": {"tail"},
+        "base_concentration_bound": {"base_tail"},
+        "decoupling_time_bound": {"decoupling", "path_law", "bounding_decoupling"},
+    }
+
+    def run_planted(self, tmp_path, monkeypatch, evaluator, **extra):
+        """``satisfied`` per row of the verify_flip config with ``evaluator`` planted to 0."""
+        doc = json.loads((INPUTS / "verify_flip.json").read_text())
+        doc.update(pair=str(INPUTS / doc["pair"]), **extra)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        monkeypatch.setattr(mc_mod, evaluator, lambda *args: 0.0)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "verify", "--config", str(cfg)]) == 1
+        rows = read_csv(out / "verify.csv")
+        assert [r["name"] for r in rows] == doc["experiments"]
+        return {r["name"]: r["satisfied"] for r in rows}
+
+    @pytest.mark.parametrize("evaluator", sorted(READERS))
+    def test_every_check_can_fail(self, tmp_path, monkeypatch, evaluator):
+        # a bound of 0 fails exactly the rows that read it; every other row holds
+        satisfied = self.run_planted(tmp_path, monkeypatch, evaluator)
+        assert satisfied == {name: "false" if name in self.READERS[evaluator] else "true"
+                             for name in satisfied}
+
+    def test_bounding_decoupling_can_fail(self, tmp_path, monkeypatch):
+        satisfied = self.run_planted(
+            tmp_path, monkeypatch, "decoupling_time_bound",
+            stopping={"kind": "deterministic", "time": 5},
+            experiments=["disagreement", "decoupling", "bounding_decoupling"])
+        assert satisfied == {"disagreement": "true", "decoupling": "false",
+                             "bounding_decoupling": "false"}
+
     def test_no_experiments_exits_two_before_simulating(self, tmp_path, pair_file, monkeypatch):
         # an empty list simulated the whole run and exited 0 with a header-only verify.csv
         def never(*args, **kwargs):

@@ -6,6 +6,17 @@ import pathlib
 import re
 import runpy
 
+from chain_perturb import (
+    ExperimentConfig,
+    StoppingRule,
+    bounds,
+    closeness_params,
+    expected_hitting_time,
+    kernel_pair,
+    montecarlo,
+    run_experiments,
+)
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "chain_perturb"
@@ -24,6 +35,27 @@ UNCALLED_EXPORTS = {
     "remark_tail_threshold": _EXACT_ROW,
     "product_kernel_row": "the one-step pair law an exact-law oracle of the coupled chain propagates",
     "kernel_pair": "the example family of the README quick start",
+}
+
+# Each bounds-table row that a verify check tests, with the name of that check.
+CHECKED_ROWS = {
+    "avg_disagreement": "disagreement",
+    "coupled_variance": "average_difference",
+    "coupled_concentration": "tail",
+    "base_concentration": "base_tail",
+    "decoupling_time": "decoupling",
+    "path_law": "path_law",
+}
+
+_EXACT_CHECK = "; its verify check comes with the exact bounds-table rows"
+# Bounds-table rows that no verify check tests, each with the reason.
+UNCHECKED_ROWS = {
+    "averaged_tv": "acceptance criterion 1 tests it exactly on the two-state family" + _EXACT_CHECK,
+    "variance_of_time_average": "no test holds it against a chain yet" + _EXACT_CHECK,
+    "stationary_gap": "acceptance criterion 6 tests it exactly on random pairs" + _EXACT_CHECK,
+    "remark_mean_bias": "acceptance criterion 12 tests it on the flip pair only" + _EXACT_CHECK,
+    "remark_second_moment": "no test holds it against a chain yet" + _EXACT_CHECK,
+    "remark_tail": "no test holds it against a chain yet" + _EXACT_CHECK,
 }
 
 # Package definitions outside kernels.py that read ``_is_integer`` directly
@@ -130,3 +162,27 @@ def test_stopping_rule_is_read_in_one_place():
     assert sorted(readers - set(STOPPING_READERS)) == []
     # an entry that no longer reads the rule is stale
     assert sorted(readers) == sorted(STOPPING_READERS)
+
+
+def test_every_report_row_is_checked_or_listed():
+    # a new bounds-table row needs a verify check or a stated reason why it has none
+    rows = [name for name, *_ in bounds._ROWS]
+    assert set(CHECKED_ROWS).isdisjoint(UNCHECKED_ROWS)
+    # an entry whose row was renamed or deleted, or whose check was, is stale
+    assert sorted(rows) == sorted([*CHECKED_ROWS, *UNCHECKED_ROWS])
+    assert set(CHECKED_ROWS.values()) <= set(montecarlo.EXPERIMENT_NAMES)
+
+
+def test_checked_rows_are_the_bounds_of_their_checks():
+    # one shared config: a check holds its estimate against its row's raw value
+    P_eps, P = kernel_pair(0.25, 0.1)
+    rule = StoppingRule("hitting", targets=(1,))
+    config = ExperimentConfig(p_eps=P_eps, p=P, n=20, replicates=4, master_seed=3,
+                              f=[0.0, 1.0], stopping=rule)
+    lam = 1.5
+    raw = {r.name: r.raw for r in bounds.evaluate_report_table(
+        closeness_params(config), lam=lam,
+        expected_tau=expected_hitting_time(P, rule.targets, config.x0))}
+    results = run_experiments(CHECKED_ROWS.values(), config, lam)
+    assert {row: result.bound for row, result in zip(CHECKED_ROWS, results)} == \
+        {row: raw[row] for row in CHECKED_ROWS}
