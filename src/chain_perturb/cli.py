@@ -9,7 +9,6 @@ usage or config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from .bounds import BoundParams, evaluate_report_table
 from .coupling import iter_coupled_batches
 from .errors import InvalidRegimeError, NumericalFailureError
 from .kernels import (
-    StateFunction,
+    _json_object,
     cross_doeblin_constant,
     doeblin_constant,
     kernel_from_json,
@@ -101,8 +100,7 @@ def _load_pair(source, base=""):
     if isinstance(source, (str, os.PathLike)):
         with open(os.path.join(base, source)) as fh:
             source = json.load(fh)
-    if not isinstance(source, dict) or "P" not in source or "P_eps" not in source:
-        raise ValueError("pair must contain fields 'P' and 'P_eps'")
+    _json_object(source, "pair", ("P", "P_eps"))
     return kernel_from_json(source["P_eps"]), kernel_from_json(source["P"])
 
 
@@ -173,23 +171,21 @@ def _cmd_simulate(args, out_dir):
     batch = next(batches)  # the first batch runs every input check before a file is opened
     name = "trajectory.csv" if single else "summary.csv"
     disagreements = 0
-    with open(os.path.join(out_dir, name), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if single:
-            writer.writerow(["step", "x", "x_eps", "z", "y"])
-        else:
-            writer.writerow(["seed", "n", "disagreement_fraction", "first_decoupling_step"])
+    with open(os.path.join(out_dir, name), "w") as fh:
+        fh.write("step,x,x_eps,z,y\n" if single
+                 else "seed,n,disagreement_fraction,first_decoupling_step\n")
         while batch is not None:
             z = batch.z[:, :n]
             disagreements += int(np.count_nonzero(z))
             if single:
-                writer.writerows(zip(range(n + 1), batch.x[0].tolist(), batch.x_eps[0].tolist(),
-                                     batch.z[0].tolist(), batch.y[0].tolist()))
+                fh.writelines(f"{k},{x},{xe},{zk},{yk}\n" for k, x, xe, zk, yk in zip(
+                    range(n + 1), batch.x[0].tolist(), batch.x_eps[0].tolist(),
+                    batch.z[0].tolist(), batch.y[0].tolist()))
             else:
                 fracs = z.mean(axis=1).tolist()
                 firsts = np.where(batch.z.any(axis=1), batch.z.argmax(axis=1), -1).tolist()
-                writer.writerows([batch.first_index + i, n, format(frac, ".17g"), first]
-                                 for i, (frac, first) in enumerate(zip(fracs, firsts)))
+                fh.writelines(f"{batch.first_index + i},{n},{_fmt(frac)},{first}\n"
+                              for i, (frac, first) in enumerate(zip(fracs, firsts)))
             del batch, z  # one batch alive while the next is drawn
             batch = next(batches, None)
     sys.stdout.write(
@@ -199,40 +195,35 @@ def _cmd_simulate(args, out_dir):
     return EXIT_OK, [name], args.seed
 
 
-def _experiment_setup(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-    experiments = doc.get("experiments", ["disagreement"])
-    if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
-        raise ValueError(f"experiments must be a list of names, got {experiments!r}")
-    lam = doc.get("lambda", 1.0)
-    stopping = None
-    if "stopping" in doc:
-        sd = doc["stopping"]
-        if not isinstance(sd, dict):
-            raise ValueError(f"stopping must be an object with a 'kind', got {sd!r}")
-        targets = sd.get("targets", [])
-        if not isinstance(targets, list):
-            raise ValueError(f"stopping targets must be a list of states, got {targets!r}")
-        stopping = StoppingRule(kind=sd.get("kind"), time=sd.get("time"), targets=tuple(targets))
-    config = ExperimentConfig(
-        *_load_pair(doc["pair"], os.path.dirname(os.path.abspath(path))),
-        n=doc["n"],
-        replicates=doc["replicates"],
-        master_seed=doc.get("seed", 0),
-        x0_eps=doc.get("x0_eps", 0),
-        x0=doc.get("x0", 0),
-        f=StateFunction(doc["f"]) if "f" in doc else None,
-        stopping=stopping,
-    )
-    return config, experiments, lam, doc
+# Each verify config key and the ExperimentConfig field or run_experiments parameter it
+# sets ("pair" names the pair document that sets p_eps and p).  An absent key takes its
+# setting's default; "seed" defaults to 0 and "experiments" to ["disagreement"].
+_CONFIG_FIELDS = {"pair": ("p_eps", "p"), "n": "n", "replicates": "replicates",
+                  "seed": "master_seed", "x0_eps": "x0_eps", "x0": "x0", "f": "f",
+                  "stopping": "stopping"}
+_RUN_PARAMS = {"experiments": "names", "lambda": "lam"}
+_REQUIRED_KEYS = ("pair", "n", "replicates")
+_STOPPING_REQUIRED, _STOPPING_OPTIONAL = ("kind",), ("time", "targets")  # StoppingRule's
 
 
 def _cmd_verify(args, out_dir):
-    config, experiments, lam, doc = _experiment_setup(args.config)
-    results = run_experiments(experiments, config, lam=lam)
+    with open(args.config) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+    doc = {"seed": 0, "experiments": ["disagreement"],
+           **_json_object(doc, "config", _REQUIRED_KEYS, [*_CONFIG_FIELDS, *_RUN_PARAMS])}
+    experiments = doc["experiments"]
+    if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
+        raise ValueError(f"experiments must be a list of names, got {experiments!r}")
+    if "stopping" in doc:
+        doc["stopping"] = StoppingRule(**_json_object(
+            doc["stopping"], "stopping", _STOPPING_REQUIRED, _STOPPING_OPTIONAL))
+    pair = _load_pair(doc.pop("pair"), os.path.dirname(os.path.abspath(args.config)))
+    config = ExperimentConfig(*pair, **{_CONFIG_FIELDS[key]: value for key, value in doc.items()
+                                        if key in _CONFIG_FIELDS})
+    results = run_experiments(config=config, **{_RUN_PARAMS[key]: value
+                                                for key, value in doc.items() if key in _RUN_PARAMS})
     for r in results:
         sys.stdout.write(f"{r.name}: estimate={_fmt(r.estimate)} bound={_fmt(r.bound)} "
                          f"satisfied={str(r.satisfied).lower()}\n")
@@ -240,7 +231,7 @@ def _cmd_verify(args, out_dir):
                [f"{r.name},{_fmt(r.estimate)},{_fmt(r.std_error)},{_fmt(r.bound)},"
                 f"{str(r.satisfied).lower()},{r.replicates_used}" for r in results])
     code = EXIT_OK if all(r.satisfied for r in results) else EXIT_UNSATISFIED
-    return code, ["verify.csv"], doc.get("seed", 0)
+    return code, ["verify.csv"], config.master_seed
 
 
 def _cmd_sharpness(args, out_dir):
@@ -293,7 +284,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
-    except (InvalidRegimeError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (InvalidRegimeError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

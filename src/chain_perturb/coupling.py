@@ -38,7 +38,7 @@ trajectory takes three per step (plus one extra triple up front when the
 initial states are sampled from distributions), in trajectory order.  A
 batch draws this stream a chunk of 500 steps at a time: each trajectory's
 slice of a chunk is reached with PCG64's ``advance``, so results are
-bit-for-bit the same for every ``batch_size`` and chunk width, and a batch
+bit-for-bit the same for every batch size and chunk width, and a batch
 never holds more than one chunk of its own uniforms.  No other substream is
 ever drawn.
 """
@@ -227,7 +227,7 @@ def _as_initial(value, n_states, name):
     return None, w
 
 
-def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
+def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed):
     """Yield :class:`CoupledBatch` chunks of ``n_traj`` coupled trajectories, in order.
 
     The dominating chain runs on the closeness constants of the kernel pair,
@@ -251,10 +251,7 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
     else:
         table = _split(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
-    if batch_size is None:
-        batch_size = max(1, min(n_traj, 1_500_000 // steps))
-    else:
-        batch_size = _count("batch_size", batch_size)
+    batch_size = max(1, min(n_traj, _BATCH_STEPS // steps))
     for start in range(0, n_traj, batch_size):
         count = min(batch_size, n_traj - start)
         # one (count, 3) view per step, in stream order, the first triple of a law start first
@@ -296,6 +293,8 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None)
         yield CoupledBatch(x_eps=xe, x=xb, z=(xe != xb).astype(np.int8), y=y, first_index=start)
         del xe, xb, y  # a consumer that dropped the batch holds no path of it while the next is drawn
 
+
+_BATCH_STEPS = 1_500_000  # steps of all trajectories of one batch
 
 _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget
 

@@ -58,7 +58,7 @@ def _state_tuple(targets):
     try:
         return tuple(targets)
     except TypeError:
-        raise ValueError(f"targets must be a collection of states, got {targets!r}") from None
+        raise ValueError(f"targets must be a list or collection of states, got {targets!r}") from None
 
 
 def _target_states(targets):
@@ -353,11 +353,19 @@ def n_step_average_law(nu, P, n) -> ProbDist:
 # JSON input: {"states": [...], "rows": [[...], ...]} for kernels, reals as
 # decimal literals.  The constructor enforces the 1e-9 acceptance tolerance.
 
+def _json_object(doc, what, required, optional=()):
+    """``doc`` if it is an object with every ``required`` field and others from ``optional``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
+    missing = [key for key in required if key not in doc]
+    unknown = [key for key in doc if key not in required and key not in optional]
+    if missing or unknown:
+        raise ValueError(f"{what} has missing fields {missing} and unknown fields {unknown}")
+    return doc
+
+
 def kernel_from_json(doc) -> FiniteKernel:
-    if not isinstance(doc, dict) or "rows" not in doc:
-        raise ValueError("kernel document must be an object with a 'rows' field, "
-                         f"got {type(doc).__name__}")
-    K = FiniteKernel(doc["rows"])
+    K = FiniteKernel(_json_object(doc, "kernel document", ("rows",), ("states",))["rows"])
     states = doc.get("states")
     if states is not None and (not isinstance(states, list) or len(states) != len(K)):
         raise ValueError(f"kernel field 'states' must be a list of {len(K)} labels, got {states!r}")

@@ -16,6 +16,11 @@ from the uniforms of seed 2, trajectory 0: its first two draws land exactly
 on a CDF entry (entry 1 of row 0, then entry 0 of row 2), so the run pins
 the half-open inverse CDF (a uniform equal to an entry selects past it).
 
+Every CSV ends its lines with a bare line feed.  The ``simulate_pair3``,
+``simulate_pair12`` and ``trajectory`` sets were rewritten once, when
+``simulate`` stopped writing through ``csv.writer``: each new file is its
+old bytes with every CR LF line ending made LF.
+
 Rewrite the set with::
 
     PYTHONPATH=src python tests/golden/record.py

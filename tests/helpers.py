@@ -1,8 +1,9 @@
 """Shared random-instance generators and small adapters for the test suite."""
 
 import numpy as np
+import pytest
 
-from chain_perturb import CoupledBatch, FiniteKernel, as_kernel, iter_coupled_batches
+from chain_perturb import CoupledBatch, FiniteKernel, as_kernel, coupling, iter_coupled_batches
 
 
 def random_dist(rng, n):
@@ -45,10 +46,26 @@ def dense_log_likelihood(gram, x2, z, prior_b=2.0, prior_a=2.0):
     return -0.5 * logdet - 0.5 * (prior_a + z.size) * np.log(prior_b + z @ np.linalg.solve(B, z))
 
 
+def pin_batch_size(monkeypatch, size, steps):
+    """Make the stepper draw ``size`` trajectories per batch on runs of ``steps`` steps.
+
+    ``steps`` is the horizon ``n``, plus one when a start is a law.
+    """
+    monkeypatch.setattr(coupling, "_BATCH_STEPS", size * steps)
+
+
 def stack_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
-    """All ``n_traj`` trajectories of :func:`iter_coupled_batches` stacked into one batch."""
-    chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed,
-                                       batch_size=batch_size))
+    """All ``n_traj`` trajectories of :func:`iter_coupled_batches` stacked into one batch.
+
+    With ``batch_size`` the trajectories are drawn that many at a time.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if batch_size is not None:
+            law_start = not all(isinstance(x, (int, np.integer)) for x in (x0_eps, x0))
+            pin_batch_size(mp, batch_size, n + law_start)
+        chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed))
+    if batch_size is not None:
+        assert len(chunks) == -(-n_traj // batch_size)
     return CoupledBatch(*(np.concatenate([getattr(c, name) for c in chunks])
                           for name in ("x_eps", "x", "z", "y")), first_index=0)
 

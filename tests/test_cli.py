@@ -10,12 +10,12 @@ import tracemalloc
 
 import pytest
 
-from chain_perturb import iter_coupled_batches, kernel_pair
+from chain_perturb import kernel_pair
 from chain_perturb.cli import main
 import chain_perturb.cli as cli_mod
 import chain_perturb.montecarlo as mc_mod
 from golden.record import INPUTS
-from helpers import kernel_to_json, stack_batches
+from helpers import kernel_to_json, pin_batch_size, stack_batches
 
 
 def test_import_needs_only_numpy():
@@ -201,12 +201,6 @@ class TestSimulate:
         assert not (tmp_path / "summary.csv").exists()
 
 
-def pin_batch_size(monkeypatch, batch_size):
-    """Make ``simulate`` draw its trajectories ``batch_size`` at a time."""
-    monkeypatch.setattr(cli_mod, "iter_coupled_batches",
-                        lambda *args: iter_coupled_batches(*args, batch_size=batch_size))
-
-
 class TestSimulateStreaming:
     def run(self, out, pair_file, capsys, n, replicates, seed=3):
         rc = main(["--out-dir", str(out), "simulate", "--pair", str(pair_file), "--n", str(n),
@@ -219,14 +213,14 @@ class TestSimulateStreaming:
                                                replicates, name):
         whole = self.run(tmp_path / "whole", pair_file, capsys, 30, replicates)
         for size in (1, 5):
-            pin_batch_size(monkeypatch, size)
+            pin_batch_size(monkeypatch, size, steps=30)
             out = tmp_path / f"batch{size}"
             assert self.run(out, pair_file, capsys, 30, replicates) == whole
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_peak_memory_independent_of_replicates(self, tmp_path, pair_file, capsys,
                                                    monkeypatch):
-        pin_batch_size(monkeypatch, 100)
+        pin_batch_size(monkeypatch, 100, steps=40)
         self.run(tmp_path / "warm", pair_file, capsys, 40, 10)
         peaks = {}
         for replicates in (200, 2000):
@@ -239,7 +233,7 @@ class TestSimulateStreaming:
 
     def test_one_batch_alive_at_a_time(self, tmp_path, pair_file, capsys, monkeypatch):
         # simulate held the first batch, and the one before the current, while it drew the next
-        pin_batch_size(monkeypatch, 2000)
+        pin_batch_size(monkeypatch, 2000, steps=100)
         self.run(tmp_path / "warm", pair_file, capsys, 100, 10)
         peaks = {}
         for replicates in (2000, 6000):
@@ -411,9 +405,55 @@ class TestVerify:
         ({"kind": "hitting", "targets": 1}, "targets must be a list"),
         ({"kind": "deterministic", "time": 5, "targets": [1]}, "reads no targets"),
         ({"kind": "hitting", "targets": [1], "time": 5}, "reads no time"),
-    ], ids=["time-float", "targets-float", "string", "targets-int", "stray-targets", "stray-time"])
+        ({"kind": "exit", "time": 5}, "kind must be 'deterministic' or 'hitting', got 'exit'"),
+    ], ids=["time-float", "targets-float", "string", "targets-int", "stray-targets", "stray-time",
+            "unknown-kind"])
     def test_malformed_stopping_exits_two(self, tmp_path, pair_file, capsys, stopping, message):
         cfg = self.write_config(tmp_path, pair_file, experiments=["decoupling"], stopping=stopping)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc, pair: doc.update(lamda=3.0),
+         "config has missing fields [] and unknown fields ['lamda']"),
+        (lambda doc, pair: doc.update(x0eps=1, seeds=5),
+         "config has missing fields [] and unknown fields ['x0eps', 'seeds']"),
+        (lambda doc, pair: doc.update(stopping={"kind": "hitting", "targets": [1], "tme": 5}),
+         "stopping has missing fields [] and unknown fields ['tme']"),
+        (lambda doc, pair: pair.update(P_epsilon=pair["P_eps"]),
+         "pair has missing fields [] and unknown fields ['P_epsilon']"),
+        (lambda doc, pair: pair["P"].update(label="base"),
+         "kernel document has missing fields [] and unknown fields ['label']"),
+        (lambda doc, pair: doc.pop("pair"),
+         "config has missing fields ['pair'] and unknown fields []"),
+        (lambda doc, pair: doc.pop("n"),
+         "config has missing fields ['n'] and unknown fields []"),
+        (lambda doc, pair: (doc.pop("replicates"), doc.update(reps=5)),
+         "config has missing fields ['replicates'] and unknown fields ['reps']"),
+        (lambda doc, pair: doc.update(stopping={"time": 5}),
+         "stopping has missing fields ['kind'] and unknown fields []"),
+        (lambda doc, pair: pair.pop("P_eps"),
+         "pair has missing fields ['P_eps'] and unknown fields []"),
+        (lambda doc, pair: pair["P"].pop("rows"),
+         "kernel document has missing fields ['rows'] and unknown fields []"),
+    ], ids=["lamda", "x0eps-seeds", "stopping-tme", "pair-extra", "kernel-extra", "no-pair",
+            "no-n", "no-replicates", "stopping-no-kind", "pair-no-P_eps", "kernel-no-rows"])
+    def test_unknown_or_missing_field_exits_two_before_simulating(
+            self, tmp_path, pair_file, capsys, monkeypatch, edit, message):
+        # an unknown key used to be ignored: "lamda" ran at lambda = 1 and exited 0
+        def never(*args, **kwargs):
+            raise AssertionError("simulated")
+        monkeypatch.setattr(mc_mod, "iter_coupled_batches", never)
+        cfg = self.write_config(tmp_path, pair_file, experiments=["disagreement", "decoupling"],
+                                stopping={"kind": "hitting", "targets": [1]})
+        doc, pair = json.loads(cfg.read_text()), json.loads(pair_file.read_text())
+        edit(doc, pair)
+        pair_file.write_text(json.dumps(pair))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
         assert rc == 2

@@ -6,6 +6,7 @@ import pytest
 
 from chain_perturb import (
     BoundParams,
+    DimensionMismatchError,
     ExperimentConfig,
     FiniteKernel,
     InvalidRegimeError,
@@ -22,7 +23,7 @@ from chain_perturb import (
 )
 from chain_perturb import coupling
 from chain_perturb.coupling import _cdf, _pick, _split
-from helpers import random_dist, random_kernel, random_pair, stack_batches
+from helpers import pin_batch_size, random_dist, random_kernel, random_pair, stack_batches
 from oracles import BoundingChain
 
 FLIP_PAIR = kernel_pair(0.25, 0.1)  # P_eps, P with a=0.5, alpha=0.4, eps=0.1
@@ -553,13 +554,15 @@ class TestSimulateCoupled:
         paths = 10 * count * (n + 1)  # x_eps, x int32; y, z int8
         assert peak <= 1.5 * (paths + 24 * count * coupling._STEP_CHUNK)
 
-    def test_one_batch_alive_at_a_time(self):
+    def test_one_batch_alive_at_a_time(self, monkeypatch):
         # a consumer that drops each batch never holds two batches' paths
+        pin_batch_size(monkeypatch, 2000, steps=100)
+
         def peak(n_traj):
             tracemalloc.start()
             try:
-                collections.deque(iter_coupled_batches(*FLIP_PAIR, 0, 0, 100, n_traj, seed=5,
-                                                       batch_size=2000), maxlen=0)
+                collections.deque(iter_coupled_batches(*FLIP_PAIR, 0, 0, 100, n_traj, seed=5),
+                                  maxlen=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -589,12 +592,6 @@ class TestSimulateCoupled:
         small = peak(2000)
         assert peak(8000) <= 1.5 * small
 
-    @pytest.mark.parametrize("batch_size", [-3, 0, 2.5, True, "4"])
-    def test_bad_batch_size_rejected(self, batch_size):
-        # -3 used to yield no batch at all, and 0 a range() error
-        with pytest.raises(ValueError, match="batch_size must be an integer >= 1"):
-            next(iter_coupled_batches(*FLIP_PAIR, 0, 0, 5, 3, seed=1, batch_size=batch_size))
-
     def test_distribution_starts_sample_maximal_coupling(self):
         P_eps, P = FLIP_PAIR
         batch = stack_batches(P_eps, P, [1.0, 0.0], [0.8, 0.2], 5, 4000, seed=31)
@@ -606,6 +603,10 @@ class TestSimulateCoupled:
         # True is not state 1
         with pytest.raises(ValueError):
             next(iter_coupled_batches(*FLIP_PAIR, x0_eps, x0, 5, 3, seed=1))
+
+    def test_law_start_of_other_length_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="initial law on 3 states, kernel on 2"):
+            next(iter_coupled_batches(*FLIP_PAIR, [0.5, 0.25, 0.25], 0, 5, 3, seed=1))
 
     @pytest.mark.parametrize("n, n_traj", [(True, 3), (5, 2.5), (5, True)],
                              ids=["n-bool", "n_traj-float", "n_traj-bool"])

@@ -291,6 +291,10 @@ class TestAverageLaw:
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             n_step_average_law([1.0, 0.0], np.eye(2), n)
 
+    def test_rejects_law_of_other_length(self):
+        with pytest.raises(DimensionMismatchError, match="distribution on 3 states, kernel on 2"):
+            n_step_average_law([0.5, 0.25, 0.25], np.eye(2), 3)
+
 
 class TestValidationAndSerialization:
     def test_round_trip_kernel(self):
@@ -332,6 +336,17 @@ class TestValidationAndSerialization:
     def test_non_real_entries_rejected(self, build, values):
         # a mapping used to raise TypeError; strings and bools were read as numbers
         with pytest.raises(ValueError, match="entries must be real numbers"):
+            build(values)
+
+    @pytest.mark.parametrize("build, values, message", [
+        (FiniteKernel, [[0.5, np.nan], [0.5, 0.5]], "kernel entries must be finite"),
+        (ProbDist, [0.5, np.inf], "distribution entries must be finite"),
+        (ProbDist, [[0.5, 0.5]], "weights must be a non-empty 1-d vector"),
+        (StateFunction, [[0.0, 1.0]], "state function must be a non-empty 1-d vector"),
+        (StateFunction, [0.0, np.nan], "state function must be finite"),
+    ], ids=["kernel-nan", "dist-inf", "dist-2d", "function-2d", "function-nan"])
+    def test_non_finite_or_misshapen_values_rejected(self, build, values, message):
+        with pytest.raises(ValueError, match=message):
             build(values)
 
     def test_real_entries_of_any_numeric_type_accepted(self):

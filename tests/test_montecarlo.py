@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import os
 import subprocess
 import sys
@@ -13,6 +12,7 @@ import chain_perturb.montecarlo as mc
 from chain_perturb import (
     DimensionMismatchError,
     ExperimentConfig,
+    NumericalFailureError,
     StoppingRule,
     closeness_params,
     coupled_concentration_threshold,
@@ -27,7 +27,7 @@ from chain_perturb import (
     kernel_pair,
     run_experiments,
 )
-from helpers import random_pair, stack_batches
+from helpers import pin_batch_size, random_pair, stack_batches
 
 P_EPS, P = kernel_pair(0.25, 0.1)
 
@@ -132,6 +132,12 @@ class TestExpectedHittingTime:
         with pytest.raises(ValueError, match="integer states"):
             expected_hitting_time(P, [target], 0)
 
+    def test_unreachable_target_raises(self):
+        # state 0 is absorbing, so the system off the target {2} is singular
+        T = [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
+        with pytest.raises(NumericalFailureError, match="hitting-time system singular"):
+            expected_hitting_time(T, [2])
+
     @pytest.mark.parametrize("start", [-1, 2])
     def test_bad_start(self, start):
         with pytest.raises(ValueError):
@@ -227,6 +233,10 @@ class TestEmpiricalTails:
                         for d in batch.z[:, 0]])
         assert res.estimate == np.mean(batch.z[:, :40].mean(axis=1) >= thr)
         assert 0.0 < res.estimate < 1.0
+
+    def test_base_tail_requires_observable(self):
+        with pytest.raises(ValueError, match="config.f is required for the base tail check"):
+            empirical_base_tail(flip_config(), lam=2.0)
 
     def test_base_tail_satisfied(self):
         res = empirical_base_tail(flip_config(f=[0.0, 1.0], n=400, replicates=800), lam=2.0)
@@ -407,8 +417,7 @@ class TestRunExperiments:
 
     def test_one_batch_alive_at_a_time(self, monkeypatch):
         # the checks held the previous batch while the next was drawn
-        monkeypatch.setattr(mc, "iter_coupled_batches",
-                            functools.partial(mc.iter_coupled_batches, batch_size=2000))
+        pin_batch_size(monkeypatch, 2000, steps=100)
         run_experiments(["disagreement"], flip_config(n=100, replicates=10))  # warm up
         peaks = {}
         for replicates in (2000, 6000):

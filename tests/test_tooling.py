@@ -1,7 +1,9 @@
 """Checks on the repository's tooling that the package tests would not notice."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 import re
 import runpy
@@ -10,6 +12,7 @@ from chain_perturb import (
     ExperimentConfig,
     StoppingRule,
     bounds,
+    cli,
     closeness_params,
     expected_hitting_time,
     kernel_pair,
@@ -56,6 +59,25 @@ UNCHECKED_ROWS = {
     "remark_mean_bias": "acceptance criterion 12 tests it on the flip pair only" + _EXACT_CHECK,
     "remark_second_moment": "no test holds it against a chain yet" + _EXACT_CHECK,
     "remark_tail": "no test holds it against a chain yet" + _EXACT_CHECK,
+}
+
+# Each key of a verify config, "stopping.<key>" for a key of its stopping
+# object, with the ExperimentConfig or StoppingRule fields or the
+# run_experiments parameter that it sets.
+VERIFY_KEYS = {
+    "pair": {"ExperimentConfig.p_eps", "ExperimentConfig.p"},
+    "n": {"ExperimentConfig.n"},
+    "replicates": {"ExperimentConfig.replicates"},
+    "seed": {"ExperimentConfig.master_seed"},
+    "x0_eps": {"ExperimentConfig.x0_eps"},
+    "x0": {"ExperimentConfig.x0"},
+    "f": {"ExperimentConfig.f"},
+    "stopping": {"ExperimentConfig.stopping"},
+    "stopping.kind": {"StoppingRule.kind"},
+    "stopping.time": {"StoppingRule.time"},
+    "stopping.targets": {"StoppingRule.targets"},
+    "experiments": {"run_experiments.names"},
+    "lambda": {"run_experiments.lam"},
 }
 
 # Package definitions outside kernels.py that read ``_is_integer`` directly
@@ -186,3 +208,24 @@ def test_checked_rows_are_the_bounds_of_their_checks():
     results = run_experiments(CHECKED_ROWS.values(), config, lam)
     assert {row: result.bound for row, result in zip(CHECKED_ROWS, results)} == \
         {row: raw[row] for row in CHECKED_ROWS}
+
+
+def test_every_verify_key_sets_one_setting():
+    # a key the verify command reads but no field takes, or a field no key sets, is stale
+    read = {key: {f"ExperimentConfig.{f}" for f in ((field,) if isinstance(field, str) else field)}
+            for key, field in cli._CONFIG_FIELDS.items()}
+    read.update({key: {f"run_experiments.{param}"} for key, param in cli._RUN_PARAMS.items()})
+    read.update({f"stopping.{key}": {f"StoppingRule.{key}"}
+                 for key in [*cli._STOPPING_REQUIRED, *cli._STOPPING_OPTIONAL]})
+    assert read == VERIFY_KEYS
+    fields = [(f"{cls.__name__}.{field.name}", field.default)
+              for cls in (ExperimentConfig, StoppingRule) for field in dataclasses.fields(cls)]
+    settable = {name for name, _ in fields}
+    settable |= {f"run_experiments.{name}"
+                 for name in inspect.signature(run_experiments).parameters if name != "config"}
+    assert set().union(*VERIFY_KEYS.values()) == settable
+    # a key is required exactly when its field has no default; "seed" defaults to 0
+    required = [*cli._REQUIRED_KEYS, *(f"stopping.{key}" for key in cli._STOPPING_REQUIRED)]
+    assert set().union(*(read[key] for key in required)) == \
+        {name for name, default in fields if default is dataclasses.MISSING} - \
+        {"ExperimentConfig.master_seed"}
