@@ -28,8 +28,8 @@ from two laws reads the one-row split of the two laws.  A draw from the
 tables inverts a CDF row by binary search, O(log S), and a coupled pair
 searches once for both chains.  A fresh split gets the CDFs of only the
 parts a pair reads (two, or one when it couples), inverted by a linear
-count, O(S).  The stepper's memory is O(S^2 + batch * n): the batch's paths,
-one chunk of 500 steps of its uniforms and one slice of fresh splits.
+count, O(S).  The stepper holds O(S^2) floats, one slice of fresh splits and
+one batch: its paths and a 500-step chunk of its uniforms, in a byte budget.
 
 RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
 ``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
@@ -69,7 +69,11 @@ __all__ = [
 
 @dataclass
 class CoupledBatch:
-    """Stacked coupled trajectories; row i is trajectory ``first_index + i``."""
+    """Stacked coupled trajectories; row i is trajectory ``first_index + i``.
+
+    ``x_eps`` and ``x`` take the smallest signed type that holds ``-S`` (``int8``
+    up to S = 128), so ``x - x_eps`` never wraps; ``z`` and ``y`` are ``int8``.
+    """
 
     x_eps: np.ndarray  # (n_traj, n+1)
     x: np.ndarray
@@ -251,25 +255,24 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed):
     else:
         table = _split(A.rows, B.rows)
     steps = n + (1 if sample_init else 0)
-    batch_size = max(1, min(n_traj, _BATCH_STEPS // steps))
+    path_type = np.min_scalar_type(-S)
+    batch_size = _batch_size(steps, n, path_type)
     for start in range(0, n_traj, batch_size):
         count = min(batch_size, n_traj - start)
         # one (count, 3) view per step, in stream order, the first triple of a law start first
         uniforms = (chunk[:, k] for chunk in _uniform_chunks(seed, start, count, steps)
                     for k in range(chunk.shape[1]))
-        xe = np.empty((count, n + 1), dtype=np.int32)
-        xb = np.empty((count, n + 1), dtype=np.int32)
+        xe = np.empty((count, n + 1), dtype=path_type)
+        xb = np.empty((count, n + 1), dtype=path_type)
         if sample_init:
             cur_e, cur_b = _draw(_split(we[None], wb[None]), np.zeros(count, np.intp),
                                  next(uniforms))
         else:
             cur_e = np.full(count, init_e, dtype=np.intp)
             cur_b = np.full(count, init_b, dtype=np.intp)
-        xe[:, 0] = cur_e
-        xb[:, 0] = cur_b
         y = np.empty((count, n + 1), dtype=np.int8)
         cur_y = (cur_e != cur_b).view(np.int8)
-        y[:, 0] = cur_y
+        xe[:, 0], xb[:, 0], y[:, 0] = cur_e, cur_b, cur_y
         for k in range(n):
             u = next(uniforms)
             if all_pairs:
@@ -286,15 +289,13 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed):
             # Same uniform drives the dominating chain; rho >= 1-eps on the
             # diagonal and rho >= alpha elsewhere make Z <= Y pathwise.
             cur_y = (u[:, 0] >= to_one[cur_y]).view(np.int8)
-            y[:, k + 1] = cur_y
-            xe[:, k + 1] = cur_e
-            xb[:, k + 1] = cur_b
+            xe[:, k + 1], xb[:, k + 1], y[:, k + 1] = cur_e, cur_b, cur_y
         del u, uniforms  # free this batch's chunk buffer before the next batch draws its own
-        yield CoupledBatch(x_eps=xe, x=xb, z=(xe != xb).astype(np.int8), y=y, first_index=start)
+        yield CoupledBatch(x_eps=xe, x=xb, z=(xe != xb).view(np.int8), y=y, first_index=start)
         del xe, xb, y  # a consumer that dropped the batch holds no path of it while the next is drawn
 
 
-_BATCH_STEPS = 1_500_000  # steps of all trajectories of one batch
+_BATCH_BYTES = 16 << 20  # a batch's paths and chunk of uniforms
 
 _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budget
 
@@ -308,6 +309,17 @@ _BLOCK = 1024  # trajectories per RNG substream; part of the RNG contract
 # row, ran a median 7% slower at 512 than at 500 (two-state pair, 750
 # trajectories of 2000 steps, x86-64 Xeon with 48 KiB L1d and 2 MiB L2 per core).
 _STEP_CHUNK = 500
+
+
+def _batch_size(steps, n, path_type):
+    """Trajectories per batch: as many as fit ``_BATCH_BYTES``, at least one.
+
+    Each costs 24 bytes a step of one chunk of uniforms and ``n + 1`` entries
+    of four paths.  Bytes, not steps: a step cap that split 2,500 runs of 400
+    steps also split 500 of 2000, whose per-step-bound loop then slowed 75%.
+    """
+    per_traj = 24 * min(steps, _STEP_CHUNK) + (n + 1) * (2 * path_type.itemsize + 2)
+    return max(1, _BATCH_BYTES // per_traj)
 
 
 def _uniform_chunks(seed, start, count, steps):

@@ -46,12 +46,9 @@ def dense_log_likelihood(gram, x2, z, prior_b=2.0, prior_a=2.0):
     return -0.5 * logdet - 0.5 * (prior_a + z.size) * np.log(prior_b + z @ np.linalg.solve(B, z))
 
 
-def pin_batch_size(monkeypatch, size, steps):
-    """Make the stepper draw ``size`` trajectories per batch on runs of ``steps`` steps.
-
-    ``steps`` is the horizon ``n``, plus one when a start is a law.
-    """
-    monkeypatch.setattr(coupling, "_BATCH_STEPS", size * steps)
+def pin_batch_size(monkeypatch, size):
+    """Make the stepper draw ``size`` trajectories per batch, whatever its byte budget."""
+    monkeypatch.setattr(coupling, "_batch_size", lambda steps, n, path_type: size)
 
 
 def stack_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
@@ -61,8 +58,7 @@ def stack_batches(P_eps, P, x0_eps, x0, n, n_traj, seed, batch_size=None):
     """
     with pytest.MonkeyPatch.context() as mp:
         if batch_size is not None:
-            law_start = not all(isinstance(x, (int, np.integer)) for x in (x0_eps, x0))
-            pin_batch_size(mp, batch_size, n + law_start)
+            pin_batch_size(mp, batch_size)
         chunks = list(iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed))
     if batch_size is not None:
         assert len(chunks) == -(-n_traj // batch_size)

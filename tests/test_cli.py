@@ -213,14 +213,14 @@ class TestSimulateStreaming:
                                                replicates, name):
         whole = self.run(tmp_path / "whole", pair_file, capsys, 30, replicates)
         for size in (1, 5):
-            pin_batch_size(monkeypatch, size, steps=30)
+            pin_batch_size(monkeypatch, size)
             out = tmp_path / f"batch{size}"
             assert self.run(out, pair_file, capsys, 30, replicates) == whole
             assert (out / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
     def test_peak_memory_independent_of_replicates(self, tmp_path, pair_file, capsys,
                                                    monkeypatch):
-        pin_batch_size(monkeypatch, 100, steps=40)
+        pin_batch_size(monkeypatch, 100)
         self.run(tmp_path / "warm", pair_file, capsys, 40, 10)
         peaks = {}
         for replicates in (200, 2000):
@@ -233,7 +233,7 @@ class TestSimulateStreaming:
 
     def test_one_batch_alive_at_a_time(self, tmp_path, pair_file, capsys, monkeypatch):
         # simulate held the first batch, and the one before the current, while it drew the next
-        pin_batch_size(monkeypatch, 2000, steps=100)
+        pin_batch_size(monkeypatch, 2000)
         self.run(tmp_path / "warm", pair_file, capsys, 100, 10)
         peaks = {}
         for replicates in (2000, 6000):

@@ -546,17 +546,54 @@ class TestSimulateCoupled:
         count, n = 200, 4000
         tracemalloc.start()
         try:
-            for _ in iter_coupled_batches(*FLIP_PAIR, 0, 0, n, count, seed=47):
-                pass
+            (batch,) = iter_coupled_batches(*FLIP_PAIR, 0, 0, n, count, seed=47)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        paths = 10 * count * (n + 1)  # x_eps, x int32; y, z int8
+        paths = sum(getattr(batch, name).nbytes for name in ("x_eps", "x", "y", "z"))
         assert peak <= 1.5 * (paths + 24 * count * coupling._STEP_CHUNK)
+
+    @pytest.mark.parametrize("states, n, count", [(2, 400, 20000), (200, 200, 3000)],
+                             ids=["flip", "dense-200"])
+    def test_peak_memory_within_byte_budget(self, states, n, count):
+        # a batch's paths and chunk of uniforms fit _BATCH_BYTES; beside them the
+        # stepper holds its tables and one slice of fresh splits, which one step
+        # of 2,000 trajectories from the off-diagonal pair (1, 0) holds too
+        pair = FLIP_PAIR if states == 2 else random_pair(np.random.default_rng(71), states, 0.1)
+
+        def peak(n, n_traj):
+            tracemalloc.start()
+            try:
+                collections.deque(iter_coupled_batches(*pair, 1, 0, n, n_traj, seed=9), maxlen=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, 2000)  # first-call allocations are not the stepper's
+        assert peak(n, count) <= coupling._BATCH_BYTES + peak(1, 2000)
+
+    def test_budget_splits_wide_short_runs_only(self):
+        def batches(states, n, count):
+            return -(-count // coupling._batch_size(n, n, np.min_scalar_type(-states)))
+
+        # 2,500 two-state runs of 400 steps held 24 MB of uniforms and 8 MB of paths at once
+        assert batches(2, 400, 2500) >= 2
+        # 500 runs of 2000 steps on 200 states, a loop bound by per-step overhead
+        assert batches(200, 2000, 500) == 1
+
+    @pytest.mark.parametrize("states, path_type", [(2, np.int8), (128, np.int8),
+                                                   (129, np.int16), (200, np.int16)])
+    def test_paths_in_smallest_signed_type(self, states, path_type):
+        P_eps, P = random_pair(np.random.default_rng(states), states, 0.5)
+        (batch,) = iter_coupled_batches(P_eps, P, 0, states - 1, 5, 50, seed=3)
+        assert batch.x_eps.dtype == batch.x.dtype == path_type
+        assert batch.z.dtype == batch.y.dtype == np.int8
+        assert batch.x[:, 0].max() - batch.x_eps[:, 0].min() == states - 1
+        np.testing.assert_array_equal(batch.x.astype(int) - batch.x_eps, batch.x - batch.x_eps)
 
     def test_one_batch_alive_at_a_time(self, monkeypatch):
         # a consumer that drops each batch never holds two batches' paths
-        pin_batch_size(monkeypatch, 2000, steps=100)
+        pin_batch_size(monkeypatch, 2000)
 
         def peak(n_traj):
             tracemalloc.start()

@@ -417,7 +417,7 @@ class TestRunExperiments:
 
     def test_one_batch_alive_at_a_time(self, monkeypatch):
         # the checks held the previous batch while the next was drawn
-        pin_batch_size(monkeypatch, 2000, steps=100)
+        pin_batch_size(monkeypatch, 2000)
         run_experiments(["disagreement"], flip_config(n=100, replicates=10))  # warm up
         peaks = {}
         for replicates in (2000, 6000):

@@ -120,6 +120,18 @@ def test_readme_python_blocks_run():
         exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_private_names_exist():
+    # a renamed constant or helper must not leave stale README text behind
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    cited = {(module, name) for module, name in
+             re.findall(r"\b(\w+)\.(_\w+)", (ROOT / "README.md").read_text())
+             if module in modules}
+    assert ("coupling", "_FRESH_ROWS") in cited
+    missing = [f"{module}.{name}" for module, name in sorted(cited)
+               if not hasattr(importlib.import_module(f"chain_perturb.{module}"), name)]
+    assert missing == []
+
+
 def package_nodes(skip=()):
     """``(definer, node)`` for every AST node of package code outside the files ``skip``.
 
