@@ -142,7 +142,8 @@ def _require_cross(params):
 
 def _require_doeblin(params):
     if params.a is None:
-        raise InvalidRegimeError("Doeblin constant a is required for this bound")
+        raise InvalidRegimeError("this bound needs a Doeblin constant a > 0; a base kernel "
+                                 "whose rows do not all overlap has a = 0")
     return params.a
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundParams, evaluate_report_table
 from .coupling import iter_coupled_batches
-from .errors import InvalidRegimeError, NumericalFailureError
+from .errors import NumericalFailureError
 from .kernels import (
     _json_object,
     cross_doeblin_constant,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
-    except (InvalidRegimeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # InvalidRegimeError and JSONDecodeError included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

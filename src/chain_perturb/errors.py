@@ -1,5 +1,7 @@
 """Typed failure modes shared across the package."""
 
+__all__ = ["DimensionMismatchError", "InvalidRegimeError", "NumericalFailureError"]
+
 
 class DimensionMismatchError(ValueError):
     """Two objects that must live on the same state space do not."""

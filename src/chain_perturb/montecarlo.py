@@ -73,7 +73,6 @@ __all__ = [
     "empirical_decoupling",
     "empirical_path_law_distance",
     "run_experiments",
-    "EXPERIMENT_NAMES",
 ]
 
 

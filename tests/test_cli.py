@@ -78,6 +78,14 @@ class TestConstants:
         rc = main(["--out-dir", str(tmp_path), "constants", "--pair", str(tmp_path / "nope.json")])
         assert rc == 2
 
+    def test_pair_file_not_json_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "pair.json"
+        bad.write_text("P: [[0.5, 0.5]]")
+        rc = main(["--out-dir", str(tmp_path / "out"), "constants", "--pair", str(bad)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "constants.csv").exists()
+
 
 class TestBounds:
     def test_csv_table(self, tmp_path, capsys):
@@ -459,6 +467,29 @@ class TestVerify:
         assert rc == 2
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    def test_config_not_json_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{'n': 5}")
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    def test_base_kernel_without_doeblin_constant_exits_two(self, tmp_path, capsys):
+        # the periodic flip has a = 0, which no verify config can override
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"P": kernel_to_json([[0.0, 1.0], [1.0, 0.0]]),
+                                    "P_eps": kernel_to_json([[0.1, 0.9], [0.9, 0.1]])}))
+        cfg = self.write_config(tmp_path, pair, experiments=["base_tail"])
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "a > 0" in err
         assert not (out / "verify.csv").exists()
 
     def test_non_object_config_exits_two(self, tmp_path, capsys):

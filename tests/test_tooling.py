@@ -8,6 +8,7 @@ import pathlib
 import re
 import runpy
 
+import chain_perturb
 from chain_perturb import (
     ExperimentConfig,
     StoppingRule,
@@ -158,11 +159,28 @@ def package_references():
             if (name := _read_name(node)) is not None and name != definer}
 
 
+def exporting_modules():
+    """The modules whose ``__all__`` ``__init__.py`` re-exports, in import order."""
+    return [importlib.import_module(f"chain_perturb.{node.module}")
+            for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+            if isinstance(node, ast.ImportFrom)]
+
+
+def test_each_public_name_is_declared_once():
+    modules = exporting_modules()
+    declared = [name for module in modules for name in module.__all__]
+    # under a wildcard re-export a later module would shadow an earlier one's name
+    assert sorted({name for name in declared if declared.count(name) > 1}) == []
+    assert [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+            if getattr(chain_perturb, name, None) is not getattr(module, name)] == []
+    public = {name for name in dir(chain_perturb) if not name.startswith("_")
+              and not inspect.ismodule(getattr(chain_perturb, name))}
+    assert sorted(public.symmetric_difference(declared)) == []
+
+
 def test_every_export_has_a_package_caller():
     # tests are not callers: a name only tests read belongs in tests/oracles.py
-    exported = [alias.asname or alias.name
-                for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    exported = [name for module in exporting_modules() for name in module.__all__]
     used = package_references()
     uncalled = [name for name in exported if name not in used]
     assert [name for name in uncalled if name not in UNCALLED_EXPORTS] == []
