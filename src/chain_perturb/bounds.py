@@ -46,7 +46,7 @@ class BoundParams:
     n : int
         Averaging horizon (positive).
     alpha : float or None
-        Cross contraction constant in [0, 1); required by the coupled bounds.
+        Cross contraction constant in [0, 1]; required by the coupled bounds.
     a : float or None
         Doeblin constant in (0, 1]; required by the single-chain bounds.
     p0 : float
@@ -72,8 +72,7 @@ class BoundParams:
         _require_unit("p0", self.p0)
         _require_finite_nonnegative("f_star", self.f_star)
         if self.alpha is not None:
-            _require("alpha", self.alpha, "in [0, 1)", lambda v: 0.0 <= v < 1.0,
-                     InvalidRegimeError)
+            _require_unit("alpha", self.alpha, InvalidRegimeError)
         if self.a is not None:
             _require("a", self.a, "in (0, 1]", lambda v: 0.0 < v <= 1.0, InvalidRegimeError)
 
@@ -145,6 +144,11 @@ def _require_doeblin(params):
         raise InvalidRegimeError("this bound needs a Doeblin constant a > 0; a base kernel "
                                  "whose rows do not all overlap has a = 0")
     return params.a
+
+
+def _require_spread(name, value):
+    _require(name, value, "finite and positive: at 0 (a constant f) the tail threshold is 0 "
+             "and the tail event always happens", lambda v: 0.0 < v < math.inf, InvalidRegimeError)
 
 
 def avg_disagreement_bound(params: BoundParams) -> float:
@@ -219,14 +223,14 @@ def base_concentration_threshold(lam, params: BoundParams) -> float:
     """Deviation level paired with :func:`base_concentration_bound`: ``4|f|_*/(n a) + lambda |f|_*/sqrt(n)``."""
     a = _require_doeblin(params)
     _require_lambda(lam)
+    _require_spread("f_star", params.f_star)
     return 4.0 * params.f_star / (params.n * a) + lam * params.f_star / math.sqrt(params.n)
 
 
 def stationary_gap_bound(epsilon, a) -> float:
     """TV gap between the two stationary measures: ``epsilon / a`` (uncapped)."""
-    _require("Doeblin constant", a, "positive", lambda v: v > 0.0, InvalidRegimeError)
-    _require_unit("epsilon", epsilon)
-    return epsilon / a
+    params = BoundParams(epsilon=epsilon, n=1, a=a)  # epsilon and a read by its rules
+    return params.epsilon / _require_doeblin(params)
 
 
 def decoupling_time_bound(epsilon, expected_tau) -> float:
@@ -260,7 +264,7 @@ def remark_tail_threshold(lam, params: BoundParams, f_inf) -> float:
     """Deviation level paired with the perturbation-route tail: ``(4/a)(e + 1/n) f_inf + lam f_inf/sqrt(n)``."""
     a = _require_doeblin(params)
     _require_lambda(lam)
-    _require_finite_nonnegative("f_inf", f_inf)
+    _require_spread("f_inf", f_inf)
     return 4.0 / a * (params.epsilon + 1.0 / params.n) * f_inf + lam * f_inf / math.sqrt(params.n)
 
 

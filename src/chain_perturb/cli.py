@@ -95,11 +95,19 @@ def _build_parser():
     return parser
 
 
+def _read_json(path):
+    """The document in the JSON file ``path``; an error in the text names the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_pair(source, base=""):
     """Kernel pair ``(P_eps, P)`` from a parsed document, or from the JSON file it names."""
     if isinstance(source, (str, os.PathLike)):
-        with open(os.path.join(base, source)) as fh:
-            source = json.load(fh)
+        source = _read_json(os.path.join(base, source))
     _json_object(source, "pair", ("P", "P_eps"))
     return kernel_from_json(source["P_eps"]), kernel_from_json(source["P"])
 
@@ -207,8 +215,7 @@ _STOPPING_REQUIRED, _STOPPING_OPTIONAL = ("kind",), ("time", "targets")  # Stopp
 
 
 def _cmd_verify(args, out_dir):
-    with open(args.config) as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.config)
     if not isinstance(doc, dict):
         raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     doc = {"seed": 0, "experiments": ["disagreement"],
@@ -284,7 +291,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERIC
-    except (ValueError, OSError) as exc:  # InvalidRegimeError and JSONDecodeError included
+    except (ValueError, OSError) as exc:  # InvalidRegimeError included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -28,15 +28,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bounds import (
+    _ROWS,
     BoundParams,
     _require_lambda,
-    avg_disagreement_bound,
-    base_concentration_bound,
     base_concentration_threshold,
-    coupled_concentration_bound,
     coupled_concentration_threshold,
-    coupled_variance_bound,
-    decoupling_time_bound,
 )
 from .coupling import _as_initial, iter_coupled_batches
 from .errors import DimensionMismatchError, NumericalFailureError
@@ -180,25 +176,12 @@ class _Check(NamedTuple):
     ``per_batch`` maps a :class:`CoupledBatch` to one value (or row of
     values) per trajectory; ``terms`` turns the values of all replicates, in
     trajectory order, into one term per replicate, whose mean is the
-    estimate held against ``bound``.
+    estimate; ``expected_tau`` is the ``E[tau]`` of a stopping-time check.
     """
 
     per_batch: Callable
-    bound: float
     terms: Callable = lambda values: values
-
-
-def _run_checks(config: ExperimentConfig, names, checks):
-    """Results of ``checks``, named ``names``, all read from one coupled run of horizon ``n``."""
-    parts = [[] for _ in checks]
-    # batches arrive in trajectory order
-    for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
-                                      config.n, config.replicates, config.master_seed):
-        for check, values in zip(checks, parts):
-            values.append(check.per_batch(batch))
-        del batch  # one batch alive while the next is drawn
-    return [_result(name, check.terms(np.concatenate(values)), check.bound)
-            for name, check, values in zip(names, checks, parts)]
+    expected_tau: float | None = None
 
 
 def _first_hit_times(states, on, missing):
@@ -238,11 +221,11 @@ def expected_hitting_time(P, targets, start=None):
 
 
 # ---------------------------------------------------------------------------
-# checks: each validates its inputs before anything is simulated
+# checks: each validates its inputs before anything is simulated; its bound is
+# the raw value of its bounds-table row, named in _CHECKS
 
 def _disagreement(config, params, lam):
-    n = config.n
-    return _Check(lambda batch: batch.z[:, :n].mean(axis=1), avg_disagreement_bound(params))
+    return _Check(lambda batch: batch.z[:, :config.n].mean(axis=1))
 
 
 def _average_difference(config, params, lam):
@@ -255,15 +238,13 @@ def _average_difference(config, params, lam):
         diff = fv[batch.x[:, :n]].mean(axis=1) - fv[batch.x_eps[:, :n]].mean(axis=1)
         return diff ** 2
 
-    return _Check(per_batch, coupled_variance_bound(params))
+    return _Check(per_batch)
 
 
 def _tail(config, params, lam):
     # threshold of a trajectory, indexed by its initial disagreement 0 or 1
     thr = np.array([coupled_concentration_threshold(lam, params, d) for d in (False, True)])
-    n = config.n
-    return _Check(lambda batch: batch.z[:, :n].mean(axis=1) >= thr[batch.z[:, 0]],
-                  coupled_concentration_bound(lam, params))
+    return _Check(lambda batch: batch.z[:, :config.n].mean(axis=1) >= thr[batch.z[:, 0]])
 
 
 def _base_tail(config, params, lam):
@@ -272,17 +253,16 @@ def _base_tail(config, params, lam):
     thr = base_concentration_threshold(lam, params)
     fv = config.f.values
     mu_f = float(invariant_measure(config.p).weights @ fv)
-    n = config.n
-    return _Check(lambda batch: np.abs(mu_f - fv[batch.x[:, :n]].mean(axis=1)) >= thr,
-                  base_concentration_bound(lam, params))
+    return _Check(lambda batch: np.abs(mu_f - fv[batch.x[:, :config.n]].mean(axis=1)) >= thr)
 
 
 def _stopping(config, params, kinds):
-    """The bound ``min(1, epsilon E[tau])`` of the one rule ``config.stopping``, and ``tau``.
+    """``E[tau]`` of the one rule ``config.stopping``, and ``tau``.
 
     The rule must be one of ``kinds``, the starts equal and a deterministic
     time within the horizon.  ``tau(states, cap)`` is ``tau ^ cap`` per base
-    chain trajectory; ``E[tau] >= E[tau ^ cap]``, so the bound holds at any cap.
+    chain trajectory; ``E[tau] >= E[tau ^ cap]``, so a bound in ``E[tau]``
+    holds at any cap.
     """
     rule = config.stopping
     if rule is None or rule.kind not in kinds:
@@ -292,11 +272,9 @@ def _stopping(config, params, kinds):
     if rule.kind == "deterministic":
         if rule.time > config.n:
             raise ValueError("deterministic stopping time exceeds the simulated horizon")
-        return (decoupling_time_bound(params.epsilon, float(rule.time)),
-                lambda states, cap: min(rule.time, cap))
+        return float(rule.time), lambda states, cap: min(rule.time, cap)
     on = _target_table(rule.targets, len(config.p))
-    return (decoupling_time_bound(params.epsilon,
-                                  expected_hitting_time(config.p, rule.targets, config.x0)),
+    return (expected_hitting_time(config.p, rule.targets, config.x0),
             lambda states, cap: _first_hit_times(states, on, cap))
 
 
@@ -307,14 +285,14 @@ def _decoupling_of(path, kinds):
     dominating chain, which reads 1 wherever ``z`` does.
     """
     def check(config, params, lam):
-        bound, tau = _stopping(config, params, kinds)
+        expected_tau, tau = _stopping(config, params, kinds)
         n = config.n
 
         def per_batch(batch):
             # first step reading 1 (n + 1: none in the run) against tau ^ n
             return _first_hit_times(getattr(batch, path), _ON_ONE, n + 1) <= tau(batch.x, n)
 
-        return _Check(per_batch, bound)
+        return _Check(per_batch, expected_tau=expected_tau)
 
     return check
 
@@ -322,7 +300,7 @@ def _decoupling_of(path, kinds):
 def _path_law(config, params, lam):
     # the laws of tau ^ (n + 1), a function of tau, are as close as those of
     # any path functional measurable at tau: min(1, epsilon E[tau])
-    bound, tau = _stopping(config, params, ("hitting",))
+    expected_tau, tau = _stopping(config, params, ("hitting",))
     n = config.n
 
     def per_batch(batch):
@@ -339,18 +317,20 @@ def _path_law(config, params, lam):
         signs = np.sign(p_hat - q_hat)
         return 0.5 * (signs[tau_p] - signs[tau_q])
 
-    return _Check(per_batch, bound, terms)
+    return _Check(per_batch, terms, expected_tau)
 
 
+# Each check: (the bounds-table row whose raw value is its bound, its builder).
 _CHECKS = {
-    "disagreement": _disagreement,
-    "average_difference": _average_difference,
-    "tail": _tail,
-    "base_tail": _base_tail,
-    "decoupling": _decoupling_of("z", ("deterministic", "hitting")),
-    "bounding_decoupling": _decoupling_of("y", ("deterministic",)),
-    "path_law": _path_law,
+    "disagreement": ("avg_disagreement", _disagreement),
+    "average_difference": ("coupled_variance", _average_difference),
+    "tail": ("coupled_concentration", _tail),
+    "base_tail": ("base_concentration", _base_tail),
+    "decoupling": ("decoupling_time", _decoupling_of("z", ("deterministic", "hitting"))),
+    "bounding_decoupling": ("decoupling_time", _decoupling_of("y", ("deterministic",))),
+    "path_law": ("path_law", _path_law),
 }
+_ROW_VALUES = {name: value for name, *_, value in _ROWS}
 
 EXPERIMENT_NAMES = tuple(_CHECKS)
 
@@ -374,7 +354,19 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
                          f"known: {', '.join(EXPERIMENT_NAMES)}")
     _require_lambda(lam)
     params = closeness_params(config)
-    return _run_checks(config, names, [_CHECKS[name](config, params, lam) for name in names])
+    checks, bounds, parts = [], [], [[] for _ in names]
+    for name in names:  # each bound right after its check, in the order of names
+        row, build = _CHECKS[name]
+        checks.append(build(config, params, lam))
+        bounds.append(_ROW_VALUES[row](params, lam, checks[-1].expected_tau))
+    # one coupled run of horizon n for every check; batches arrive in trajectory order
+    for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
+                                      config.n, config.replicates, config.master_seed):
+        for check, values in zip(checks, parts):
+            values.append(check.per_batch(batch))
+        del batch  # one batch alive while the next is drawn
+    return [_result(name, check.terms(np.concatenate(values)), bound)
+            for name, check, bound, values in zip(names, checks, bounds, parts)]
 
 
 def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:

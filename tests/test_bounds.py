@@ -146,6 +146,13 @@ class TestConcentrationBounds:
         with pytest.raises(InvalidRegimeError):
             base_concentration_bound(1.0, cross_params(a=None))
 
+    def test_thresholds_need_a_nonconstant_f(self):
+        # a threshold of 0 makes |avg - mu f| >= 0 sure, while the Azuma tail falls below 1
+        with pytest.raises(InvalidRegimeError, match="f_star must be finite and positive"):
+            base_concentration_threshold(10.0, cross_params(a=0.5, f_star=0.0))
+        with pytest.raises(InvalidRegimeError, match="f_inf must be finite and positive"):
+            remark_tail_threshold(10.0, cross_params(a=0.5), 0.0)
+
 
 class TestVarianceOfTimeAverage:
     def test_zero_observable(self):
@@ -174,6 +181,15 @@ class TestStationaryGapBound:
         with pytest.raises(InvalidRegimeError):
             stationary_gap_bound(0.1, 0.0)
 
+    @pytest.mark.parametrize("a", [math.inf, 7.0, 1.0 + 1e-9])
+    def test_a_above_one_rejected(self, a):
+        # a Doeblin constant lies in (0, 1], as BoundParams reads it
+        with pytest.raises(InvalidRegimeError, match=r"a must be in \(0, 1\]"):
+            stationary_gap_bound(0.1, a)
+
+    def test_a_equal_to_one(self):
+        assert stationary_gap_bound(0.1, 1.0) == 0.1
+
 
 class TestDecouplingAndPathLaw:
     def test_zero_eps(self):
@@ -199,6 +215,12 @@ class TestRemarkBounds:
         params = BoundParams(epsilon=0.05, n=100, a=0.5)
         mean_bias, second, tail = remark_perturbation_bounds(params, 1.0, 1.0)
         assert mean_bias == pytest.approx(0.08 + 0.4, rel=1e-12)
+
+    def test_plug_in_second_moment(self):
+        # (3/a^2)(16 e^2 + 16/n^2) f_inf^2 + 12 f_inf^2/(a^2 n) = 12 (0.04 + 0.0016) + 0.48
+        params = BoundParams(epsilon=0.05, n=100, a=0.5)
+        mean_bias, second, tail = remark_perturbation_bounds(params, 1.0, 1.0)
+        assert second == pytest.approx(0.9792, rel=1e-12)
 
     def test_zero_observable(self):
         params = BoundParams(epsilon=0.05, n=100, a=0.5)
@@ -232,6 +254,16 @@ class TestBoundParamsValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             BoundParams(epsilon=0.1, n=0)
+
+    def test_alpha_one_accepted(self):
+        # rows all equal give alpha = 1, which forces epsilon = 0: no bound divides by zero
+        params = BoundParams(epsilon=0.0, n=5, alpha=1.0, a=1.0, p0=0.5, f_star=0.5)
+        assert avg_disagreement_bound(params) == pytest.approx(0.1, rel=1e-15)
+        assert coupled_variance_bound(params) == pytest.approx(0.48, rel=1e-15)
+        with pytest.raises(InvalidRegimeError, match=r"alpha must be in \[0, 1\]"):
+            BoundParams(epsilon=0.0, n=5, alpha=1.0 + 1e-9)
+        with pytest.raises(InvalidRegimeError, match="does not contract"):
+            avg_disagreement_bound(BoundParams(epsilon=0.1, n=5, alpha=1.0))
 
     def test_bad_p0(self):
         with pytest.raises(ValueError):

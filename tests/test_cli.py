@@ -12,6 +12,7 @@ import pytest
 
 from chain_perturb import kernel_pair
 from chain_perturb.cli import main
+import chain_perturb.bounds as bounds_mod
 import chain_perturb.cli as cli_mod
 import chain_perturb.montecarlo as mc_mod
 from golden.record import INPUTS
@@ -83,7 +84,8 @@ class TestConstants:
         bad.write_text("P: [[0.5, 0.5]]")
         rc = main(["--out-dir", str(tmp_path / "out"), "constants", "--pair", str(bad)])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
         assert not (tmp_path / "out" / "constants.csv").exists()
 
 
@@ -121,6 +123,17 @@ class TestBounds:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bounds.csv").exists()
+
+    def test_alpha_one_is_in_regime(self, tmp_path, capsys):
+        # alpha = 1 forces epsilon = 0, and no row divides by zero there
+        rc = main(["--out-dir", str(tmp_path), "bounds", "--epsilon", "0", "--alpha", "1",
+                   "--a", "1", "--n", "5", "--p0", "0.5", "--fstar", "0.5", "--lambda", "2",
+                   "--etau", "3", "--format", "csv"])
+        assert rc == 0
+        rows = read_csv(tmp_path / "bounds.csv")
+        assert len(rows) == 12
+        assert {r["regime_ok"] for r in rows} == {"true"}
+        assert all(math.isfinite(float(r["raw"])) for r in rows)
 
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -292,8 +305,8 @@ class TestVerify:
 
     def test_unsatisfied_exits_one(self, tmp_path, monkeypatch):
         # a real run of the verify_flip config: only the disagreement row reads the halved bound
-        bound = mc_mod.avg_disagreement_bound
-        monkeypatch.setattr(mc_mod, "avg_disagreement_bound", lambda params: bound(params) / 2)
+        bound = bounds_mod.avg_disagreement_bound
+        monkeypatch.setattr(bounds_mod, "avg_disagreement_bound", lambda params: bound(params) / 2)
         out = tmp_path / "out"
         rc = main(["--out-dir", str(out), "verify", "--config",
                    str(INPUTS / "verify_flip.json")])
@@ -317,7 +330,7 @@ class TestVerify:
         doc.update(pair=str(INPUTS / doc["pair"]), **extra)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(doc))
-        monkeypatch.setattr(mc_mod, evaluator, lambda *args: 0.0)
+        monkeypatch.setattr(bounds_mod, evaluator, lambda *args: 0.0)
         out = tmp_path / "out"
         assert main(["--out-dir", str(out), "verify", "--config", str(cfg)]) == 1
         rows = read_csv(out / "verify.csv")
@@ -476,8 +489,59 @@ class TestVerify:
         rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1
         assert not (out / "verify.csv").exists()
+
+    def test_pair_file_not_json_named_by_config_exits_two(self, tmp_path, capsys):
+        # the message names the pair file, not the config that names it
+        pair = tmp_path / "pair.json"
+        pair.write_text("nope")
+        cfg = self.write_config(tmp_path, pair)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pair}: Expecting value") and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    def test_base_tail_of_a_constant_f_exits_two_before_simulating(
+            self, tmp_path, capsys, monkeypatch):
+        # |f|_* = 0 puts the threshold at 0, so the event |avg - mu f| >= 0 is sure; at
+        # lambda = 10 the bound 2 exp(-a^2 lambda^2 / 32) is below 1 and a correct chain failed
+        def never(*args, **kwargs):
+            raise AssertionError("simulated")
+        monkeypatch.setattr(mc_mod, "iter_coupled_batches", never)
+        doc = {"pair": str(INPUTS / "flip_pair.json"), "n": 50, "replicates": 200,
+               "f": [3, 3], "lambda": 10.0, "experiments": ["disagreement", "base_tail"]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: f_star must be finite and positive") and err.count("\n") == 1
+        assert not (out / "verify.csv").exists()
+
+    @pytest.mark.parametrize("rows, f, targets, experiments", [
+        ([[0.5, 0.5], [0.5, 0.5]], [0, 1], [1],
+         ["disagreement", "average_difference", "tail", "base_tail", "decoupling", "path_law"]),
+        # f on one state is constant, which base_tail rejects
+        ([[1.0]], [0], [0], ["disagreement", "average_difference", "tail", "decoupling",
+                             "path_law"]),
+    ], ids=["equal-rows", "one-state"])
+    def test_alpha_one_runs(self, tmp_path, capsys, rows, f, targets, experiments):
+        # identical kernels whose rows are all equal: constants 1,1,0, so alpha = 1
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"P": kernel_to_json(rows), "P_eps": kernel_to_json(rows)}))
+        cfg = self.write_config(tmp_path, pair, n=50, replicates=200, f=f,
+                                stopping={"kind": "hitting", "targets": targets},
+                                experiments=experiments)
+        out = tmp_path / "out"
+        rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
+        assert rc == 0
+        text = capsys.readouterr().out + (out / "verify.csv").read_text()
+        assert "nan" not in text
+        assert [r["name"] for r in read_csv(out / "verify.csv")] == experiments
 
     def test_base_kernel_without_doeblin_constant_exits_two(self, tmp_path, capsys):
         # the periodic flip has a = 0, which no verify config can override

@@ -14,6 +14,7 @@ from chain_perturb import (
     ExperimentConfig,
     NumericalFailureError,
     StoppingRule,
+    base_concentration_threshold,
     closeness_params,
     coupled_concentration_threshold,
     empirical_average_difference,
@@ -210,6 +211,16 @@ class TestEmpiricalAverageDifference:
         with pytest.raises(ValueError):
             empirical_average_difference(flip_config())
 
+    def test_averages_steps_zero_to_n_minus_one(self):
+        # unequal starts and a short horizon: step 0 weighs 1/n in each average
+        cfg = flip_config(n=10, replicates=300, seed=4, x0_eps=0, x0=1, f=[0.0, 1.0])
+        res = empirical_average_difference(cfg)
+        batch = stack_batches(P_EPS, P, 0, 1, 10, 300, 4)
+        fv = np.array([0.0, 1.0])
+        diff = fv[batch.x[:, :10]].mean(axis=1) - fv[batch.x_eps[:, :10]].mean(axis=1)
+        assert res.estimate == np.mean(diff ** 2)
+        assert res.estimate > 0.0
+
 
 class TestEmpiricalTails:
     def test_huge_lambda_both_vanish(self):
@@ -237,6 +248,16 @@ class TestEmpiricalTails:
     def test_base_tail_requires_observable(self):
         with pytest.raises(ValueError, match="config.f is required for the base tail check"):
             empirical_base_tail(flip_config(), lam=2.0)
+
+    def test_base_tail_counts_deviations_from_mu_f(self):
+        # mu f = 1/2 under the flip pair's P (0.3 under P_eps); the deviation level is
+        # the threshold paired with the bound, not a multiple of it
+        cfg = flip_config(n=40, replicates=400, seed=5, f=[0.0, 1.0])
+        res = empirical_base_tail(cfg, lam=0.5)
+        thr = base_concentration_threshold(0.5, closeness_params(cfg))
+        batch = stack_batches(P_EPS, P, 0, 0, 40, 400, 5)
+        assert res.estimate == np.mean(np.abs(0.5 - batch.x[:, :40].mean(axis=1)) >= thr)
+        assert 0.0 < res.estimate < 1.0
 
     def test_base_tail_satisfied(self):
         res = empirical_base_tail(flip_config(f=[0.0, 1.0], n=400, replicates=800), lam=2.0)

@@ -20,6 +20,7 @@ from chain_perturb import (
     montecarlo,
     run_experiments,
 )
+from mutants import MUTANTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -97,7 +98,7 @@ ABS_CALLERS = {
 # Package definitions that read the attribute ``.stopping``, each with the
 # reason it may: the rule checks and ``tau`` of every stopping-time check.
 STOPPING_READERS = {
-    "_stopping": "it checks the rule once and gives every stopping-time check its bound and tau",
+    "_stopping": "it checks the rule once and gives every stopping-time check its E[tau] and tau",
 }
 
 
@@ -223,6 +224,11 @@ def test_every_report_row_is_checked_or_listed():
     # an entry whose row was renamed or deleted, or whose check was, is stale
     assert sorted(rows) == sorted([*CHECKED_ROWS, *UNCHECKED_ROWS])
     assert set(CHECKED_ROWS.values()) <= set(montecarlo.EXPERIMENT_NAMES)
+    # each listed check takes its bound from the row it is listed under, and no
+    # check takes one from a row this map leaves out
+    assert {row: montecarlo._CHECKS[check][0] for row, check in CHECKED_ROWS.items()} == \
+        {row: row for row in CHECKED_ROWS}
+    assert {row for row, _ in montecarlo._CHECKS.values()} == set(CHECKED_ROWS)
 
 
 def test_checked_rows_are_the_bounds_of_their_checks():
@@ -238,6 +244,12 @@ def test_checked_rows_are_the_bounds_of_their_checks():
     results = run_experiments(CHECKED_ROWS.values(), config, lam)
     assert {row: result.bound for row, result in zip(CHECKED_ROWS, results)} == \
         {row: raw[row] for row in CHECKED_ROWS}
+
+
+def test_mutant_catalogue_matches_the_code():
+    # an entry whose old text left its file, or occurs twice, mutates nothing or the wrong line
+    assert [(file, old) for file, old, _, _ in MUTANTS
+            if (ROOT / file).read_text().count(old) != 1] == []
 
 
 def test_every_verify_key_sets_one_setting():
