@@ -273,6 +273,14 @@ def _remark(k):
     return lambda p, lam, tau: remark_perturbation_bounds(p, p.f_star, lam)[k]
 
 
+def _tail(value):
+    """Row value of a single-chain tail: out of regime at ``f_star = 0``, as its threshold is."""
+    def row(p, lam, tau):
+        _require_spread("f_star", p.f_star)
+        return value(p, lam, tau)
+    return row
+
+
 # The report table, in print order: (name, capped at 1, extra input, value).
 # A row whose extra input, lambda or E[tau], is not given is left out.
 _ROWS = (
@@ -282,14 +290,14 @@ _ROWS = (
     ("coupled_variance", False, None, lambda p, lam, tau: coupled_variance_bound(p)),
     ("variance_of_time_average", False, None, lambda p, lam, tau: variance_of_time_average_bound(p)),
     ("coupled_concentration", True, "lam", lambda p, lam, tau: coupled_concentration_bound(lam, p)),
-    ("base_concentration", True, "lam", lambda p, lam, tau: base_concentration_bound(lam, p)),
+    ("base_concentration", True, "lam", _tail(lambda p, lam, tau: base_concentration_bound(lam, p))),
     ("stationary_gap", True, None, lambda p, lam, tau: stationary_gap_bound(p.epsilon, p.a)),
     ("decoupling_time", True, "tau", lambda p, lam, tau: decoupling_time_bound(p.epsilon, tau)),
     # a path functional measurable at the stopping time: the same value
     ("path_law", True, "tau", lambda p, lam, tau: decoupling_time_bound(p.epsilon, tau)),
     ("remark_mean_bias", False, "lam", _remark(0)),
     ("remark_second_moment", False, "lam", _remark(1)),
-    ("remark_tail", True, "lam", _remark(2)),
+    ("remark_tail", True, "lam", _tail(_remark(2))),
 )
 
 

@@ -215,11 +215,9 @@ _STOPPING_REQUIRED, _STOPPING_OPTIONAL = ("kind",), ("time", "targets")  # Stopp
 
 
 def _cmd_verify(args, out_dir):
-    doc = _read_json(args.config)
-    if not isinstance(doc, dict):
-        raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
     doc = {"seed": 0, "experiments": ["disagreement"],
-           **_json_object(doc, "config", _REQUIRED_KEYS, [*_CONFIG_FIELDS, *_RUN_PARAMS])}
+           **_json_object(_read_json(args.config), "config", _REQUIRED_KEYS,
+                          [*_CONFIG_FIELDS, *_RUN_PARAMS])}
     experiments = doc["experiments"]
     if not isinstance(experiments, list) or not all(isinstance(e, str) for e in experiments):
         raise ValueError(f"experiments must be a list of names, got {experiments!r}")

@@ -15,10 +15,12 @@ each length-scale Gram matrix the Woodbury quadratic form and
 log-determinant at every rank are prefix sums over one spectrum, so the rank
 sweep builds all truncations, and the full-rank table, from one
 eigendecomposition per atom, done as two half-size solves of its
-centrosymmetric split; the latent Cholesky factor is made once per ``n``.
-One atom's eigenvectors are alive at a time, projecting up to ``n`` datasets,
-so ``R`` replicates take ``O(n^2 + m n min(R, n))`` floats plus one chunk of
-transition rows: 100 at n=1000, m=10 peak at 94 MB RSS (2-core x86-64 host).
+centrosymmetric split.  The latent Cholesky factor is made once per block of
+draws and dropped before the eigen pass, which holds no ``n x n`` array: one
+atom's two half-size eigenvector blocks are alive at a time, projecting up to
+``n`` datasets, so ``R`` replicates take ``O(n^2 + m n min(R, n))`` floats
+plus one chunk of transition rows: 100 at n=1000, m=10 peak at 73 MB RSS
+(2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
@@ -87,7 +90,8 @@ class GPConfig:
         for name, low in (("n", 2), ("m", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
         points = np.arange(1, self.n + 1) / float(self.n)
-        max_sq = float(squared_distances(points).max())
+        spread = points[-1] - points[0]  # the widest pair; rounding is monotone
+        max_sq = float(spread * spread)
         derived = {
             "prior_a": 2.0, "prior_b": 2.0, "true_x2": 0.9, "true_x3_sq": 0.2, "points": points,
             "true_x1": -math.log(_DECAY_TARGET) / (_DECAY_FRACTION * max_sq),
@@ -100,15 +104,18 @@ class GPConfig:
             object.__setattr__(self, name, value)
 
 
-def squared_distances(points) -> np.ndarray:
-    d = np.subtract.outer(points, points)
-    return d * d
+def squared_distances(points, others=None) -> np.ndarray:
+    """``(points_i - others_j)^2``, ``others`` defaulting to ``points``, in one array."""
+    d = np.subtract.outer(points, points if others is None else others)
+    return np.multiply(d, d, out=d)
 
 
 def gram_matrix(x1, points) -> np.ndarray:
     """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal)."""
     _require("x1", x1, "finite and positive", lambda v: 0.0 < v < math.inf)
-    return np.exp(-x1 * squared_distances(points))
+    gram = squared_distances(points)
+    np.multiply(gram, -x1, out=gram)  # in place, the bits of exp(-x1 * d2)
+    return np.exp(gram, out=gram)
 
 
 def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
@@ -121,24 +128,36 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     """
     key = (_count("replicate", replicate, low=0),)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=key))
-    f = _latent_factor(config.n) @ rng.standard_normal(int(config.n))
+    f = _latent_factor(config) @ rng.standard_normal(int(config.n))
     x3 = math.sqrt(config.true_x3_sq)
     return x3 * f + x3 * rng.standard_normal(int(config.n))
 
 
-@functools.lru_cache(maxsize=1)
-def _latent_factor(n):
-    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone."""
-    config = GPConfig(n=n, m=1)
-    cov_f = config.true_x2 * gram_matrix(config.true_x1, config.points)
+# n -> latent factor, shared by every draw made while some caller holds it
+_FACTORS = weakref.WeakValueDictionary()
+
+
+def _latent_factor(config):
+    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone.
+
+    Made once for as long as a caller holds it (``figure_sweep`` does, for one
+    block of draws) and freed with the last reference.
+    """
+    chol = _FACTORS.get(config.n)
+    if chol is not None:
+        return chol
+    cov_f = gram_matrix(config.true_x1, config.points)
+    cov_f *= config.true_x2
     try:
         chol = np.linalg.cholesky(cov_f)
     except np.linalg.LinAlgError:
+        cov_f.flat[::config.n + 1] += 1e-10  # the bits of cov_f + 1e-10 * eye(n)
         try:
-            chol = np.linalg.cholesky(cov_f + 1e-10 * np.eye(config.n))
+            chol = np.linalg.cholesky(cov_f)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"latent covariance not factorizable: {exc}") from exc
     chol.setflags(write=False)
+    _FACTORS[config.n] = chol
     return chol
 
 
@@ -160,35 +179,52 @@ def _spectrum(gram):
 # likelihood tables over the m x m atom grid
 
 def _eigen_cache(config):
-    """Per length-scale atom: the eigenpairs of its Gram matrix ``G``, largest first, clipped at 0.
+    """Per length-scale atom: its Gram matrix ``G``'s eigenvalues, largest first, clipped at 0,
+    and ``project(Z)``, the rows ``U'z`` of the rows ``z`` of ``Z`` in their order.
 
     ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
     half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
     ``k = n // 2``, ``A = G[:k, :k]`` and ``CJ = G[:k, n-1:n-k-1:-1]``, the
     :func:`_spectrum` of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
-    the middle column, and ``G[k, k]``) gives ``[v; Jv]/sqrt(2)`` with middle
-    entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.  ``G`` is
-    centrosymmetric only to rounding: the split reads only its first ``k`` rows.
+    the middle column, and ``G[k, k] = 1``) gives ``[v; Jv]/sqrt(2)`` with
+    middle entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.
+    The blocks are built from the points, never ``G`` or ``U``: ``project``
+    folds ``z`` into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
+    ``z_k`` when ``n`` is odd, and multiplies each fold by its half's vectors.
     """
     n, k = int(config.n), int(config.n) // 2
+    near, far = config.points[:k], config.points[:n - k - 1:-1]
+    sq_a, sq_cj = squared_distances(near), squared_distances(near, far)
+    sq_mid = squared_distances(near, config.points[k:k + 1])  # (k, 1); unused when n is even
     for x1 in config.grid_x1:
-        gram = gram_matrix(x1, config.points)
-        a, cj = gram[:k, :k], gram[:k, :n - k - 1:-1]
+        a, cj = np.exp(-x1 * sq_a), np.exp(-x1 * sq_cj)  # the bits of gram_matrix's blocks
         sym, anti = a + cj, a - cj
         if n % 2:
-            mid = math.sqrt(2.0) * gram[:k, k:k + 1]
-            sym = np.block([[sym, mid], [mid.T, gram[k:k + 1, k:k + 1]]])
-        del gram, a, cj  # one Gram matrix alive at a time
+            mid = math.sqrt(2.0) * np.exp(-x1 * sq_mid)
+            sym = np.block([[sym, mid], [mid.T, np.ones((1, 1))]])
+        del a, cj
         (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _spectrum(sym), _spectrum(anti)
+        del sym, anti
         vals = np.concatenate([sym_vals, anti_vals])
         order = np.argsort(-vals, kind="stable")
-        s, w = np.split(np.argsort(order), [n - k])  # merged columns of the two halves
-        vecs = np.zeros((n, n))
-        vecs[:k, s], vecs[:k, w] = sym_vecs[:k] / math.sqrt(2.0), anti_vecs / math.sqrt(2.0)
-        vecs[n - k:, s], vecs[n - k:, w] = vecs[k - 1::-1, s], -vecs[k - 1::-1, w]
-        vecs[k:n - k, s] = sym_vecs[k:]  # the middle entry v_k; no row when n is even
-        del sym, anti, sym_vecs, anti_vecs  # only vecs alive while the caller projects
-        yield vals[order], vecs
+        yield vals[order], functools.partial(_project, sym_vecs, anti_vecs, order)
+
+
+def _project(sym_vecs, anti_vecs, order, data):
+    """``U'z`` for each row ``z`` of ``data``, from the two halves of :func:`_eigen_cache`.
+
+    The folds are elementwise; each row then takes its own matrix-vector
+    product per half, as one product over all rows would round a row's
+    result differently with the number of rows.
+    """
+    n, k = data.shape[1], data.shape[1] // 2
+    plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
+    plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
+    minus /= math.sqrt(2.0)
+    coef = np.empty(data.shape)
+    for c, p, w in zip(coef, plus, minus):
+        c[:n - k], c[n - k:] = sym_vecs.T @ p, anti_vecs.T @ w
+    return coef[:, order]
 
 
 def _spectra(config, data):
@@ -196,8 +232,9 @@ def _spectra(config, data):
     x2 = np.asarray(config.grid_x2, dtype=float)[:, None]
     vals = np.empty((int(config.m), int(config.n)))
     coef_sq = np.empty((len(data),) + vals.shape)
-    for i1, (v, vecs) in enumerate(_eigen_cache(config)):
-        vals[i1], coef_sq[:, i1] = v, [(vecs.T @ z) ** 2 for z in data]
+    data = np.stack(data)
+    for i1, (v, project) in enumerate(_eigen_cache(config)):
+        vals[i1], coef_sq[:, i1] = v, project(data) ** 2
     logdet = [np.cumsum(np.log1p(x2 * v), axis=1) for v in vals]
     return [(vals, c, logdet) for c in coef_sq]
 
@@ -276,11 +313,12 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
     side, are slices of one table of prefix sums (:func:`lowrank_log_table`);
-    ranks above ``n`` give the full-rank rows.  One eigen pass serves a block
-    of up to ``n`` replicates, and transition rows are built ``_RANK_CHUNK``
-    ranks at a time up to the stop, so memory is ``O(n^2 + m n min(R, n))``
-    for ``R`` replicates plus one chunk of rows.  Rows come in (replicate, q)
-    order, so whether ``epsilon`` is monotone in ``q`` can be read from them.
+    ranks above ``n`` give the full-rank rows.  One latent factor draws, and
+    one eigen pass serves, a block of up to ``n`` replicates, and transition
+    rows are built ``_RANK_CHUNK`` ranks at a time up to the stop, so memory
+    is ``O(n^2 + m n min(R, n))`` for ``R`` replicates plus one chunk of
+    rows.  Rows come in (replicate, q) order, so whether ``epsilon`` is
+    monotone in ``q`` can be read from them.
     """
     n = int(config.n)
     _require_finite_nonnegative("eps_threshold", eps_threshold)
@@ -288,7 +326,9 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     qmax = n if qmax is None else _count("qmax", qmax)
     rows = []
     for start in range(0, replicates, n):
+        factor = _latent_factor(config)  # one factor for the block's draws ...
         data = [generate_data(config, rep) for rep in range(start, min(start + n, replicates))]
+        del factor  # ... freed before the eigen pass
         for rep, (z, spectrum) in enumerate(zip(data, _spectra(config, data)), start=start):
             ll = lowrank_log_table(config, z, np.arange(1, n + 1), spectrum=spectrum)
             full = _rows_by_x1(ll[-1:])

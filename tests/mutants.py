@@ -48,6 +48,18 @@ MUTANTS = [
      '"tail": ("coupled_concentration", _tail),',
      '"tail": ("base_concentration", _tail),',
      "tail is held against the single-chain Azuma tail instead of its own row"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]",
+     "plus, minus = data[:, :k] - data[:, :n - k - 1:-1], data[:, :k] + data[:, :n - k - 1:-1]",
+     "the GP projection multiplies the symmetric half's vectors by the antisymmetric fold"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "minus /= math.sqrt(2.0)",
+     "minus /= 1.0",
+     "the GP projection's antisymmetric fold is not scaled by 1/sqrt(2), so U is not orthonormal"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)",
+     "plus = np.concatenate([plus / math.sqrt(2.0), 0.0 * data[:, k:n - k]], axis=1)",
+     "the GP projection drops the middle observation z_k when n is odd"),
 ]
 
 

@@ -331,7 +331,7 @@ def test_nan_scalar_raises(call):
 
 class TestReportTable:
     def test_caps_probability_rows(self):
-        params = BoundParams(epsilon=0.6, n=10, a=0.3, alpha=0.2)
+        params = BoundParams(epsilon=0.6, n=10, a=0.3, alpha=0.2, f_star=1.0)
         rows = {r.name: r for r in evaluate_report_table(params, lam=0.5)}
         gap = rows["stationary_gap"]
         assert gap.value == 1.0 and gap.capped and gap.raw == pytest.approx(2.0)

@@ -135,6 +135,19 @@ class TestBounds:
         assert {r["regime_ok"] for r in rows} == {"true"}
         assert all(math.isfinite(float(r["raw"])) for r in rows)
 
+    def test_tail_rows_out_of_regime_for_constant_f(self, tmp_path, capsys):
+        # at f_star = 0 the paired thresholds are 0 and the tail event always
+        # happens; both rows printed 0.9157 with regime_ok=true
+        rc = main(["--out-dir", str(tmp_path), "bounds", "--epsilon", "0.1", "--alpha", "0.4",
+                   "--a", "0.5", "--n", "50", "--fstar", "0", "--lambda", "10",
+                   "--format", "csv"])
+        assert rc == 0
+        rows = {r["name"]: r for r in read_csv(tmp_path / "bounds.csv")}
+        for name in ("base_concentration", "remark_tail"):
+            assert rows[name]["regime_ok"] == "false" and rows[name]["raw"] == "", name
+        assert rows["coupled_concentration"]["regime_ok"] == "true"
+        assert rows["remark_mean_bias"]["regime_ok"] == "true"
+
     def test_unknown_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--out-dir", str(tmp_path), "bounds", "--nonsense", "1"])
@@ -563,7 +576,7 @@ class TestVerify:
         rc = main(["--out-dir", str(out), "verify", "--config", str(cfg)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "config must be a JSON object, got list" in err and err.count("\n") == 1
+        assert "config must be an object, got list" in err and err.count("\n") == 1
         assert not (out / "verify.csv").exists()
 
     def test_start_outside_state_space_exits_two(self, tmp_path, pair_file, capsys):

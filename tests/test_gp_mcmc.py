@@ -142,7 +142,6 @@ class TestGenerateData:
             calls.append(a.shape)
             return cholesky(a)
 
-        gp_mcmc._latent_factor.cache_clear()
         monkeypatch.setattr(np.linalg, "cholesky", counted)
         figure_sweep(GPConfig(n=50, m=2), 5)
         assert 1 <= len(calls) <= 2
@@ -153,9 +152,11 @@ class TestEigenCache:
     def test_matches_full_eigh(self, n):
         # the two half-size solves give the full spectrum, an orthonormal
         # basis and the Gram matrix back, odd n (middle row) included; the
-        # generator yields one atom at a time, every atom once
+        # generator yields one atom at a time, every atom once.  Row i of U
+        # is U'e_i, the projection of the i-th unit vector
         cfg = GPConfig(n=n, m=3)
-        for x1, (vals, vecs) in zip(cfg.grid_x1, _eigen_cache(cfg), strict=True):
+        for x1, (vals, project) in zip(cfg.grid_x1, _eigen_cache(cfg), strict=True):
+            vecs = project(np.eye(n))
             G = gram_matrix(x1, cfg.points)
             ref = np.clip(np.linalg.eigh(G)[0][::-1], 0.0, None)
             assert np.all(np.diff(vals) <= 0.0)
@@ -358,19 +359,32 @@ class TestFigureSweep:
                 eps, alpha = epsilon_alpha_for_gp(cfg, generate_data(cfg, r.replicate), r.q)
                 assert abs(r.epsilon - eps) <= 1e-10 and abs(r.alpha - alpha) <= 1e-10
 
+    @pytest.mark.parametrize("n", [100, 101])
+    def test_replicate_rows_do_not_depend_on_replicates(self, n):
+        # a replicate's rows are the same, bit for bit, whatever --replicates
+        # is; one matrix product over a block of datasets broke this
+        cfg = GPConfig(n=n, m=5, seed=4)
+        first = [r for r in figure_sweep(cfg, 3) if r.replicate <= 2]
+        assert sorted({r.replicate for r in first}) == [0, 1, 2]
+        for replicates in (1, 7):
+            rows = [r for r in figure_sweep(cfg, replicates) if r.replicate <= 2]
+            assert rows == [r for r in first if r.replicate < replicates], replicates
+
     def test_peak_memory_does_not_grow_with_m(self):
-        # one atom's n x n eigenvectors and one chunk of rank rows are alive at a
-        # time; keeping every atom's eigenvectors took 13.4 n^2 floats at m=8
+        # the latent factor while drawing, then one atom's two half-size
+        # eigenvector blocks and one chunk of rank rows are alive at a time;
+        # keeping every atom's eigenvectors took 13.4 n^2 floats at m=8, and
+        # one atom's n x n eigenvectors with the factor cached 3.8 n^2
         for m in (4, 8):
             cfg = GPConfig(n=301, m=m, seed=1)
-            generate_data(cfg, 0)  # the latent factor is cached per n, outside the sweep
+            generate_data(cfg, 0)  # numpy.random is imported on first use, outside the measurement
             tracemalloc.start()
             try:
                 figure_sweep(cfg, 2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 6 * cfg.n ** 2 * 8, (m, peak / (8 * cfg.n ** 2))
+            assert peak <= 3 * cfg.n ** 2 * 8, (m, peak / (8 * cfg.n ** 2))
 
     @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
                                                       (True, 5, "replicates"),
