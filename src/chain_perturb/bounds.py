@@ -234,10 +234,13 @@ def stationary_gap_bound(epsilon, a) -> float:
 
 
 def decoupling_time_bound(epsilon, expected_tau) -> float:
-    """Probability the coupled pair separates before a stopping time: ``min(1, epsilon E[tau])``."""
+    """Probability the coupled pair separates before a stopping time: ``min(1, epsilon E[tau])``.
+
+    At ``epsilon = 0`` the chains coincide and it is 0, even for ``E[tau] = inf``.
+    """
     _require_unit("epsilon", epsilon)
-    _require_finite_nonnegative("expected_tau", expected_tau)
-    return min(1.0, epsilon * expected_tau)
+    _require("expected_tau", expected_tau, "nonnegative", lambda v: v >= 0.0)
+    return min(1.0, epsilon * expected_tau) if epsilon > 0.0 else 0.0
 
 
 def remark_perturbation_bounds(params: BoundParams, f_inf, lam) -> tuple[float, float, float]:

@@ -24,23 +24,22 @@ so no step ever splits a row pair.  For larger S only the S diagonal pairs
 Every pair draws from the row of its approximating chain's state, and a pair
 off the diagonal is then drawn again from the split of its two kernel rows,
 built in the step that needs it, at most 512 pairs at a time; a start drawn
-from two laws reads the one-row split of the two laws.  A draw from the
-tables inverts a CDF row by binary search, O(log S), and a coupled pair
-searches once for both chains.  A fresh split gets the CDFs of only the
-parts a pair reads (two, or one when it couples), inverted by a linear
-count, O(S).  The stepper holds O(S^2) floats, one slice of fresh splits and
-one batch: its paths and a 500-step chunk of its uniforms, in a byte budget.
+from two laws reads the one-row split of the two laws.  Table rows are
+inverted by binary search (:func:`_pick`), fresh splits by a linear count
+(:func:`_draw_fresh`).  The stepper holds O(S^2) floats, one slice of fresh
+splits and one batch: its paths and a 64-step chunk of its uniforms.
 
 RNG contract: trajectory ``i`` under master seed ``s`` reads the substream
-``SeedSequence(entropy=s, spawn_key=(i // 1024,))`` of its block of 1024
-trajectories.  A block's uniforms are laid out trajectory-major: each
-trajectory takes three per step (plus one extra triple up front when the
-initial states are sampled from distributions), in trajectory order.  A
-batch draws this stream a chunk of 500 steps at a time: each trajectory's
-slice of a chunk is reached with PCG64's ``advance``, so results are
-bit-for-bit the same for every batch size and chunk width, and a batch
-never holds more than one chunk of its own uniforms.  No other substream is
-ever drawn.
+``SeedSequence(entropy=s, spawn_key=(i // 64,))`` of its block of 64
+trajectory slots.  A block's uniforms are laid out step-major: step ``k``
+is a row of 64 triples, slot ``j = i % 64`` taking doubles ``3 (64 k + j)
+.. 3 (64 k + j) + 2``, and a start drawn from two laws adds one row at the
+front.  So a trajectory's first ``k`` steps depend on neither the horizon
+nor the number of trajectories.  A batch draws each block it touches a
+chunk of 64 steps at a time, one contiguous draw of the block's whole rows,
+and keeps its own slots: results are bit-for-bit the same for every batch
+size and chunk width, and a batch never holds more than one chunk of its
+own uniforms.  No other substream is ever drawn.
 """
 
 from __future__ import annotations
@@ -250,18 +249,16 @@ def iter_coupled_batches(P_eps, P, x0_eps, x0, n, n_traj, seed):
     init_b, wb = _as_initial(x0, S, "x0")
     sample_init = init_e is None or init_b is None
     all_pairs = S <= _ALL_PAIRS_MAX
-    if all_pairs:
-        table = _split(np.repeat(A.rows, S, 0), np.tile(B.rows, (S, 1)))
-    else:
-        table = _split(A.rows, B.rows)
+    table = (_split(np.repeat(A.rows, S, 0), np.tile(B.rows, (S, 1))) if all_pairs
+             else _split(A.rows, B.rows))
     steps = n + (1 if sample_init else 0)
     path_type = np.min_scalar_type(-S)
     batch_size = _batch_size(steps, n, path_type)
     for start in range(0, n_traj, batch_size):
         count = min(batch_size, n_traj - start)
         # one (count, 3) view per step, in stream order, the first triple of a law start first
-        uniforms = (chunk[:, k] for chunk in _uniform_chunks(seed, start, count, steps)
-                    for k in range(chunk.shape[1]))
+        uniforms = (chunk[k] for chunk in _uniform_chunks(seed, start, count, steps)
+                    for k in range(chunk.shape[0]))
         xe = np.empty((count, n + 1), dtype=path_type)
         xb = np.empty((count, n + 1), dtype=path_type)
         if sample_init:
@@ -301,14 +298,12 @@ _ALL_PAIRS_MAX = 5  # largest S whose 3 S^3 all-pair table fits the 16 S^2 budge
 
 _FRESH_ROWS = 512  # off-diagonal pairs per fresh split: a few (512, S) arrays, whatever the batch
 
-_BLOCK = 1024  # trajectories per RNG substream; part of the RNG contract
+_BLOCK = 64  # trajectory slots per RNG substream; part of the RNG contract
 
-# Steps per chunk of uniforms; any width draws the same stream.  Not a
-# multiple of 512: a trajectory's row of a chunk would then span a whole
-# number of 4 KiB pages, and the step loop, which reads one triple from every
-# row, ran a median 7% slower at 512 than at 500 (two-state pair, 750
-# trajectories of 2000 steps, x86-64 Xeon with 48 KiB L1d and 2 MiB L2 per core).
-_STEP_CHUNK = 500
+# Steps per chunk of uniforms; any width draws the same stream.  A batch holds
+# one chunk of the blocks it touches (3.75 MB for 2,500 trajectories) and one
+# of a block's rows (96 KiB).
+_STEP_CHUNK = 64
 
 
 def _batch_size(steps, n, path_type):
@@ -325,33 +320,20 @@ def _batch_size(steps, n, path_type):
 def _uniform_chunks(seed, start, count, steps):
     """Uniforms of trajectories ``start .. start+count-1``, ``_STEP_CHUNK`` steps at a time.
 
-    Yields ``(count, width, 3)`` views of one buffer, steps ``k0 .. k0+width-1``
-    of every trajectory, ``width <= _STEP_CHUNK``; each chunk is written over
-    the one before, so a batch holds one chunk.  Each piece of the batch that
-    falls in one block reads the block's substream, whose generator is made
-    once per batch: for every chunk it is reset to its start and advanced to
-    the piece's first trajectory at step ``k0``, and after each trajectory's
-    slice it skips the rest of that trajectory's steps.  One double costs one
-    64-bit PCG64 draw.
+    Yields ``(width, count, 3)`` views of one buffer, each chunk written over
+    the one before: step ``k0 + k`` is the contiguous ``(count, 3)`` slice
+    ``[k]``.  The buffer holds every slot of the blocks the batch touches, and
+    each block fills its part with one ``random`` call per chunk.
     """
-    pieces = []
-    i = start
-    while i < start + count:
-        block, offset = divmod(i, _BLOCK)
-        take = min(start + count - i, _BLOCK - offset)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-        pieces.append((rng, rng.bit_generator.state, offset, i - start, take))
-        i += take
-    buf = np.empty((count, min(_STEP_CHUNK, steps), 3))
+    first = start // _BLOCK
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+            for block in range(first, (start + count - 1) // _BLOCK + 1)]
+    buf = np.empty((min(_STEP_CHUNK, steps), len(rngs), _BLOCK, 3))
+    rows = np.empty((buf.shape[0], _BLOCK, 3))  # random() fills contiguous arrays only
+    lo = start - first * _BLOCK  # the batch's first slot in the buffer
     for k0 in range(0, steps, _STEP_CHUNK):
         width = min(_STEP_CHUNK, steps - k0)
-        for rng, state, offset, row, take in pieces:
-            rng.bit_generator.state = state
-            rng.bit_generator.advance((offset * steps + k0) * 3)
-            if width == steps:  # the piece's uniforms are contiguous in the substream
-                rng.random(out=buf[row:row + take])
-                continue
-            for j in range(row, row + take):
-                rng.random(out=buf[j, :width])
-                rng.bit_generator.advance((steps - width) * 3)
-        yield buf[:, :width]
+        for block, rng in enumerate(rngs):
+            rng.random(out=rows[:width])
+            buf[:width, block] = rows[:width]
+        yield buf[:width].reshape(width, -1, 3)[:, lo:lo + count]

@@ -13,10 +13,8 @@ for any set of checks, in memory O(batch + replicates).  The stopping-time
 checks read ``tau ^ n`` (``tau ^ (n + 1)`` for the path law), stopping times
 with ``E[tau ^ n] <= E[tau]``, so no check needs a run longer than ``n``.
 
-Everything is reproducible bit-for-bit from ``(master_seed, config)``:
-trajectory ``i`` reads its slot of the substream ``spawn_key=(i // 1024,)``
-of its block of 1024 trajectories (see :mod:`.coupling`), whichever checks
-read it.
+Everything is reproducible bit-for-bit from ``(master_seed, config)`` under
+the RNG contract of :mod:`.coupling`, whichever checks read a trajectory.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .bounds import (
     base_concentration_threshold,
     coupled_concentration_threshold,
 )
-from .coupling import _as_initial, iter_coupled_batches
+from .coupling import CoupledBatch, _as_initial, iter_coupled_batches
 from .errors import DimensionMismatchError, NumericalFailureError
 from .kernels import (
     FiniteKernel,
@@ -173,10 +171,10 @@ def closeness_params(config: ExperimentConfig) -> BoundParams:
 class _Check(NamedTuple):
     """One check over the coupled run of horizon ``n``.
 
-    ``per_batch`` maps a :class:`CoupledBatch` to one value (or row of
-    values) per trajectory; ``terms`` turns the values of all replicates, in
-    trajectory order, into one term per replicate, whose mean is the
-    estimate; ``expected_tau`` is the ``E[tau]`` of a stopping-time check.
+    ``per_batch`` maps a :class:`CoupledBatch` (a slice of rows of one) to one
+    value (or row of values) per trajectory; ``terms`` turns the values of all
+    replicates, in trajectory order, into one term per replicate, whose mean
+    is the estimate; ``expected_tau`` is the ``E[tau]`` of a stopping-time check.
     """
 
     per_batch: Callable
@@ -196,28 +194,39 @@ def _first_hit_times(states, on, missing):
 _ON_ONE = np.array([False, True])  # target {1} of the binary paths z and y
 
 
-def expected_hitting_time(P, targets, start=None):
-    """Exact expected hitting time of ``targets``, by inverting ``I - P`` off the target set.
+def _reaching(into, edges):
+    """States with a path along ``edges`` (``edges[x, y]`` for a move x -> y) into the mask ``into``."""
+    while not np.array_equal(into, more := into | edges[:, into].any(axis=1)):
+        into = more
+    return into
 
-    Returns the full vector of expectations if ``start`` is None, otherwise
-    the expectation from a start state (int) or start law (vector).
+
+def expected_hitting_time(P, targets, start=None):
+    """Exact expected hitting time of ``targets``, by inverting ``I - P`` where it is finite.
+
+    It is ``inf`` from every state that can reach, off the targets, a state
+    that cannot reach them.  Returns the vector if ``start`` is None, else the
+    expectation from a start state (int) or law (vector; states without mass do not count).
     """
     K = as_kernel(P)
     n = len(K)
-    others = np.flatnonzero(~_target_table(targets, n))
-    times = np.zeros(n)
+    target = _target_table(targets, n)
+    edges = K.rows > 0.0
+    infinite = _reaching(~_reaching(target, edges), edges & ~target[:, None])
+    others = np.flatnonzero(~target & ~infinite)
+    times = np.where(infinite, np.inf, 0.0)
     if others.size:
         A = np.eye(others.size) - K.rows[np.ix_(others, others)]
         try:
             times[others] = np.linalg.solve(A, np.ones(others.size))
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"hitting-time system singular: {exc}") from exc
-        if not np.all(np.isfinite(times)) or times.min() < 0.0:
+        if not np.all(np.isfinite(times[others])) or times[others].min() < 0.0:
             raise NumericalFailureError("hitting-time solve produced an invalid vector")
     if start is None:
         return times
     state, weights = _as_initial(start, n, "start")
-    return float(times[state] if state is not None else weights @ times)
+    return float(times[state] if state is not None else weights[weights > 0] @ times[weights > 0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +341,8 @@ _CHECKS = {
 }
 _ROW_VALUES = {name: value for name, *_, value in _ROWS}
 
+_SLICE_ROWS = 256  # trajectories per slice handed to the checks: small float64 temporaries
+
 EXPERIMENT_NAMES = tuple(_CHECKS)
 
 
@@ -362,9 +373,13 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
     # one coupled run of horizon n for every check; batches arrive in trajectory order
     for batch in iter_coupled_batches(config.p_eps, config.p, config.x0_eps, config.x0,
                                       config.n, config.replicates, config.master_seed):
-        for check, values in zip(checks, parts):
-            values.append(check.per_batch(batch))
-        del batch  # one batch alive while the next is drawn
+        # every check reduces per trajectory: a slice of rows gives the whole batch's bits
+        for lo in range(0, batch.n_traj, _SLICE_ROWS):
+            rows = CoupledBatch(*(path[lo:lo + _SLICE_ROWS] for path in
+                                  (batch.x_eps, batch.x, batch.z, batch.y)), batch.first_index + lo)
+            for check, values in zip(checks, parts):
+                values.append(check.per_batch(rows))
+        del batch, rows  # one batch alive while the next is drawn
     return [_result(name, check.terms(np.concatenate(values)), bound)
             for name, check, bound, values in zip(names, checks, bounds, parts)]
 

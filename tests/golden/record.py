@@ -9,17 +9,24 @@ to a stored output must rewrite it here and say why in CHANGES.md.
 One file is compared with a tolerance: the last digits of ``gp-sweep``'s
 ``sweep.csv`` depend on the LAPACK ``eigh`` in use, so the ``gp_sweep`` case
 requires the same ``(replicate, q)`` rows with values within 1e-12; its
-``config.json`` and stdout are compared byte for byte.
+``config.json`` and stdout are compared byte for byte.  That agreement holds
+for one BLAS setting only: the data of a large ``n`` come from a Cholesky
+factor that needs its 1e-10 jitter, and at ``n = 1000`` the factor moves by
+up to 1.8e-5 between ``OPENBLAS_NUM_THREADS=1`` and 2, and full-scale rows
+by up to 4.7e-5.
 
 The ``trajectory`` case runs ``tie_pair.json``, whose rows 0 and 2 are built
-from the uniforms of seed 2, trajectory 0: its first two draws land exactly
+from the uniforms of seed 2, trajectory 0 (slot 0 of block 0, whose triple
+of step k starts at double ``3 * 64 * k``): its first two draws land exactly
 on a CDF entry (entry 1 of row 0, then entry 0 of row 2), so the run pins
 the half-open inverse CDF (a uniform equal to an entry selects past it).
 
 Every CSV ends its lines with a bare line feed.  The ``simulate_pair3``,
 ``simulate_pair12`` and ``trajectory`` sets were rewritten once, when
 ``simulate`` stopped writing through ``csv.writer``: each new file is its
-old bytes with every CR LF line ending made LF.
+old bytes with every CR LF line ending made LF.  The six Monte Carlo sets
+(``verify_*``, ``simulate_*`` and ``trajectory``) were recorded again when
+the RNG blocks became 64 step-major slots.
 
 Rewrite the set with::
 
@@ -52,18 +59,18 @@ CASES = {
     "sharpness": ["sharpness", "--beta", "0.25", "--eps", "0.1", "--gamma", "0.9",
                   "--nmax", "50"],
     "verify_flip": ["verify", "--config", "verify_flip.json"],
-    # 1100 trajectories cross the first 1024-trajectory RNG block
+    # 1100 trajectories fill 17 blocks of 64 RNG slots and part of an 18th
     "simulate_pair3": ["simulate", "--pair", "pair3.json", "--n", "40",
                        "--replicates", "1100", "--seed", "3", "--x0", "0", "--x0-eps", "2"],
     "simulate_pair12": ["simulate", "--pair", "pair12.json", "--n", "40",
                         "--replicates", "1100", "--seed", "4", "--x0", "1", "--x0-eps", "5"],
     # unequal law starts: the initial pair is drawn from the split of the two
     # laws, leftover parts included; at S = 12 off-diagonal pairs are
-    # untabulated, and 1100 trajectories cross the first RNG block
+    # untabulated, and 1100 trajectories end inside an RNG block
     "verify_pair12": ["verify", "--config", "verify_pair12.json"],
     # one equal law start (a fully shared split) and a deterministic rule
     "verify_pair12_equal": ["verify", "--config", "verify_pair12_equal.json"],
-    # 1200 steps cross two 500-step chunks of uniforms
+    # 1200 steps cross 18 64-step chunks of uniforms, and the run is 1 trajectory of a 64-slot block
     "trajectory": ["simulate", "--pair", "tie_pair.json", "--n", "1200", "--seed", "2"],
     # desk scale (n=100, m=5)
     "gp_sweep": ["gp-sweep", "--replicates", "20"],

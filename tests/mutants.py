@@ -48,6 +48,23 @@ MUTANTS = [
      '"tail": ("coupled_concentration", _tail),',
      '"tail": ("base_concentration", _tail),',
      "tail is held against the single-chain Azuma tail instead of its own row"),
+    ("src/chain_perturb/coupling.py",
+     "lo = start - first * _BLOCK",
+     "lo = start - first * count",
+     "a batch's first slot is computed with the batch's size in place of the block width"),
+    ("src/chain_perturb/coupling.py",
+     "for block, rng in enumerate(rngs):",
+     "for block, rng in enumerate(rngs[::-1]):",
+     "a batch that spans several blocks lays their slots out in reverse block order"),
+    ("src/chain_perturb/coupling.py",
+     "                                 next(uniforms))",
+     "                                 next(iter(_uniform_chunks(seed, start, count, steps)))[0])",
+     "a law start reads the front row but does not consume it, so step 0 reads it again"),
+    ("src/chain_perturb/coupling.py",
+     "            rng.random(out=rows[:width])",
+     "            rng.random(out=rows[:width]) if not k0 else (rng.random(3 * _BLOCK), "
+     "rng.random(out=rows[:width]))",
+     "every chunk after the first starts one row late in its block's stream"),
     ("src/chain_perturb/gp_mcmc.py",
      "plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]",
      "plus, minus = data[:, :k] - data[:, :n - k - 1:-1], data[:, :k] + data[:, :n - k - 1:-1]",

@@ -203,6 +203,14 @@ class TestDecouplingAndPathLaw:
         assert decoupling_time_bound(0.5, 10.0) == 1.0
         assert decoupling_time_bound(0.9, 100.0) == 1.0
 
+    def test_infinite_expected_tau(self):
+        # min(1, eps * inf) is 1; at eps = 0 the chains coincide, and 0 * inf is never formed
+        assert decoupling_time_bound(0.1, math.inf) == 1.0
+        assert decoupling_time_bound(5e-324, math.inf) == 1.0
+        assert decoupling_time_bound(0.0, math.inf) == 0.0
+        with pytest.raises(ValueError, match="expected_tau must be nonnegative"):
+            decoupling_time_bound(0.1, -1.0)
+
     def test_exact_deterministic_law_below_linear_bound(self):
         # 1 - (1-eps)^N <= eps * N for every eps in [0,1], N >= 0
         for eps in (0.0, 0.01, 0.1, 0.5, 1.0):

@@ -279,13 +279,13 @@ def reference_paths(P_eps, P, x0_eps, x0, U, eps, alpha):
 def contract_uniforms(seed, count, steps):
     """Uniforms of the documented RNG contract: one substream ``spawn_key=(block,)`` per block.
 
-    Every block of 1024 trajectories is drawn whole, trajectory-major, and
-    the first ``count`` trajectories are kept: no ``advance``, unlike the
-    stepper.
+    Every block of 64 trajectory slots is drawn whole in one call,
+    step-major (a row of 64 triples per step), and returned as
+    ``(count, steps, 3)``: the first ``count`` slots, trajectory by trajectory.
     """
-    blocks = range(-(-count // 1024))
+    blocks = range(-(-count // 64))
     return np.concatenate([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
-                           .random((1024, steps, 3)) for b in blocks])[:count]
+                           .random((steps, 64, 3)).transpose(1, 0, 2) for b in blocks])[:count]
 
 
 def sparse_weights(rng, shape):
@@ -356,7 +356,7 @@ class TestStepperOracle:
         def planted_chunks(seed, start, count, steps):
             width = coupling._STEP_CHUNK
             for k0 in range(0, steps, width):
-                yield planted["U"][start:start + count, k0:k0 + width]
+                yield planted["U"][start:start + count, k0:k0 + width].transpose(1, 0, 2)
 
         monkeypatch.setattr(coupling, "_uniform_chunks", planted_chunks)
         for trial in range(40):
@@ -505,11 +505,12 @@ class TestSimulateCoupled:
     @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
                              ids=["state-start", "law-start"])
     def test_batch_size_independent_across_blocks(self, x0_eps, x0):
-        # 2100 trajectories span three RNG blocks; every batch size gives the
-        # same paths, and they are the paths of the contract's uniforms
-        n, count = 5, 2100
+        # 2100 trajectories span 33 RNG blocks, and a batch of 2 B + 1 spans
+        # three; every batch size gives the same paths, and they are the paths
+        # of the contract's uniforms
+        n, count, B = 5, 2100, coupling._BLOCK
         runs = [stack_batches(*FLIP_PAIR, x0_eps, x0, n, count, seed=41, batch_size=b)
-                for b in (None, 1, 1023, 1024, 1025)]
+                for b in (None, 1, B - 1, B, B + 1, 2 * B + 1)]
         for run in runs[1:]:
             for name in ("x_eps", "x", "y", "z"):
                 np.testing.assert_array_equal(getattr(run, name), getattr(runs[0], name))
@@ -530,7 +531,7 @@ class TestSimulateCoupled:
     @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
                              ids=["state-start", "law-start"])
     def test_long_horizon_matches_contract(self, x0_eps, x0):
-        # 600 steps (601 with a law start) take a full 500-step chunk and a short one
+        # 600 steps (601 with a law start) take nine full 64-step chunks and a short one
         n, count = 600, 40
         assert coupling._STEP_CHUNK < n
         batch = stack_batches(*FLIP_PAIR, x0_eps, x0, n, count, seed=43, batch_size=15)
@@ -540,6 +541,41 @@ class TestSimulateCoupled:
         np.testing.assert_array_equal(batch.x_eps, xe)
         np.testing.assert_array_equal(batch.x, xb)
         np.testing.assert_array_equal(batch.y, y)
+
+    @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
+                             ids=["state-start", "law-start"])
+    def test_first_steps_depend_on_neither_n_nor_count(self, x0_eps, x0):
+        # step k of trajectory i reads the same doubles of its block's substream
+        # whatever the horizon and the number of trajectories
+        whole = stack_batches(*FLIP_PAIR, x0_eps, x0, 150, 200, seed=53)
+        for n, count in ((1, 200), (40, 3), (64, 130), (149, 65)):
+            run = stack_batches(*FLIP_PAIR, x0_eps, x0, n, count, seed=53)
+            for name in ("x_eps", "x", "y", "z"):
+                np.testing.assert_array_equal(getattr(run, name),
+                                              getattr(whole, name)[:count, :n + 1])
+
+    @pytest.mark.parametrize("x0_eps, x0", [(0, 1), ([0.5, 0.5], [0.8, 0.2])],
+                             ids=["state-start", "law-start"])
+    def test_one_random_call_per_block_and_chunk(self, monkeypatch, x0_eps, x0):
+        # 2 B + 22 trajectories touch three blocks; each block's substream is
+        # read by whole rows, one call per chunk, and by nothing else (no advance)
+        calls = []
+        make = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = make(seed)
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                calls.append(out.size)
+                return self.rng.random(size, dtype, out)
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        B, n = coupling._BLOCK, 100
+        (batch,) = iter_coupled_batches(*FLIP_PAIR, x0_eps, x0, n, 2 * B + 22, seed=5)
+        steps = n + (0 if isinstance(x0_eps, int) else 1)
+        assert len(calls) == 3 * -(-steps // coupling._STEP_CHUNK)
+        assert sum(calls) == 3 * steps * B * 3
 
     def test_peak_memory_does_not_grow_with_n(self):
         # one chunk of uniforms besides the paths, not all n steps' (19 MB here)
@@ -576,10 +612,13 @@ class TestSimulateCoupled:
         def batches(states, n, count):
             return -(-count // coupling._batch_size(n, n, np.min_scalar_type(-states)))
 
-        # 2,500 two-state runs of 400 steps held 24 MB of uniforms and 8 MB of paths at once
-        assert batches(2, 400, 2500) >= 2
+        # 2,500 two-state runs of 400 steps: 4 MB of paths and a 64-step chunk of uniforms
+        assert batches(2, 400, 2500) == 1
         # 500 runs of 2000 steps on 200 states, a loop bound by per-step overhead
         assert batches(200, 2000, 500) == 1
+        # but 20,000 two-state runs of 400 steps, or 2,000 of 2000 on 200 states, split
+        assert batches(2, 400, 20000) >= 2
+        assert batches(200, 2000, 2000) >= 2
 
     @pytest.mark.parametrize("states, path_type", [(2, np.int8), (128, np.int8),
                                                    (129, np.int16), (200, np.int16)])

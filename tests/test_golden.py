@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from golden.record import CASES, GOLDEN, INPUTS, run
-from chain_perturb import kernel_from_json
+from chain_perturb import iter_coupled_batches, kernel_from_json
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -38,11 +38,17 @@ def assert_sweep_close(data, stored):
 def test_tie_pair_draws_on_cdf_entries():
     # the trajectory case pins the half-open inverse CDF only while its first
     # two draws (seed 2, trajectory 0, second uniform of each triple) land on
-    # an entry: entry 1 of row 0's CDF, then entry 0 of row 2's
+    # an entry: entry 1 of row 0's CDF, then entry 0 of row 2's.  Trajectory
+    # 0 is slot 0 of block 0, so its triple of step k starts at double 3 B k
+    # of the block's substream, B = 64 slots per block
     doc = json.loads((INPUTS / "tie_pair.json").read_text())
     P, P_eps = kernel_from_json(doc["P"]), kernel_from_json(doc["P_eps"])
     np.testing.assert_array_equal(P.rows[[0, 2]], P_eps.rows[[0, 2]])
-    u = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(0,))).random(6)
+    u = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(0,))).random(3 * 64 + 3)
     assert np.cumsum(P.rows[0])[1] == u[1]
-    assert np.cumsum(P.rows[2])[0] == u[4]
+    assert np.cumsum(P.rows[2])[0] == u[3 * 64 + 1]
+    # so the stepper, which selects past an entry equal to its uniform, goes 0 -> 2 -> 1
+    (batch,) = iter_coupled_batches(P_eps, P, 0, 0, 2, 1, seed=2)
+    np.testing.assert_array_equal(batch.x[0], [0, 2, 1])
+    np.testing.assert_array_equal(batch.x_eps[0], [0, 2, 1])
     assert np.cumsum(P.rows[0])[-1] == np.cumsum(P.rows[2])[-1] == 1.0

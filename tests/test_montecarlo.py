@@ -12,7 +12,7 @@ import chain_perturb.montecarlo as mc
 from chain_perturb import (
     DimensionMismatchError,
     ExperimentConfig,
-    NumericalFailureError,
+    FiniteKernel,
     StoppingRule,
     base_concentration_threshold,
     closeness_params,
@@ -134,10 +134,31 @@ class TestExpectedHittingTime:
             expected_hitting_time(P, [target], 0)
 
     def test_unreachable_target_raises(self):
-        # state 0 is absorbing, so the system off the target {2} is singular
+        # state 0 is absorbing, so the target {2} never comes from 0, nor from 1
+        # with probability 1/2: both expectations are infinite, and nothing raises
         T = [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]]
-        with pytest.raises(NumericalFailureError, match="hitting-time system singular"):
-            expected_hitting_time(T, [2])
+        np.testing.assert_array_equal(expected_hitting_time(T, [2]), [np.inf, np.inf, 0.0])
+
+    def test_finite_beside_an_unreachable_state(self):
+        # state 1 moves to the target in one step, although state 0 never reaches it
+        T = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]
+        assert expected_hitting_time(T, [2], 1) == 1.0
+        np.testing.assert_array_equal(expected_hitting_time(T, [2]), [np.inf, 1.0, 0.0])
+        # a law start weighs only the states it charges
+        assert expected_hitting_time(T, [2], [0.0, 0.5, 0.5]) == 0.5
+        assert expected_hitting_time(T, [2], [0.5, 0.5, 0.0]) == np.inf
+
+    @pytest.mark.parametrize("eps, bound", [(0.1, 1.0), (0.0, 0.0)])
+    def test_infinite_expected_time_checks_run(self, eps, bound):
+        # the base chain never leaves state 0, so E[tau] of target {1} is infinite:
+        # min(1, eps E[tau]) is 1, or 0 when the chains coincide
+        P = FiniteKernel(np.eye(2))
+        cfg = ExperimentConfig(FiniteKernel([[1.0 - eps, eps], [0.0, 1.0]]), P, n=20,
+                               replicates=50, master_seed=3, x0_eps=0, x0=0,
+                               stopping=StoppingRule(kind="hitting", targets=[1]))
+        for result in run_experiments(["decoupling", "path_law"], cfg):
+            assert result.bound == bound
+            assert result.satisfied
 
     @pytest.mark.parametrize("start", [-1, 2])
     def test_bad_start(self, start):
@@ -449,6 +470,24 @@ class TestRunExperiments:
             finally:
                 tracemalloc.stop()
         assert peaks[6000] <= 1.15 * peaks[2000]
+
+    def test_verify_flip_peak_memory(self):
+        # the verify_flip benchmark's config runs as one batch: 2,500 paths of
+        # 401 steps (4 MB with z), one 64-step chunk of their uniforms (3.7 MB,
+        # freed before the checks read the batch) and checks that reduce 256
+        # rows at a time; 15.6 MiB while a batch of 1,497 held 14 MB of
+        # uniforms and each check read the whole batch at once
+        names = ["disagreement", "average_difference", "tail", "base_tail", "decoupling",
+                 "path_law"]
+        config = dict(seed=1, f=[0.0, 1.0], stopping=StoppingRule(kind="hitting", targets=(1,)))
+        run_experiments(names, flip_config(n=5, replicates=5, **config))  # warm up
+        tracemalloc.start()
+        try:
+            run_experiments(names, flip_config(n=400, replicates=2500, **config))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
 
     @pytest.fixture()
     def sim_calls(self, monkeypatch):
