@@ -15,12 +15,14 @@ each length-scale Gram matrix the Woodbury quadratic form and
 log-determinant at every rank are prefix sums over one spectrum, so the rank
 sweep builds all truncations, and the full-rank table, from one
 eigendecomposition per atom, done as two half-size solves of its
-centrosymmetric split.  The latent Cholesky factor is made once per block of
-draws and dropped before the eigen pass, which holds no ``n x n`` array: one
-atom's two half-size eigenvector blocks are alive at a time, projecting up to
-``n`` datasets, so ``R`` replicates take ``O(n^2 + m n min(R, n))`` floats
-plus one chunk of transition rows: 100 at n=1000, m=10 peak at 73 MB RSS
-(2-core x86-64 host).
+centrosymmetric split.  :func:`figure_sweep` runs three stages per block of
+up to ``n`` replicates: one :func:`generate_data` call draws the block from
+one latent Cholesky factor, freed on return; one eigen pass, which holds no
+``n x n`` array, folds each dataset once and projects it with one atom's two
+half-size eigenvector blocks at a time; and one table of prefix sums per
+replicate gives every rank.  ``R`` replicates take ``O(n^2 + m n min(R, n))``
+floats plus one chunk of transition rows: 100 at n=1000, m=10 peak at 71 MB
+RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -30,9 +32,7 @@ normalization; raw ratios underflow already at moderate data sizes.
 
 from __future__ import annotations
 
-import functools
 import math
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
@@ -124,41 +124,33 @@ def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     The latent field has covariance ``true_x2 * Sigma(true_x1)``; observations
     are ``x3 * f + e`` with independent ``e ~ N(0, x3^2)`` per coordinate, so
     the observation covariance is ``x3^2 (I + x2 Sigma)``.  Reproducible from
-    ``(config.seed, replicate)``.
+    ``(config.seed, replicate)``.  A sequence of replicates gives one row per
+    replicate, each the same bit for bit as drawn alone; the rows share one
+    latent Cholesky factor, made in the call and freed on return.
     """
-    key = (_count("replicate", replicate, low=0),)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=key))
-    f = _latent_factor(config) @ rng.standard_normal(int(config.n))
-    x3 = math.sqrt(config.true_x3_sq)
-    return x3 * f + x3 * rng.standard_normal(int(config.n))
-
-
-# n -> latent factor, shared by every draw made while some caller holds it
-_FACTORS = weakref.WeakValueDictionary()
+    single = np.ndim(replicate) == 0
+    keys = [_count("replicate", r, low=0) for r in ([replicate] if single else replicate)]
+    chol, x3 = _latent_factor(config), math.sqrt(config.true_x3_sq)
+    data = np.empty((len(keys), int(config.n)))
+    for z, key in zip(data, keys):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(key,)))
+        draw = rng.standard_normal((2, z.size))  # the field's normals, then the noise's
+        z[:] = x3 * (chol @ draw[0]) + x3 * draw[1]
+    return data[0] if single else data
 
 
 def _latent_factor(config):
-    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone.
-
-    Made once for as long as a caller holds it (``figure_sweep`` does, for one
-    block of draws) and freed with the last reference.
-    """
-    chol = _FACTORS.get(config.n)
-    if chol is not None:
-        return chol
+    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone."""
     cov_f = gram_matrix(config.true_x1, config.points)
     cov_f *= config.true_x2
     try:
-        chol = np.linalg.cholesky(cov_f)
+        return np.linalg.cholesky(cov_f)
     except np.linalg.LinAlgError:
         cov_f.flat[::config.n + 1] += 1e-10  # the bits of cov_f + 1e-10 * eye(n)
         try:
-            chol = np.linalg.cholesky(cov_f)
+            return np.linalg.cholesky(cov_f)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailureError(f"latent covariance not factorizable: {exc}") from exc
-    chol.setflags(write=False)
-    _FACTORS[config.n] = chol
-    return chol
 
 
 def _spectrum(gram):
@@ -178,9 +170,10 @@ def _spectrum(gram):
 # ---------------------------------------------------------------------------
 # likelihood tables over the m x m atom grid
 
-def _eigen_cache(config):
-    """Per length-scale atom: its Gram matrix ``G``'s eigenvalues, largest first, clipped at 0,
-    and ``project(Z)``, the rows ``U'z`` of the rows ``z`` of ``Z`` in their order.
+def _spectra(config, data):
+    """One eigen pass over the rows ``z`` of ``data``: ``(vals, coef)``, shapes ``(m, n)``
+    and ``(len(data), m, n)``.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix
+    ``G``'s eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order.
 
     ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
     half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
@@ -188,15 +181,23 @@ def _eigen_cache(config):
     :func:`_spectrum` of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
     the middle column, and ``G[k, k] = 1``) gives ``[v; Jv]/sqrt(2)`` with
     middle entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.
-    The blocks are built from the points, never ``G`` or ``U``: ``project``
-    folds ``z`` into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
-    ``z_k`` when ``n`` is odd, and multiplies each fold by its half's vectors.
+    The blocks are built from the points, never ``G`` or ``U``.  Each ``z`` is
+    folded once into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
+    ``z_k`` when ``n`` is odd, and each fold is multiplied by one atom's half
+    vectors at a time.  Each row takes its own matrix-vector products, as one
+    product over all rows would round a row's result differently with the
+    number of rows.
     """
     n, k = int(config.n), int(config.n) // 2
+    plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
+    plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
+    minus /= math.sqrt(2.0)
     near, far = config.points[:k], config.points[:n - k - 1:-1]
     sq_a, sq_cj = squared_distances(near), squared_distances(near, far)
     sq_mid = squared_distances(near, config.points[k:k + 1])  # (k, 1); unused when n is even
-    for x1 in config.grid_x1:
+    vals, coef = np.empty((int(config.m), n)), np.empty((len(data), int(config.m), n))
+    proj = np.empty((len(data), n))
+    for i1, x1 in enumerate(config.grid_x1):
         a, cj = np.exp(-x1 * sq_a), np.exp(-x1 * sq_cj)  # the bits of gram_matrix's blocks
         sym, anti = a + cj, a - cj
         if n % 2:
@@ -205,38 +206,13 @@ def _eigen_cache(config):
         del a, cj
         (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _spectrum(sym), _spectrum(anti)
         del sym, anti
-        vals = np.concatenate([sym_vals, anti_vals])
-        order = np.argsort(-vals, kind="stable")
-        yield vals[order], functools.partial(_project, sym_vecs, anti_vecs, order)
-
-
-def _project(sym_vecs, anti_vecs, order, data):
-    """``U'z`` for each row ``z`` of ``data``, from the two halves of :func:`_eigen_cache`.
-
-    The folds are elementwise; each row then takes its own matrix-vector
-    product per half, as one product over all rows would round a row's
-    result differently with the number of rows.
-    """
-    n, k = data.shape[1], data.shape[1] // 2
-    plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
-    plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
-    minus /= math.sqrt(2.0)
-    coef = np.empty(data.shape)
-    for c, p, w in zip(coef, plus, minus):
-        c[:n - k], c[n - k:] = sym_vecs.T @ p, anti_vecs.T @ w
-    return coef[:, order]
-
-
-def _spectra(config, data):
-    """Per dataset ``z``, from one eigen pass: ``(vals, (U'z)^2, logdet)``; only ``(U'z)^2`` differs."""
-    x2 = np.asarray(config.grid_x2, dtype=float)[:, None]
-    vals = np.empty((int(config.m), int(config.n)))
-    coef_sq = np.empty((len(data),) + vals.shape)
-    data = np.stack(data)
-    for i1, (v, project) in enumerate(_eigen_cache(config)):
-        vals[i1], coef_sq[:, i1] = v, project(data) ** 2
-    logdet = [np.cumsum(np.log1p(x2 * v), axis=1) for v in vals]
-    return [(vals, c, logdet) for c in coef_sq]
+        for c, p, w in zip(proj, plus, minus):
+            c[:n - k], c[n - k:] = sym_vecs.T @ p, anti_vecs.T @ w
+        del sym_vecs, anti_vecs
+        v = np.concatenate([sym_vals, anti_vals])
+        order = np.argsort(-v, kind="stable")
+        vals[i1], coef[:, i1] = v[order], proj[:, order]
+    return vals, coef
 
 
 def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
@@ -257,9 +233,9 @@ def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
 
     and every rank is a prefix sum over one spectrum.  ``q`` may also be an
     array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks of ``n``
-    and above give the full-rank table.  ``spectrum`` is ``z``'s entry of
-    :func:`_spectra`; without it one eigen pass is made for ``z`` alone.
-    ``z`` must hold ``config.n`` finite reals.
+    and above give the full-rank table.  ``spectrum`` is ``(vals, coef[r])``
+    of :func:`_spectra` for the row ``z`` of its data; without it one eigen
+    pass is made for ``z`` alone.  ``z`` must hold ``config.n`` finite reals.
     """
     ranks = np.asarray(q)
     if ranks.dtype.kind not in "iu" or np.any(ranks < 1):
@@ -270,14 +246,13 @@ def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
                                      f"got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("z entries must be finite")
-    vals, coef_sq, logdet = spectrum if spectrum is not None else _spectra(config, [z])[0]
-    n = z.size
-    x2 = np.asarray(config.grid_x2, dtype=float)[:, None]
-    scale = 0.5 * (config.prior_a + n)
-    ll = np.empty((n, int(config.m), x2.shape[0]))
-    for i1 in range(int(config.m)):
-        quad = z @ z - np.cumsum(vals[i1] * coef_sq[i1] / (1.0 / x2 + vals[i1]), axis=1)
-        ll[:, i1, :] = (-0.5 * logdet[i1] - scale * np.log(config.prior_b + quad)).T
+    vals, coef = spectrum if spectrum is not None else _spectra(config, z[None])
+    n, x2 = z.size, np.asarray(config.grid_x2, dtype=float)
+    # ll[rank - 1, i1, i2] in one broadcast; a pass over z alone gives coef as (1, m, n)
+    lv, coef_sq = vals.T[:, :, None], (coef.reshape(vals.shape) ** 2).T[:, :, None]
+    logdet = np.cumsum(np.log1p(lv * x2), axis=0)
+    quad = z @ z - np.cumsum(lv * coef_sq / (1.0 / x2 + lv), axis=0)
+    ll = -0.5 * logdet - 0.5 * (config.prior_a + n) * np.log(config.prior_b + quad)
     return ll[np.minimum(ranks, n) - 1]
 
 
@@ -287,19 +262,16 @@ def logsumexp(a, axis):
     return top + np.log(np.exp(a - top).sum(axis=axis, keepdims=True))
 
 
-def _conditional_tables(ll):
-    # r[..., i1, y2]: resample the amplitude atom given the length-scale atom;
-    # s[..., y1, y2]: resample the length-scale atom given the (new) amplitude atom.
+def _rows_by_x1(ll):
+    """Distinct transition rows, (..., m, m^2): entry [..., i1, j1*m + j2] = s[j1,j2] r[i1,j2].
+
+    ``r[..., i1, y2]`` resamples the amplitude atom given the length-scale
+    atom, ``s[..., y1, y2]`` the length-scale atom given the (new) amplitude atom.
+    """
     if not np.all(np.isfinite(ll)):
         raise NumericalFailureError("log-likelihood table contains non-finite entries")
     r = np.exp(ll - logsumexp(ll, axis=-1))
     s = np.exp(ll - logsumexp(ll, axis=-2))
-    return r, s
-
-
-def _rows_by_x1(ll):
-    """Distinct transition rows, (..., m, m^2): entry [..., i1, j1*m + j2] = s[j1,j2] r[i1,j2]."""
-    r, s = _conditional_tables(ll)
     rows = s[..., None, :, :] * r[..., :, None, :]
     return rows.reshape(rows.shape[:-2] + (-1,))
 
@@ -313,12 +285,12 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
     side, are slices of one table of prefix sums (:func:`lowrank_log_table`);
-    ranks above ``n`` give the full-rank rows.  One latent factor draws, and
-    one eigen pass serves, a block of up to ``n`` replicates, and transition
-    rows are built ``_RANK_CHUNK`` ranks at a time up to the stop, so memory
-    is ``O(n^2 + m n min(R, n))`` for ``R`` replicates plus one chunk of
-    rows.  Rows come in (replicate, q) order, so whether ``epsilon`` is
-    monotone in ``q`` can be read from them.
+    ranks above ``n`` give the full-rank rows.  A block of up to ``n``
+    replicates is drawn in one :func:`generate_data` call and projected in
+    one eigen pass, and transition rows are built ``_RANK_CHUNK`` ranks at a
+    time up to the stop, so memory is ``O(n^2 + m n min(R, n))`` for ``R``
+    replicates plus one chunk of rows.  Rows come in (replicate, q) order, so
+    whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     n = int(config.n)
     _require_finite_nonnegative("eps_threshold", eps_threshold)
@@ -326,11 +298,10 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     qmax = n if qmax is None else _count("qmax", qmax)
     rows = []
     for start in range(0, replicates, n):
-        factor = _latent_factor(config)  # one factor for the block's draws ...
-        data = [generate_data(config, rep) for rep in range(start, min(start + n, replicates))]
-        del factor  # ... freed before the eigen pass
-        for rep, (z, spectrum) in enumerate(zip(data, _spectra(config, data)), start=start):
-            ll = lowrank_log_table(config, z, np.arange(1, n + 1), spectrum=spectrum)
+        data = generate_data(config, range(start, min(start + n, replicates)))
+        vals, coef = _spectra(config, data)
+        for rep, (z, c) in enumerate(zip(data, coef), start=start):
+            ll = lowrank_log_table(config, z, np.arange(1, n + 1), spectrum=(vals, c))
             full = _rows_by_x1(ll[-1:])
             for k in range(0, qmax, _RANK_CHUNK):
                 T = _rows_by_x1(ll[np.minimum(np.arange(k, min(k + _RANK_CHUNK, qmax)), n - 1)])

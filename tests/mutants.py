@@ -77,6 +77,22 @@ MUTANTS = [
      "plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)",
      "plus = np.concatenate([plus / math.sqrt(2.0), 0.0 * data[:, k:n - k]], axis=1)",
      "the GP projection drops the middle observation z_k when n is odd"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "vals[i1], coef[:, i1] = v[order], proj[:, order]",
+     "vals[i1], coef[:, i1] = v[order], proj",
+     "the GP projections stay in half-block order while their eigenvalues are sorted"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "logdet = np.cumsum(np.log1p(lv * x2), axis=0)",
+     "logdet = np.cumsum(np.log(lv * x2), axis=0)",
+     "the GP log-determinant sums log(x2 l_i) in place of log(1 + x2 l_i)"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "z[:] = x3 * (chol @ draw[0]) + x3 * draw[1]",
+     "z[:] = x3 * (chol @ draw[0]) + x3 * draw[0]",
+     "the GP noise term reuses the latent field's normals, so noise and field are correlated"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "r = np.exp(ll - logsumexp(ll, axis=-1))",
+     "r = np.exp(ll - logsumexp(ll, axis=-2))",
+     "the amplitude resample is normalised over the length-scale atoms"),
 ]
 
 

@@ -587,6 +587,52 @@ class TestVerify:
         assert "initial state 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("P, P_eps", [
+    ([[0.5, 0.5], [0.5, 0.5]], [[0.3, 0.7], [0.3, 0.7]]),
+    ([[0.9, 0.1], [0.2, 0.8]], [[0.9, 0.1], [0.2, 0.8]]),
+    ([[1.0]], [[1.0]]),
+    ([[1.0, 0.0], [0.5, 0.5]], [[0.9, 0.1], [0.5, 0.5]]),
+    ([[0.0, 1.0], [1.0, 0.0]], [[0.1, 0.9], [0.9, 0.1]]),
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.9, 0.1], [0.1, 0.9]]),
+], ids=["equal-rows", "identical", "one-state", "absorbing", "flip", "disjoint-rows"])
+def test_degenerate_pair_gives_an_answer_or_one_error(tmp_path, capsys, P, P_eps):
+    # every regime edge exits 0 with no nan anywhere, or 2 with one error line;
+    # none exits 3.  bounds reads the pair's own constants, a = 0 left out as
+    # closeness_params does, and verify runs each check the pair admits
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"P": kernel_to_json(P), "P_eps": kernel_to_json(P_eps)}))
+
+    def run(name, args):
+        out = tmp_path / name
+        rc = main(["--out-dir", str(out)] + args)
+        stdout, err = capsys.readouterr()
+        if rc == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        else:
+            assert rc == 0, (name, rc, err)
+            texts = [stdout] + [f.read_text() for f in out.iterdir()]
+            assert not any("nan" in text for text in texts), name
+        return stdout
+
+    constants = run("constants", ["constants", "--pair", str(pair)]).splitlines()
+    a, alpha, eps = map(float, constants[1].split(","))
+    flags = ["--epsilon", repr(eps), "--alpha", repr(alpha), "--n", "20", "--p0", "0.5",
+             "--fstar", "0.5", "--lambda", "2", "--etau", "3", "--format", "csv"]
+    run("bounds", ["bounds"] + flags + (["--a", repr(a)] if a > 0.0 else []))
+    states = len(P)
+    hitting = ["disagreement", "average_difference", "tail", "decoupling", "path_law"]
+    if a > 0.0 and states > 1:  # base_tail needs a > 0 and an f that is not constant
+        hitting.append("base_tail")
+    groups = [({"kind": "hitting", "targets": [states - 1]}, hitting),
+              ({"kind": "deterministic", "time": 5}, ["decoupling", "bounding_decoupling"])]
+    for k, (stopping, experiments) in enumerate(groups):
+        cfg = tmp_path / f"config{k}.json"
+        cfg.write_text(json.dumps({"pair": "pair.json", "n": 30, "replicates": 200,
+                                   "f": [float(s) for s in range(states)],
+                                   "stopping": stopping, "experiments": experiments}))
+        run(f"verify{k}", ["verify", "--config", str(cfg)])
+
+
 class TestGpSweep:
     def test_small_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from chain_perturb import (
     squared_distances,
 )
 from chain_perturb import gp_mcmc
-from chain_perturb.gp_mcmc import _eigen_cache, _spectrum, logsumexp
+from chain_perturb.gp_mcmc import _spectra, _spectrum, logsumexp
 from helpers import dense_log_likelihood, truncated_gram
 from oracles import (
     epsilon_alpha_for_gp,
@@ -146,17 +146,40 @@ class TestGenerateData:
         figure_sweep(GPConfig(n=50, m=2), 5)
         assert 1 <= len(calls) <= 2
 
+    def test_sequence_rows_match_single_draws(self):
+        # n=10: replicates 8..11 cross the sweep's block edge at 10
+        cfg = GPConfig(n=10, m=2, seed=2)
+        rows = generate_data(cfg, range(8, 12))
+        assert rows.shape == (4, 10)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(row, generate_data(cfg, 8 + i))
+        np.testing.assert_array_equal(generate_data(cfg, [11, 8])[0], rows[3])
+
+    def test_sweep_calls_the_traced_names(self, monkeypatch):
+        # the benchmark's tracer counts these three names inside figure_sweep;
+        # one draw per block of n replicates, one table per replicate
+        calls = {"generate_data": 0, "lowrank_log_table": 0, "logsumexp": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(gp_mcmc, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(gp_mcmc, name, counted)
+        figure_sweep(GPConfig(n=50, m=2), 120)
+        assert calls["generate_data"] == 3 and calls["lowrank_log_table"] == 120
+        assert calls["logsumexp"] >= 1
+
 
 class TestEigenCache:
     @pytest.mark.parametrize("n", [2, 3, 30, 31, 200, 201])
     def test_matches_full_eigh(self, n):
         # the two half-size solves give the full spectrum, an orthonormal
-        # basis and the Gram matrix back, odd n (middle row) included; the
-        # generator yields one atom at a time, every atom once.  Row i of U
-        # is U'e_i, the projection of the i-th unit vector
+        # basis and the Gram matrix back, odd n (middle row) included, for
+        # every atom.  Row i of U is U'e_i, the projection of the i-th unit
+        # vector
         cfg = GPConfig(n=n, m=3)
-        for x1, (vals, project) in zip(cfg.grid_x1, _eigen_cache(cfg), strict=True):
-            vecs = project(np.eye(n))
+        spectra, coef = _spectra(cfg, np.eye(n))
+        for i1, (x1, vals) in enumerate(zip(cfg.grid_x1, spectra, strict=True)):
+            vecs = coef[:, i1]
             G = gram_matrix(x1, cfg.points)
             ref = np.clip(np.linalg.eigh(G)[0][::-1], 0.0, None)
             assert np.all(np.diff(vals) <= 0.0)
@@ -393,9 +416,10 @@ class TestFigureSweep:
         with pytest.raises(ValueError, match=name):
             figure_sweep(GPConfig(n=10, m=2, seed=1), replicates, qmax=qmax)
 
-    @pytest.mark.parametrize("replicate", [1.7, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("replicate", [1.7, True, [0, 1.7], [True]],
+                             ids=["float", "bool", "float-in-list", "bool-in-list"])
     def test_generate_data_rejects_non_integer_replicate(self, replicate):
-        # both used to return replicate 1's data
+        # 1.7 and True used to return replicate 1's data
         with pytest.raises(ValueError, match="replicate must be an integer >= 0"):
             generate_data(GPConfig(n=10, m=2, seed=1), replicate)
 
