@@ -118,7 +118,9 @@ def _require_contraction(alpha, epsilon):
 
     The test is on the rounded sum, not on ``epsilon > 1 - alpha``: with the
     exact constants of a kernel pair (``alpha = fl(1 - c)``, ``epsilon = d``
-    for TV maxima ``d <= c``) the sum never rounds above 1, while the
+    for TV maxima ``d <= c``, both in [0, 1] as ``kernels._row_tv`` clamps at
+    1, which keeps their order) the sum never rounds above 1 (``1 - c`` is
+    exact for ``c >= 1/2`` and off by at most 2**-54 for smaller ``c``), while the
     subtraction can lose the ulp that lets ``epsilon`` exceed ``1 - alpha``.
     So for user-given scalars a violation smaller than 2**-53 is accepted.
     """

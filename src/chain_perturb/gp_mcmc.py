@@ -11,18 +11,17 @@ the closeness constants of the pair reduce to maxima over ``m x m`` row
 pairs and are computed exactly.
 
 Every rank-q table comes from :func:`lowrank_log_table`: in the eigenbasis of
-each length-scale Gram matrix the Woodbury quadratic form and
-log-determinant at every rank are prefix sums over one spectrum, so the rank
-sweep builds all truncations, and the full-rank table, from one
-eigendecomposition per atom, done as two half-size solves of its
-centrosymmetric split.  :func:`figure_sweep` runs three stages per block of
-up to ``n`` replicates: one :func:`generate_data` call draws the block from
-one latent Cholesky factor, freed on return; one eigen pass, which holds no
-``n x n`` array, folds each dataset once and projects it with one atom's two
-half-size eigenvector blocks at a time; and one table of prefix sums per
-replicate gives every rank.  ``R`` replicates take ``O(n^2 + m n min(R, n))``
-floats plus one chunk of transition rows: 100 at n=1000, m=10 peak at 71 MB
-RSS (2-core x86-64 host).
+each length-scale Gram matrix the Woodbury quadratic form and log-determinant
+at every rank are prefix sums over one spectrum, so the rank sweep builds all
+truncations, and the full-rank table, from one eigendecomposition per atom,
+done as two half-size solves of its centrosymmetric split.  :func:`figure_sweep`
+runs three stages per block of up to ``n`` replicates: one :func:`generate_data`
+call draws the block from a spectral factor of the same split; one eigen pass
+folds each dataset once and projects it with one atom's two half-size
+eigenvector blocks at a time; and one table of prefix sums per replicate gives
+every rank.  No stage makes an ``n x n`` array: ``R`` replicates take a few
+``n/2 x n/2`` blocks, ``O(m n min(R, n))`` floats and one chunk of transition
+rows; 100 at n=1000, m=10 peak at 63 MB RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -56,6 +55,7 @@ __all__ = [
 _DECAY_TARGET = 0.01   # correlation value the spatial kernel reaches ...
 _DECAY_FRACTION = 0.45  # ... at this fraction of the maximal squared distance
 _RANK_CHUNK = 64  # ranks of a replicate whose transition rows are built at once
+_LATENT_FLOOR = 1e-7  # latent modes at most this fraction of the largest are not drawn
 
 SweepRow = namedtuple("SweepRow", ["replicate", "q", "epsilon", "alpha", "ratio"])
 
@@ -110,10 +110,11 @@ def squared_distances(points, others=None) -> np.ndarray:
     return np.multiply(d, d, out=d)
 
 
-def gram_matrix(x1, points) -> np.ndarray:
-    """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal)."""
+def gram_matrix(x1, points, others=None) -> np.ndarray:
+    """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal), or with
+    ``others`` given the block ``exp(-x1 ||w_i - v_j||^2)``."""
     _require("x1", x1, "finite and positive", lambda v: 0.0 < v < math.inf)
-    gram = squared_distances(points)
+    gram = squared_distances(points, others)
     np.multiply(gram, -x1, out=gram)  # in place, the bits of exp(-x1 * d2)
     return np.exp(gram, out=gram)
 
@@ -121,36 +122,42 @@ def gram_matrix(x1, points) -> np.ndarray:
 def generate_data(config: GPConfig, replicate=0) -> np.ndarray:
     """Draw one observation vector: latent field plus noise, both scaled by the noise level.
 
-    The latent field has covariance ``true_x2 * Sigma(true_x1)``; observations
-    are ``x3 * f + e`` with independent ``e ~ N(0, x3^2)`` per coordinate, so
-    the observation covariance is ``x3^2 (I + x2 Sigma)``.  Reproducible from
-    ``(config.seed, replicate)``.  A sequence of replicates gives one row per
-    replicate, each the same bit for bit as drawn alone; the rows share one
-    latent Cholesky factor, made in the call and freed on return.
+    The latent field has covariance ``true_x2 * Sigma(true_x1)``, floored (:func:`_latent_factor`);
+    observations are ``x3 * f + e`` with independent ``e ~ N(0, x3^2)`` per coordinate, so the
+    observation covariance is ``x3^2 (I + x2 Sigma)``.  Of the normals of ``(config.seed,
+    replicate)`` the field reads the first ``q`` of the first ``n``, the noise the second ``n``.
+    A sequence of replicates gives one row each, the same bit for bit as drawn alone, all from
+    one ``n x q`` factor made in the call and freed on return.
     """
     single = np.ndim(replicate) == 0
     keys = [_count("replicate", r, low=0) for r in ([replicate] if single else replicate)]
-    chol, x3 = _latent_factor(config), math.sqrt(config.true_x3_sq)
+    factor, x3 = _latent_factor(config), math.sqrt(config.true_x3_sq)
     data = np.empty((len(keys), int(config.n)))
     for z, key in zip(data, keys):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(key,)))
         draw = rng.standard_normal((2, z.size))  # the field's normals, then the noise's
-        z[:] = x3 * (chol @ draw[0]) + x3 * draw[1]
+        z[:] = x3 * (factor @ draw[0, :factor.shape[1]]) + x3 * draw[1]
     return data[0] if single else data
 
 
 def _latent_factor(config):
-    """Cholesky factor of the latent covariance; the truth and the points depend on ``n`` alone."""
-    cov_f = gram_matrix(config.true_x1, config.points)
-    cov_f *= config.true_x2
-    try:
-        return np.linalg.cholesky(cov_f)
-    except np.linalg.LinAlgError:
-        cov_f.flat[::config.n + 1] += 1e-10  # the bits of cov_f + 1e-10 * eye(n)
-        try:
-            return np.linalg.cholesky(cov_f)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailureError(f"latent covariance not factorizable: {exc}") from exc
+    """The ``n x q`` spectral factor ``U_q sqrt(x2 L_q)`` of the latent covariance ``x2 Sigma``.
+
+    Only the ``q`` modes of :func:`_half_spectra` with ``lambda > _LATENT_FLOOR * lambda_max``
+    are unfolded, largest first: 12 at n=1000, dropping a total variance of 5.1e-6 (of 900).
+    Each column's first entry of largest magnitude is positive, whatever signs ``eigh`` picks.
+    """
+    n, k = int(config.n), int(config.n) // 2
+    (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _half_spectra(config.true_x1, config.points)
+    vals = np.concatenate([sym_vals, anti_vals])
+    keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > _LATENT_FLOOR * vals.max())]
+    sym = keep < n - k
+    half = np.zeros((n - k, keep.size))  # a symmetric mode's middle entry in the last row, odd n
+    half[:, sym], half[:k, ~sym] = sym_vecs[:, keep[sym]], anti_vecs[:, keep[~sym] - (n - k)]
+    half[:k] /= math.sqrt(2.0)
+    half *= np.copysign(1.0, half[np.abs(half).argmax(axis=0), np.arange(keep.size)])
+    unfolded = np.concatenate([half, np.where(sym, 1.0, -1.0) * half[k - 1::-1]])
+    return unfolded * np.sqrt(config.true_x2 * vals[keep])
 
 
 def _spectrum(gram):
@@ -165,6 +172,19 @@ def _spectrum(gram):
         raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     return np.clip(vals[order], 0.0, None), vecs[:, order]
+
+
+def _half_spectra(x1, points):
+    """:func:`_spectrum` of ``Sigma(x1)``'s half-size blocks ``A +- CJ`` (see :func:`_spectra`)."""
+    n, k = points.size, points.size // 2
+    near, far = points[:k], points[:n - k - 1:-1]
+    a, cj = gram_matrix(x1, near), gram_matrix(x1, near, far)
+    sym, anti = a + cj, np.subtract(a, cj, out=a)
+    del cj
+    if n % 2:
+        mid = math.sqrt(2.0) * gram_matrix(x1, near, points[k:k + 1])
+        sym = np.block([[sym, mid], [mid.T, np.ones((1, 1))]])
+    return _spectrum(sym), _spectrum(anti)
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +212,10 @@ def _spectra(config, data):
     plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
     plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
     minus /= math.sqrt(2.0)
-    near, far = config.points[:k], config.points[:n - k - 1:-1]
-    sq_a, sq_cj = squared_distances(near), squared_distances(near, far)
-    sq_mid = squared_distances(near, config.points[k:k + 1])  # (k, 1); unused when n is even
     vals, coef = np.empty((int(config.m), n)), np.empty((len(data), int(config.m), n))
     proj = np.empty((len(data), n))
     for i1, x1 in enumerate(config.grid_x1):
-        a, cj = np.exp(-x1 * sq_a), np.exp(-x1 * sq_cj)  # the bits of gram_matrix's blocks
-        sym, anti = a + cj, a - cj
-        if n % 2:
-            mid = math.sqrt(2.0) * np.exp(-x1 * sq_mid)
-            sym = np.block([[sym, mid], [mid.T, np.ones((1, 1))]])
-        del a, cj
-        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _spectrum(sym), _spectrum(anti)
-        del sym, anti
+        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _half_spectra(x1, config.points)
         for c, p, w in zip(proj, plus, minus):
             c[:n - k], c[n - k:] = sym_vecs.T @ p, anti_vecs.T @ w
         del sym_vecs, anti_vecs
@@ -288,9 +298,9 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ranks above ``n`` give the full-rank rows.  A block of up to ``n``
     replicates is drawn in one :func:`generate_data` call and projected in
     one eigen pass, and transition rows are built ``_RANK_CHUNK`` ranks at a
-    time up to the stop, so memory is ``O(n^2 + m n min(R, n))`` for ``R``
-    replicates plus one chunk of rows.  Rows come in (replicate, q) order, so
-    whether ``epsilon`` is monotone in ``q`` can be read from them.
+    time up to the stop, so memory is a few ``n/2 x n/2`` blocks plus ``O(m n min(R, n))``
+    floats for ``R`` replicates and one chunk of rows.  Rows come in (replicate, q) order,
+    so whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     n = int(config.n)
     _require_finite_nonnegative("eps_threshold", eps_threshold)

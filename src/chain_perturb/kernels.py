@@ -228,8 +228,9 @@ def tv_distance(p, q) -> float:
 
 
 def _row_tv(p, q):
-    """TV distance ``0.5 * sum |p - q|`` along the last axis; the other axes broadcast."""
-    return 0.5 * np.abs(p - q).sum(axis=-1)
+    """TV distance ``0.5 * sum |p - q|`` along the last axis, clamped at 1, which the rounded
+    sum of two disjoint rows can exceed; the other axes broadcast."""
+    return np.minimum(0.5 * np.abs(p - q).sum(axis=-1), 1.0)
 
 
 def _max_cross_tv(A, B):

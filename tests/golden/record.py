@@ -9,11 +9,9 @@ to a stored output must rewrite it here and say why in CHANGES.md.
 One file is compared with a tolerance: the last digits of ``gp-sweep``'s
 ``sweep.csv`` depend on the LAPACK ``eigh`` in use, so the ``gp_sweep`` case
 requires the same ``(replicate, q)`` rows with values within 1e-12; its
-``config.json`` and stdout are compared byte for byte.  That agreement holds
-for one BLAS setting only: the data of a large ``n`` come from a Cholesky
-factor that needs its 1e-10 jitter, and at ``n = 1000`` the factor moves by
-up to 1.8e-5 between ``OPENBLAS_NUM_THREADS=1`` and 2, and full-scale rows
-by up to 4.7e-5.
+``config.json`` and stdout are compared byte for byte.  The data come from
+the floored spectral factor of the latent covariance, whose kept modes and
+signs do not depend on the BLAS thread count.
 
 The ``trajectory`` case runs ``tie_pair.json``, whose rows 0 and 2 are built
 from the uniforms of seed 2, trajectory 0 (slot 0 of block 0, whose triple
@@ -26,7 +24,9 @@ Every CSV ends its lines with a bare line feed.  The ``simulate_pair3``,
 ``simulate`` stopped writing through ``csv.writer``: each new file is its
 old bytes with every CR LF line ending made LF.  The six Monte Carlo sets
 (``verify_*``, ``simulate_*`` and ``trajectory``) were recorded again when
-the RNG blocks became 64 step-major slots.
+the RNG blocks became 64 step-major slots, and the ``gp_sweep`` set when the
+latent field came to be drawn from the spectral factor in place of a Cholesky
+factor.
 
 Rewrite the set with::
 

@@ -6,6 +6,13 @@ import pytest
 from chain_perturb import CoupledBatch, FiniteKernel, as_kernel, coupling, iter_coupled_batches
 
 
+# Two rows with disjoint supports whose ``0.5 * sum|p - q|`` rounds to
+# 1.0000000000000002 once the kernel normalises them; as a pair P = (p, p, p, p, q),
+# P_eps = (q, p, p, p, q) they have constants a = alpha = 0 and epsilon = 1.
+DISJOINT_ROUNDING_ROWS = ([0.21300000000000002, 0.703, 0.084, 0, 0],
+                          [0, 0, 0, 0.33999999999999997, 0.66])
+
+
 def random_dist(rng, n):
     w = rng.gamma(1.0, size=n)
     return w / w.sum()

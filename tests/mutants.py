@@ -86,9 +86,21 @@ MUTANTS = [
      "logdet = np.cumsum(np.log(lv * x2), axis=0)",
      "the GP log-determinant sums log(x2 l_i) in place of log(1 + x2 l_i)"),
     ("src/chain_perturb/gp_mcmc.py",
-     "z[:] = x3 * (chol @ draw[0]) + x3 * draw[1]",
-     "z[:] = x3 * (chol @ draw[0]) + x3 * draw[0]",
+     "z[:] = x3 * (factor @ draw[0, :factor.shape[1]]) + x3 * draw[1]",
+     "z[:] = x3 * (factor @ draw[0, :factor.shape[1]]) + x3 * draw[0]",
      "the GP noise term reuses the latent field's normals, so noise and field are correlated"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "unfolded = np.concatenate([half, np.where(sym, 1.0, -1.0) * half[k - 1::-1]])",
+     "unfolded = np.concatenate([half, half[k - 1::-1]])",
+     "the latent factor unfolds an antisymmetric mode as if it were symmetric"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "[:np.count_nonzero(vals > _LATENT_FLOOR * vals.max())]",
+     "[:np.count_nonzero(vals > 0.0)]",
+     "the latent factor keeps the modes below its floor, whose vectors rounding decides"),
+    ("src/chain_perturb/kernels.py",
+     "return np.minimum(0.5 * np.abs(p - q).sum(axis=-1), 1.0)",
+     "return 0.5 * np.abs(p - q).sum(axis=-1)",
+     "a TV distance of disjoint rows can round above 1, and constants leave [0, 1]"),
     ("src/chain_perturb/gp_mcmc.py",
      "r = np.exp(ll - logsumexp(ll, axis=-1))",
      "r = np.exp(ll - logsumexp(ll, axis=-2))",

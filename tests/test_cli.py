@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from chain_perturb import kernel_pair
@@ -16,7 +17,7 @@ import chain_perturb.bounds as bounds_mod
 import chain_perturb.cli as cli_mod
 import chain_perturb.montecarlo as mc_mod
 from golden.record import INPUTS
-from helpers import kernel_to_json, pin_batch_size, stack_batches
+from helpers import DISJOINT_ROUNDING_ROWS, kernel_to_json, pin_batch_size, stack_batches
 
 
 def test_import_needs_only_numpy():
@@ -633,6 +634,26 @@ def test_degenerate_pair_gives_an_answer_or_one_error(tmp_path, capsys, P, P_eps
         run(f"verify{k}", ["verify", "--config", str(cfg)])
 
 
+def test_constants_of_disjoint_rows_stay_in_unit_interval(tmp_path, capsys):
+    # unclamped, constants printed alpha = -2.2e-16 and epsilon = 1.0000000000000002,
+    # and verify exited 2 on this valid pair
+    p, q = DISJOINT_ROUNDING_ROWS
+    pair = tmp_path / "pair.json"
+    # the rows as written: kernel_to_json would store them normalised once already
+    pair.write_text(json.dumps({"P": {"rows": [p, p, p, p, q]},
+                                "P_eps": {"rows": [q, p, p, p, q]}}))
+    assert main(["--out-dir", str(tmp_path / "c"), "constants", "--pair", str(pair)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,1"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pair": "pair.json", "n": 30, "replicates": 200,
+                               "f": [0.0, 1.0, 2.0, 3.0, 4.0],
+                               "stopping": {"kind": "hitting", "targets": [4]},
+                               "experiments": ["disagreement", "average_difference", "tail",
+                                               "decoupling", "path_law"]}))
+    rc = main(["--out-dir", str(tmp_path / "v"), "verify", "--config", str(cfg)])
+    assert rc == 0, capsys.readouterr().err
+
+
 class TestGpSweep:
     def test_small_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -656,6 +677,26 @@ class TestGpSweep:
         assert rc == 2
         assert "qmax" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("n", ["300", "301"])
+    def test_rows_do_not_depend_on_blas_threads(self, tmp_path, n):
+        # one and two OpenBLAS threads give the same rows within 1e-12; a
+        # jittered Cholesky factor of the latent covariance moved epsilon by
+        # ~6e-6.  On a one-core host both runs take one thread
+        src = os.path.dirname(os.path.dirname(cli_mod.__file__))
+        tables = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "chain_perturb.cli", "--out-dir", str(out),
+                            "gp-sweep", "--n", n, "--m", "2"], env=env, check=True,
+                           capture_output=True)
+            tables.append(np.genfromtxt(out / "sweep.csv", delimiter=",", names=True))
+        one, two = tables
+        np.testing.assert_array_equal(one[["replicate", "q"]], two[["replicate", "q"]])
+        for col in ("epsilon", "alpha", "ratio"):
+            np.testing.assert_allclose(one[col], two[col], rtol=0.0, atol=1e-12, err_msg=col)
 
     def test_nan_eps_threshold_exits_two(self, tmp_path, capsys):
         # it swept every rank and wrote NaN, which is not JSON, into config.json

@@ -81,6 +81,15 @@ class TestGramMatrix:
         np.testing.assert_allclose(np.diag(S), 1.0, atol=1e-15)
         assert np.abs(S - S.T).max() <= 1e-14
 
+    def test_block_between_two_point_sets_is_a_slice(self):
+        # the half-size split builds A, CJ and the middle column this way
+        cfg = GPConfig(n=41, m=2)
+        full, p = gram_matrix(cfg.grid_x1[1], cfg.points), cfg.points
+        np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[:20], p[:20:-1]),
+                                      full[:20, :20:-1])
+        np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[:20], p[20:21]),
+                                      full[:20, 20:21])
+
     def test_numerically_psd(self):
         cfg = GPConfig(n=60, m=2)
         for x1 in cfg.grid_x1:
@@ -115,36 +124,63 @@ class TestGenerateData:
         assert np.all(np.abs(sample - target) <= tol)
 
 
-    @pytest.mark.parametrize("n,jittered", [(10, False), (50, True)])
-    def test_matches_per_replicate_factorization(self, n, jittered):
-        # the formula before the factor was cached, bit for bit; n=10 factors
-        # x2 Sigma directly, n=50 only after the 1e-10 jitter
+    @pytest.mark.parametrize("n", [10, 50, 51])
+    def test_matches_per_replicate_factorization(self, n):
+        # the factor spans the modes of a dense eigh of x2 Sigma above the floor
+        # (all of them at n=10), scaled by their eigenvalues; the field reads the
+        # first q normals and the noise the second n, bit for bit
         cfg = GPConfig(n=n, m=2, seed=6)
-        cov_f = cfg.true_x2 * gram_matrix(cfg.true_x1, cfg.points)
-        try:
-            chol = np.linalg.cholesky(cov_f)
-            assert not jittered
-        except np.linalg.LinAlgError:
-            assert jittered
-            chol = np.linalg.cholesky(cov_f + 1e-10 * np.eye(n))
+        vals, vecs = np.linalg.eigh(cfg.true_x2 * gram_matrix(cfg.true_x1, cfg.points))
+        kept = vals > gp_mcmc._LATENT_FLOOR * vals[-1]
+        factor = gp_mcmc._latent_factor(cfg)
+        q = factor.shape[1]
+        assert q == np.count_nonzero(kept) and (q == n) == (n == 10)
+        floored = (vecs[:, kept] * vals[kept]) @ vecs[:, kept].T
+        assert np.abs(factor @ factor.T - floored).max() <= 1e-13 * vals[-1]
+        np.testing.assert_allclose((factor ** 2).sum(axis=0), vals[kept][::-1],
+                                   rtol=1e-12, atol=1e-13 * vals[-1])
         x3 = math.sqrt(cfg.true_x3_sq)
         for rep in range(3):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=6, spawn_key=(rep,)))
-            f = chol @ rng.standard_normal(n)
-            expected = x3 * f + x3 * rng.standard_normal(n)
+            field, noise = rng.standard_normal(n)[:q], rng.standard_normal(n)
+            expected = x3 * (factor @ field) + x3 * noise
             np.testing.assert_array_equal(generate_data(cfg, rep), expected)
+
+    def test_latent_factor_signs_do_not_depend_on_the_eigensolver(self, monkeypatch):
+        # each column's first entry of largest magnitude is positive, so flipping
+        # the eigenvectors eigh returns leaves the factor, and the data, as they are
+        cfg = GPConfig(n=31, m=2, seed=1)
+        factor = gp_mcmc._latent_factor(cfg)
+        top = np.abs(factor).argmax(axis=0)
+        assert np.all(factor[top, np.arange(factor.shape[1])] > 0.0)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], -eigh(a)[1]))
+        np.testing.assert_array_equal(gp_mcmc._latent_factor(cfg), factor)
 
     def test_one_latent_factor_per_config(self, monkeypatch):
         calls = []
-        cholesky = np.linalg.cholesky
+        build = gp_mcmc._latent_factor
 
-        def counted(a):
-            calls.append(a.shape)
-            return cholesky(a)
+        def counted(config):
+            calls.append(config.n)
+            return build(config)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        monkeypatch.setattr(gp_mcmc, "_latent_factor", counted)
         figure_sweep(GPConfig(n=50, m=2), 5)
-        assert 1 <= len(calls) <= 2
+        assert calls == [50]
+
+    def test_draw_holds_no_n_by_n_array(self):
+        # the Gram matrix and its Cholesky factor peaked at 2.00 n^2 floats; the
+        # spectral factor needs the half-size blocks of one eigensolve
+        cfg = GPConfig(n=1000)
+        generate_data(GPConfig(n=10), 0)  # numpy.random is imported on first use
+        tracemalloc.start()
+        try:
+            generate_data(cfg, range(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * cfg.n ** 2 * 8, peak / (8 * cfg.n ** 2)
 
     def test_sequence_rows_match_single_draws(self):
         # n=10: replicates 8..11 cross the sweep's block edge at 10
@@ -394,7 +430,7 @@ class TestFigureSweep:
             assert rows == [r for r in first if r.replicate < replicates], replicates
 
     def test_peak_memory_does_not_grow_with_m(self):
-        # the latent factor while drawing, then one atom's two half-size
+        # the latent draw's half-size blocks, then one atom's two half-size
         # eigenvector blocks and one chunk of rank rows are alive at a time;
         # keeping every atom's eigenvectors took 13.4 n^2 floats at m=8, and
         # one atom's n x n eigenvectors with the factor cached 3.8 n^2

@@ -20,7 +20,8 @@ from chain_perturb import (
     StateFunction,
     tv_distance,
 )
-from helpers import kernel_to_json, power_iteration_mu, random_dist, random_kernel, random_pair
+from helpers import (DISJOINT_ROUNDING_ROWS, kernel_to_json, power_iteration_mu, random_dist,
+                     random_kernel, random_pair)
 from oracles import perturbed_power_closed_form, poisson_solve
 
 
@@ -46,6 +47,14 @@ class TestTvDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tv_distance([1.0], [0.5, 0.5])
+
+    def test_disjoint_rows_whose_sum_rounds_above_two(self):
+        # unclamped they gave a = alpha = -2.2e-16 and epsilon = 1.0000000000000002
+        p, q = DISJOINT_ROUNDING_ROWS
+        P, P_eps = FiniteKernel([p, p, p, p, q]), FiniteKernel([q, p, p, p, q])
+        assert tv_distance(P.rows[0], q) == 1.0
+        assert doeblin_constant(P) == 0.0 and cross_doeblin_constant(P_eps, P) == 0.0
+        assert local_epsilon(P_eps, P) == 1.0
 
     def test_metric_properties(self):
         rng = np.random.default_rng(11)

@@ -93,6 +93,7 @@ INTEGER_TEST_READERS = {
 # reason it is not a TV distance, which goes through ``kernels._row_tv``.
 ABS_CALLERS = {
     "_base_tail": "it measures how far a time average lies from mu f, not a TV distance",
+    "_latent_factor": "it signs each latent column by its entry of largest magnitude, not a TV",
 }
 
 # Package definitions that read the attribute ``.stopping``, each with the
