@@ -13,15 +13,18 @@ pairs and are computed exactly.
 Every rank-q table comes from :func:`lowrank_log_table`: in the eigenbasis of
 each length-scale Gram matrix the Woodbury quadratic form and log-determinant
 at every rank are prefix sums over one spectrum, so the rank sweep builds all
-truncations, and the full-rank table, from one eigendecomposition per atom,
-done as two half-size solves of its centrosymmetric split.  :func:`figure_sweep`
-runs three stages per block of up to ``n`` replicates: one :func:`generate_data`
-call draws the block from a spectral factor of the same split; one eigen pass
-folds each dataset once and projects it with one atom's two half-size
-eigenvector blocks at a time; and one table of prefix sums per replicate gives
-every rank.  No stage makes an ``n x n`` array: ``R`` replicates take a few
-``n/2 x n/2`` blocks, ``O(m n min(R, n))`` floats and one chunk of transition
-rows; 100 at n=1000, m=10 peak at 63 MB RSS (2-core x86-64 host).
+truncations, and the full-rank table, from one spectrum per atom.  It is read
+from the two half-size blocks of the Gram matrix's centrosymmetric split, each
+at its numerical rank: a pivoted Cholesky factor to rounding level and a
+Rayleigh-Ritz solve on its span (25-63 of 1000 modes per atom at n=1000; rows
+moved by at most 2.2e-12 against a full ``eigh`` of each half).
+:func:`figure_sweep` runs three stages per block of up to ``n`` replicates: one
+:func:`generate_data` call draws the block from a spectral factor of the same
+split; one eigen pass folds each dataset once and projects it with one atom's
+two half-size blocks of kept modes at a time; and one table of prefix sums per
+replicate gives every rank.  No stage makes an ``n x n`` array: ``R`` replicates
+take a few ``n/2 x n/2`` blocks, ``O(m n min(R, n))`` floats and one chunk of
+transition rows; 100 at n=1000, m=10 peak at 53 MB RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -104,17 +107,17 @@ class GPConfig:
             object.__setattr__(self, name, value)
 
 
-def squared_distances(points, others=None) -> np.ndarray:
-    """``(points_i - others_j)^2``, ``others`` defaulting to ``points``, in one array."""
-    d = np.subtract.outer(points, points if others is None else others)
+def squared_distances(points, others=None, out=None) -> np.ndarray:
+    """``(points_i - others_j)^2``, ``others`` defaulting to ``points``, in one array or ``out``."""
+    d = np.subtract.outer(points, points if others is None else others, out=out)
     return np.multiply(d, d, out=d)
 
 
-def gram_matrix(x1, points, others=None) -> np.ndarray:
+def gram_matrix(x1, points, others=None, out=None) -> np.ndarray:
     """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal), or with
-    ``others`` given the block ``exp(-x1 ||w_i - v_j||^2)``."""
+    ``others`` given the block ``exp(-x1 ||w_i - v_j||^2)``, in ``out`` if given."""
     _require("x1", x1, "finite and positive", lambda v: 0.0 < v < math.inf)
-    gram = squared_distances(points, others)
+    gram = squared_distances(points, others, out)
     np.multiply(gram, -x1, out=gram)  # in place, the bits of exp(-x1 * d2)
     return np.exp(gram, out=gram)
 
@@ -148,12 +151,13 @@ def _latent_factor(config):
     Each column's first entry of largest magnitude is positive, whatever signs ``eigh`` picks.
     """
     n, k = int(config.n), int(config.n) // 2
-    (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _half_spectra(config.true_x1, config.points)
-    vals = np.concatenate([sym_vals, anti_vals])
+    modes = _half_spectra([config.true_x1], config.points)
+    (sym_vals, sym_vecs), (anti_vals, anti_vecs) = next(modes)
+    vals, s = np.concatenate([sym_vals, anti_vals]), sym_vals.size
     keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > _LATENT_FLOOR * vals.max())]
-    sym = keep < n - k
+    sym = keep < s
     half = np.zeros((n - k, keep.size))  # a symmetric mode's middle entry in the last row, odd n
-    half[:, sym], half[:k, ~sym] = sym_vecs[:, keep[sym]], anti_vecs[:, keep[~sym] - (n - k)]
+    half[:, sym], half[:k, ~sym] = sym_vecs[:, keep[sym]], anti_vecs[:, keep[~sym] - s]
     half[:k] /= math.sqrt(2.0)
     half *= np.copysign(1.0, half[np.abs(half).argmax(axis=0), np.arange(keep.size)])
     unfolded = np.concatenate([half, np.where(sym, 1.0, -1.0) * half[k - 1::-1]])
@@ -174,17 +178,38 @@ def _spectrum(gram):
     return np.clip(vals[order], 0.0, None), vecs[:, order]
 
 
-def _half_spectra(x1, points):
-    """:func:`_spectrum` of ``Sigma(x1)``'s half-size blocks ``A +- CJ`` (see :func:`_spectra`)."""
+def _half_spectra(grid, points):
+    """For each ``x1`` of ``grid``, the kept modes of ``Sigma(x1)``'s half-size blocks ``A +- CJ``
+    (see :func:`_spectra`), built in the same three buffers, so that no ``x1`` maps and
+    faults in fresh ``n/2 x n/2`` arrays."""
     n, k = points.size, points.size // 2
     near, far = points[:k], points[:n - k - 1:-1]
-    a, cj = gram_matrix(x1, near), gram_matrix(x1, near, far)
-    sym, anti = a + cj, np.subtract(a, cj, out=a)
-    del cj
-    if n % 2:
-        mid = math.sqrt(2.0) * gram_matrix(x1, near, points[k:k + 1])
-        sym = np.block([[sym, mid], [mid.T, np.ones((1, 1))]])
-    return _spectrum(sym), _spectrum(anti)
+    a, cj, sym = np.empty((k, k)), np.empty((k, k)), np.ones((n - k, n - k))
+    for x1 in grid:
+        np.add(gram_matrix(x1, near, out=a), gram_matrix(x1, near, far, out=cj), out=sym[:k, :k])
+        if n % 2:  # bordered by sqrt(2) times the middle column, and G[k, k] = 1
+            sym[k, :k] = sym[:k, k] = math.sqrt(2.0) * gram_matrix(x1, near, points[k:k + 1])[:, 0]
+        yield _ritz_spectrum(sym), _ritz_spectrum(np.subtract(a, cj, out=a))
+
+
+def _ritz_spectrum(block):
+    """:func:`_spectrum` of a symmetric PSD ``k x k`` ``block`` at its numerical rank ``r``.
+
+    A pivoted Cholesky factor (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012)
+    takes the largest remaining diagonal entry as pivot until none is above ``eps`` times the
+    block's largest diagonal entry; with ``Q`` the QR basis of its ``r`` columns, the
+    Rayleigh-Ritz pairs ``(L, W)`` of ``Q' block Q`` give the modes ``(L, Q W)``.
+    """
+    rest = block.diagonal().copy()
+    cut, factor, r = np.finfo(float).eps * rest.max(), np.empty(block.shape), 0
+    while rest.max() > cut:
+        p = int(rest.argmax())
+        factor[r] = (block[p] - factor[:r, p] @ factor[:r]) / math.sqrt(rest[p])
+        rest -= factor[r] * factor[r]
+        rest[p], r = 0.0, r + 1
+    span = np.linalg.qr(factor[:r].T)[0]
+    vals, vecs = _spectrum(span.T @ (block @ span))
+    return vals, span @ vecs
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +218,20 @@ def _half_spectra(x1, points):
 def _spectra(config, data):
     """One eigen pass over the rows ``z`` of ``data``: ``(vals, coef)``, shapes ``(m, n)``
     and ``(len(data), m, n)``.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix
-    ``G``'s eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order.
+    ``G``'s eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order,
+    for the modes :func:`_half_spectra` keeps and 0 after them, so ranks above them give the
+    full-rank table.  The dropped part of each block has trace at most ``k eps`` times its
+    largest diagonal entry: rounding level.
 
     ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
     half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
     ``k = n // 2``, ``A = G[:k, :k]`` and ``CJ = G[:k, n-1:n-k-1:-1]``, the
-    :func:`_spectrum` of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
+    modes of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
     the middle column, and ``G[k, k] = 1``) gives ``[v; Jv]/sqrt(2)`` with
     middle entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.
     The blocks are built from the points, never ``G`` or ``U``.  Each ``z`` is
     folded once into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
-    ``z_k`` when ``n`` is odd, and each fold is multiplied by one atom's half
+    ``z_k`` when ``n`` is odd, and each fold is multiplied by one atom's kept half
     vectors at a time.  Each row takes its own matrix-vector products, as one
     product over all rows would round a row's result differently with the
     number of rows.
@@ -212,16 +240,17 @@ def _spectra(config, data):
     plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
     plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
     minus /= math.sqrt(2.0)
-    vals, coef = np.empty((int(config.m), n)), np.empty((len(data), int(config.m), n))
-    proj = np.empty((len(data), n))
-    for i1, x1 in enumerate(config.grid_x1):
-        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = _half_spectra(x1, config.points)
-        for c, p, w in zip(proj, plus, minus):
-            c[:n - k], c[n - k:] = sym_vecs.T @ p, anti_vecs.T @ w
-        del sym_vecs, anti_vecs
-        v = np.concatenate([sym_vals, anti_vals])
-        order = np.argsort(-v, kind="stable")
-        vals[i1], coef[:, i1] = v[order], proj[:, order]
+    vals, coef = np.zeros((int(config.m), n)), np.zeros((len(data), int(config.m), n))
+    atoms = _half_spectra(config.grid_x1, config.points)  # enumerate() would hold the last atom
+    for i1 in range(int(config.m)):
+        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = next(atoms)
+        s, r = sym_vals.size, sym_vals.size + anti_vals.size
+        vals[i1, :s], vals[i1, s:r] = sym_vals, anti_vals
+        for c, p, w in zip(coef[:, i1], plus, minus):
+            c[:s], c[s:r] = sym_vecs.T @ p, anti_vecs.T @ w
+        order = np.argsort(-vals[i1, :r], kind="stable")
+        vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, order]
+        del sym_vals, sym_vecs, anti_vals, anti_vecs, order  # no atom's modes outlive it
     return vals, coef
 
 
@@ -295,7 +324,8 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
     side, are slices of one table of prefix sums (:func:`lowrank_log_table`);
-    ranks above ``n`` give the full-rank rows.  A block of up to ``n``
+    ranks above an atom's numerical rank, and so ranks above ``n``, give the
+    full-rank rows.  A block of up to ``n``
     replicates is drawn in one :func:`generate_data` call and projected in
     one eigen pass, and transition rows are built ``_RANK_CHUNK`` ranks at a
     time up to the stop, so memory is a few ``n/2 x n/2`` blocks plus ``O(m n min(R, n))``

@@ -78,9 +78,21 @@ MUTANTS = [
      "plus = np.concatenate([plus / math.sqrt(2.0), 0.0 * data[:, k:n - k]], axis=1)",
      "the GP projection drops the middle observation z_k when n is odd"),
     ("src/chain_perturb/gp_mcmc.py",
-     "vals[i1], coef[:, i1] = v[order], proj[:, order]",
-     "vals[i1], coef[:, i1] = v[order], proj",
+     "vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, order]",
+     "vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, :r]",
      "the GP projections stay in half-block order while their eigenvalues are sorted"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "np.finfo(float).eps * rest.max()",
+     "np.finfo(float).eps * rest[0]",
+     "the pivoted Cholesky cut is measured against the first diagonal entry, not the largest"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "rest[p], r = 0.0, r + 1",
+     "r = r + 1",
+     "the pivot's remaining diagonal is left at its rounding residue, so it can be taken again"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "vals, vecs = _spectrum(span.T @ (block @ span))",
+     "vals, vecs = (factor[:r] ** 2).sum(axis=1), np.eye(r)",
+     "the GP modes are the pivoted Cholesky columns' span and norms, with no Rayleigh-Ritz step"),
     ("src/chain_perturb/gp_mcmc.py",
      "logdet = np.cumsum(np.log1p(lv * x2), axis=0)",
      "logdet = np.cumsum(np.log(lv * x2), axis=0)",

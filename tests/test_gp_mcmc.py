@@ -18,7 +18,7 @@ from chain_perturb import (
     squared_distances,
 )
 from chain_perturb import gp_mcmc
-from chain_perturb.gp_mcmc import _spectra, _spectrum, logsumexp
+from chain_perturb.gp_mcmc import _ritz_spectrum, _spectra, _spectrum, logsumexp
 from helpers import dense_log_likelihood, truncated_gram
 from oracles import (
     epsilon_alpha_for_gp,
@@ -89,6 +89,10 @@ class TestGramMatrix:
                                       full[:20, :20:-1])
         np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[:20], p[20:21]),
                                       full[:20, 20:21])
+        # and into a buffer the next length scale reuses, with the same bits
+        out = np.full((20, 20), np.nan)
+        assert gram_matrix(cfg.grid_x1[1], p[:20], p[:20:-1], out=out) is out
+        np.testing.assert_array_equal(out, full[:20, :20:-1])
 
     def test_numerically_psd(self):
         cfg = GPConfig(n=60, m=2)
@@ -208,20 +212,56 @@ class TestGenerateData:
 class TestEigenCache:
     @pytest.mark.parametrize("n", [2, 3, 30, 31, 200, 201])
     def test_matches_full_eigh(self, n):
-        # the two half-size solves give the full spectrum, an orthonormal
-        # basis and the Gram matrix back, odd n (middle row) included, for
+        # the two half-size solves give the full spectrum, orthonormal kept
+        # modes and the Gram matrix back, odd n (middle row) included, for
         # every atom.  Row i of U is U'e_i, the projection of the i-th unit
-        # vector
+        # vector; the modes past the numerical rank r are exact zeros
         cfg = GPConfig(n=n, m=3)
         spectra, coef = _spectra(cfg, np.eye(n))
-        for i1, (x1, vals) in enumerate(zip(cfg.grid_x1, spectra, strict=True)):
+        ranks = [sym[0].size + anti[0].size
+                 for sym, anti in gp_mcmc._half_spectra(cfg.grid_x1, cfg.points)]
+        for i1, (x1, vals, r) in enumerate(zip(cfg.grid_x1, spectra, ranks, strict=True)):
             vecs = coef[:, i1]
             G = gram_matrix(x1, cfg.points)
             ref = np.clip(np.linalg.eigh(G)[0][::-1], 0.0, None)
             assert np.all(np.diff(vals) <= 0.0)
             assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
             assert np.abs((vecs * vals) @ vecs.T - G).max() <= 1e-10
-            assert np.abs(vecs.T @ vecs - np.eye(n)).max() <= 1e-12
+            assert np.abs(vecs[:, :r].T @ vecs[:, :r] - np.eye(r)).max() <= 1e-12
+            assert not vals[r:].any() and not vecs[:, r:].any()
+            assert np.count_nonzero(ref > 1e-13 * ref[0]) <= r
+
+    def test_full_rank_block_keeps_every_mode(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(7, 7))
+        block = a @ a.T + np.eye(7)
+        vals, vecs = _ritz_spectrum(block)
+        ref = np.linalg.eigvalsh(block)[::-1]
+        assert vals.shape == (7,) and vecs.shape == (7, 7)
+        assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
+        assert np.abs(vecs.T @ vecs - np.eye(7)).max() <= 1e-12
+        assert np.abs((vecs * vals) @ vecs.T - block).max() <= 1e-12 * ref[0]
+
+    def test_cut_is_rounding_level_of_the_largest_diagonal_entry(self):
+        # wherever it sits, a mode at or below eps times the largest diagonal entry is dropped
+        for d in ([1e-30, 1.0, 0.25], [0.25, 1e-30, 1.0], [1.0, 0.25, 1e-16]):
+            vals, vecs = _ritz_spectrum(np.diag(d))
+            assert vals.tolist() == [1.0, 0.25]
+            np.testing.assert_array_equal(np.abs(vecs), np.eye(3)[:, np.argsort(d)[:0:-1]])
+
+    def test_rank_one_block_keeps_one_mode(self):
+        # the long length-scale limit: both halves' blocks tend to a multiple of
+        # ones (the sum) and to 0 (the difference)
+        vals, vecs = _ritz_spectrum(np.full((50, 50), 2.0))
+        assert vals.shape == (1,) and vals[0] == pytest.approx(100.0, rel=1e-14)
+        np.testing.assert_allclose(np.abs(vecs[:, 0]), np.full(50, 50 ** -0.5), rtol=1e-14)
+        assert _ritz_spectrum(np.zeros((4, 4)))[0].size == 0
+        # a general rank-one block: its mode, and rounding-level ones at most
+        v = np.random.default_rng(5).normal(size=30)
+        vals, vecs = _ritz_spectrum(np.outer(v, v))
+        assert vals[0] == pytest.approx(v @ v, rel=1e-13)
+        assert abs(vecs[:, 0] @ v) == pytest.approx(np.linalg.norm(v), rel=1e-13)
+        assert np.all(vals[1:] <= np.finfo(float).eps * vals[0])
 
 
 class TestSpectrum:
@@ -430,20 +470,28 @@ class TestFigureSweep:
             assert rows == [r for r in first if r.replicate < replicates], replicates
 
     def test_peak_memory_does_not_grow_with_m(self):
-        # the latent draw's half-size blocks, then one atom's two half-size
-        # eigenvector blocks and one chunk of rank rows are alive at a time;
-        # keeping every atom's eigenvectors took 13.4 n^2 floats at m=8, and
-        # one atom's n x n eigenvectors with the factor cached 3.8 n^2
+        # the draw and the eigen pass hold the latent draw's half-size blocks,
+        # then one atom's blocks and kept modes at a time, so m = 8 adds only
+        # four more atoms' vals and coef floats, 4 n (R + 1), to the peak of
+        # m = 4; keeping every atom's eigenvectors took 13.4 n^2 floats at m=8,
+        # and one atom's n x n eigenvectors with the factor cached 3.8 n^2.  The
+        # whole sweep, its rank stage's 64 m^3 temporaries included, stays under 3 n^2
+        n, replicates, peaks = 301, 2, {}
         for m in (4, 8):
-            cfg = GPConfig(n=301, m=m, seed=1)
-            generate_data(cfg, 0)  # numpy.random is imported on first use, outside the measurement
+            cfg = GPConfig(n=n, m=m, seed=1)
+            # a first pass imports numpy.random and fills numpy's first-use caches untraced
+            _spectra(cfg, generate_data(cfg, range(replicates)))
             tracemalloc.start()
             try:
-                figure_sweep(cfg, 2)
+                _spectra(cfg, generate_data(cfg, range(replicates)))
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                figure_sweep(cfg, replicates)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * cfg.n ** 2 * 8, (m, peak / (8 * cfg.n ** 2))
+            assert peak <= 3 * n ** 2 * 8, (m, peak / (8 * n ** 2))
+        assert peaks[8] - peaks[4] <= 4 * n * (replicates + 1) * 8, peaks
 
     @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
                                                       (True, 5, "replicates"),
