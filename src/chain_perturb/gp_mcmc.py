@@ -15,16 +15,17 @@ each length-scale Gram matrix the Woodbury quadratic form and log-determinant
 at every rank are prefix sums over one spectrum, so the rank sweep builds all
 truncations, and the full-rank table, from one spectrum per atom.  It is read
 from the two half-size blocks of the Gram matrix's centrosymmetric split, each
-at its numerical rank: a pivoted Cholesky factor to rounding level and a
-Rayleigh-Ritz solve on its span (25-63 of 1000 modes per atom at n=1000; rows
-moved by at most 2.2e-12 against a full ``eigh`` of each half).
-:func:`figure_sweep` runs three stages per block of up to ``n`` replicates: one
-:func:`generate_data` call draws the block from a spectral factor of the same
-split; one eigen pass folds each dataset once and projects it with one atom's
-two half-size blocks of kept modes at a time; and one table of prefix sums per
-replicate gives every rank.  No stage makes an ``n x n`` array: ``R`` replicates
-take a few ``n/2 x n/2`` blocks, ``O(m n min(R, n))`` floats and one chunk of
-transition rows; 100 at n=1000, m=10 peak at 53 MB RSS (2-core x86-64 host).
+at its numerical rank and never built: a pivoted Cholesky factor to rounding
+level reads a block's diagonal and its pivots' rows, made from the points, and
+the ``eigh`` of an ``r x r`` matrix gives the modes (25-63 of 1000 per atom at
+n=1000).  :func:`figure_sweep` runs three stages per block of up to ``n``
+replicates: one :func:`generate_data` call draws the block from a spectral
+factor of the same split; one eigen pass folds each dataset once and projects
+it with one atom's two half-size sets of kept modes at a time; and one table of
+prefix sums per replicate gives every rank.  No stage makes an ``n x n`` or
+``n/2 x n/2`` array: ``R`` replicates take ``O(m n min(R, n))`` floats, one
+atom's ``n/2 x r`` modes and one chunk of transition rows; 100 at n=1000, m=10
+peak at 52 MB RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -107,17 +108,17 @@ class GPConfig:
             object.__setattr__(self, name, value)
 
 
-def squared_distances(points, others=None, out=None) -> np.ndarray:
-    """``(points_i - others_j)^2``, ``others`` defaulting to ``points``, in one array or ``out``."""
-    d = np.subtract.outer(points, points if others is None else others, out=out)
+def squared_distances(points, others=None) -> np.ndarray:
+    """``(points_i - others_j)^2``, ``others`` defaulting to ``points``, in one array."""
+    d = np.subtract.outer(points, points if others is None else others)
     return np.multiply(d, d, out=d)
 
 
-def gram_matrix(x1, points, others=None, out=None) -> np.ndarray:
+def gram_matrix(x1, points, others=None) -> np.ndarray:
     """Squared-exponential Gram matrix ``exp(-x1 ||w_i - w_j||^2)`` (unit diagonal), or with
-    ``others`` given the block ``exp(-x1 ||w_i - v_j||^2)``, in ``out`` if given."""
+    ``others`` given the block ``exp(-x1 ||w_i - v_j||^2)``."""
     _require("x1", x1, "finite and positive", lambda v: 0.0 < v < math.inf)
-    gram = squared_distances(points, others, out)
+    gram = squared_distances(points, others)
     np.multiply(gram, -x1, out=gram)  # in place, the bits of exp(-x1 * d2)
     return np.exp(gram, out=gram)
 
@@ -180,35 +181,63 @@ def _spectrum(gram):
 
 def _half_spectra(grid, points):
     """For each ``x1`` of ``grid``, the kept modes of ``Sigma(x1)``'s half-size blocks ``A +- CJ``
-    (see :func:`_spectra`), built in the same three buffers, so that no ``x1`` maps and
-    faults in fresh ``n/2 x n/2`` arrays."""
-    n, k = points.size, points.size // 2
-    near, far = points[:k], points[:n - k - 1:-1]
-    a, cj, sym = np.empty((k, k)), np.empty((k, k)), np.ones((n - k, n - k))
+    (see :func:`_spectra`), each read from :func:`_half_blocks` and never built whole."""
     for x1 in grid:
-        np.add(gram_matrix(x1, near, out=a), gram_matrix(x1, near, far, out=cj), out=sym[:k, :k])
-        if n % 2:  # bordered by sqrt(2) times the middle column, and G[k, k] = 1
-            sym[k, :k] = sym[:k, k] = math.sqrt(2.0) * gram_matrix(x1, near, points[k:k + 1])[:, 0]
-        yield _ritz_spectrum(sym), _ritz_spectrum(np.subtract(a, cj, out=a))
+        plus, minus = _half_blocks(x1, points)
+        yield _ritz_spectrum(*plus), _ritz_spectrum(*minus)
 
 
-def _ritz_spectrum(block):
-    """:func:`_spectrum` of a symmetric PSD ``k x k`` ``block`` at its numerical rank ``r``.
+def _half_blocks(x1, points):
+    """``(diagonal, row)`` of ``A + CJ`` (bordered for odd ``n``) and of ``A - CJ`` at ``x1``.
+
+    ``row(p)`` is row ``p`` of the block, folded from row ``p`` of ``Sigma(x1)`` made from the
+    points; every entry has the bits of the same entry of the dense block built from
+    :func:`gram_matrix`'s ``A``, ``CJ`` and middle column.
+    """
+    n, k = points.size, points.size // 2
+    d, root2 = points[:k] - points[:n - k - 1:-1], math.sqrt(2.0)
+    cj = np.exp(d * d * -x1)  # the diagonal of CJ; that of A is exactly 1
+
+    def folds(p):  # row p of Sigma: its first k entries, its last k reversed, the middle one
+        g = gram_matrix(x1, points[p:p + 1], points)[0]
+        return g[:k], g[:n - k - 1:-1], g[k:n - k]
+
+    def plus(p):
+        near, far, middle = folds(p)
+        if p == k:  # odd n: sqrt(2) times the middle row, and G[k, k] = 1
+            return np.append(root2 * near, middle)
+        return np.concatenate([near + far, root2 * middle])
+
+    def minus(p):
+        near, far, _ = folds(p)
+        return near - far
+
+    return (np.append(1.0 + cj, np.ones(n - 2 * k)), plus), (1.0 - cj, minus)
+
+
+def _ritz_spectrum(diagonal, row):
+    """:func:`_spectrum` of a symmetric PSD ``k x k`` block at its numerical rank ``r``, read
+    from its ``diagonal`` and the rows ``row(p)`` of its ``r`` pivots alone.
 
     A pivoted Cholesky factor (Harbrecht, Peters & Schneider, Appl. Numer. Math. 62, 2012)
     takes the largest remaining diagonal entry as pivot until none is above ``eps`` times the
-    block's largest diagonal entry; with ``Q`` the QR basis of its ``r`` columns, the
-    Rayleigh-Ritz pairs ``(L, W)`` of ``Q' block Q`` give the modes ``(L, Q W)``.
+    block's largest diagonal entry.  Its ``r x k`` rows ``F`` give ``block = F'F + E`` with
+    ``E`` PSD of trace at most ``k eps`` times that entry; with ``F' = QR``, the pairs
+    ``(L, W)`` of the ``r x r`` matrix ``R R'`` give the modes ``(L, Q W)``.  ``F`` grows by
+    doubling its rows as pivots are taken.
     """
-    rest = block.diagonal().copy()
-    cut, factor, r = np.finfo(float).eps * rest.max(), np.empty(block.shape), 0
+    rest = np.array(diagonal, dtype=float)
+    k = rest.size
+    cut, factor, r = np.finfo(float).eps * rest.max(), np.empty((0, k)), 0
     while rest.max() > cut:
+        if r == len(factor):
+            factor = np.concatenate([factor, np.empty((min(max(r, 1), k - r), k))])
         p = int(rest.argmax())
-        factor[r] = (block[p] - factor[:r, p] @ factor[:r]) / math.sqrt(rest[p])
+        factor[r] = (row(p) - factor[:r, p] @ factor[:r]) / math.sqrt(rest[p])
         rest -= factor[r] * factor[r]
         rest[p], r = 0.0, r + 1
-    span = np.linalg.qr(factor[:r].T)[0]
-    vals, vecs = _spectrum(span.T @ (block @ span))
+    span, tri = np.linalg.qr(factor[:r].T)
+    vals, vecs = _spectrum(tri @ tri.T)
     return vals, span @ vecs
 
 
@@ -221,7 +250,9 @@ def _spectra(config, data):
     ``G``'s eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order,
     for the modes :func:`_half_spectra` keeps and 0 after them, so ranks above them give the
     full-rank table.  The dropped part of each block has trace at most ``k eps`` times its
-    largest diagonal entry: rounding level.
+    largest diagonal entry: rounding level.  Against the dense blocks and Rayleigh-Ritz step
+    of ``5d3f5d0``, ``figure_sweep``'s epsilon and alpha moved by at most 4.2e-13 at n=1000
+    (m=10, 4 replicates, seeds 1-3), with the same rows.
 
     ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
     half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
@@ -229,7 +260,9 @@ def _spectra(config, data):
     modes of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
     the middle column, and ``G[k, k] = 1``) gives ``[v; Jv]/sqrt(2)`` with
     middle entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.
-    The blocks are built from the points, never ``G`` or ``U``.  Each ``z`` is
+    No block is built, nor ``G`` or ``U``: :func:`_half_blocks` reads each entry from the
+    points.  The atom of largest ``x1``, whose blocks have the largest rank, is solved first,
+    so the pass peaks on its first atom whatever ``m`` is.  Each ``z`` is
     folded once into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
     ``z_k`` when ``n`` is odd, and each fold is multiplied by one atom's kept half
     vectors at a time.  Each row takes its own matrix-vector products, as one
@@ -241,8 +274,9 @@ def _spectra(config, data):
     plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
     minus /= math.sqrt(2.0)
     vals, coef = np.zeros((int(config.m), n)), np.zeros((len(data), int(config.m), n))
-    atoms = _half_spectra(config.grid_x1, config.points)  # enumerate() would hold the last atom
-    for i1 in range(int(config.m)):
+    # largest x1 first; enumerate() would hold the last atom while the next one is solved
+    atoms = _half_spectra(config.grid_x1[::-1], config.points)
+    for i1 in reversed(range(int(config.m))):
         (sym_vals, sym_vecs), (anti_vals, anti_vecs) = next(atoms)
         s, r = sym_vals.size, sym_vals.size + anti_vals.size
         vals[i1, :s], vals[i1, s:r] = sym_vals, anti_vals
@@ -328,8 +362,8 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     full-rank rows.  A block of up to ``n``
     replicates is drawn in one :func:`generate_data` call and projected in
     one eigen pass, and transition rows are built ``_RANK_CHUNK`` ranks at a
-    time up to the stop, so memory is a few ``n/2 x n/2`` blocks plus ``O(m n min(R, n))``
-    floats for ``R`` replicates and one chunk of rows.  Rows come in (replicate, q) order,
+    time up to the stop, so memory is ``O(m n min(R, n))`` floats for ``R`` replicates, one
+    atom's kept modes and one chunk of rows.  Rows come in (replicate, q) order,
     so whether ``epsilon`` is monotone in ``q`` can be read from them.
     """
     n = int(config.n)

@@ -133,10 +133,13 @@ class VerificationResult:
     replicates_used: int
 
 
-def _result(name, values, bound):
+def _result(name, values, bound, steps=1):
+    """The estimate is the total of the terms over ``replicates * steps``: rounded once
+    when the terms are counts, so an attained bound is not exceeded by rounding alone."""
     values = np.asarray(values, dtype=float)
-    est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    est = float(values.sum() / (values.size * steps))
+    fractions = values / steps
+    se = float(fractions.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
     return VerificationResult(
         name=name,
         estimate=est,
@@ -175,11 +178,13 @@ class _Check(NamedTuple):
     value (or row of values) per trajectory; ``terms`` turns the values of all
     replicates, in trajectory order, into one term per replicate, whose mean
     is the estimate; ``expected_tau`` is the ``E[tau]`` of a stopping-time check.
+    A term that counts over ``steps`` steps stands for its fraction of them.
     """
 
     per_batch: Callable
     terms: Callable = lambda values: values
     expected_tau: float | None = None
+    steps: int = 1
 
 
 def _first_hit_times(states, on, missing):
@@ -234,7 +239,7 @@ def expected_hitting_time(P, targets, start=None):
 # the raw value of its bounds-table row, named in _CHECKS
 
 def _disagreement(config, params, lam):
-    return _Check(lambda batch: batch.z[:, :config.n].mean(axis=1))
+    return _Check(lambda batch: batch.z[:, :config.n].sum(axis=1), steps=config.n)
 
 
 def _average_difference(config, params, lam):
@@ -380,12 +385,13 @@ def run_experiments(names, config: ExperimentConfig, lam=1.0):
             for check, values in zip(checks, parts):
                 values.append(check.per_batch(rows))
         del batch, rows  # one batch alive while the next is drawn
-    return [_result(name, check.terms(np.concatenate(values)), bound)
+    return [_result(name, check.terms(np.concatenate(values)), bound, check.steps)
             for name, check, bound, values in zip(names, checks, bounds, parts)]
 
 
 def empirical_disagreement(config: ExperimentConfig) -> VerificationResult:
-    """Mean over replicates of the disagreement fraction ``(1/n) sum_k 1{X_k != X_k^eps}``."""
+    """Mean over replicates of the disagreement fraction ``(1/n) sum_k 1{X_k != X_k^eps}``,
+    as the disagreements of all replicates over ``replicates * n``."""
     return run_experiments(["disagreement"], config)[0]
 
 

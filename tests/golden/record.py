@@ -26,7 +26,9 @@ old bytes with every CR LF line ending made LF.  The six Monte Carlo sets
 (``verify_*``, ``simulate_*`` and ``trajectory``) were recorded again when
 the RNG blocks became 64 step-major slots, and the ``gp_sweep`` set when the
 latent field came to be drawn from the spectral factor in place of a Cholesky
-factor.
+factor.  The ``verify_pair12`` set was recorded again when the disagreement
+estimate became the total count over ``replicates * n``, rounded once: its
+estimate moved by one ulp, to the correctly rounded value.
 
 Rewrite the set with::
 

@@ -90,9 +90,21 @@ MUTANTS = [
      "r = r + 1",
      "the pivot's remaining diagonal is left at its rounding residue, so it can be taken again"),
     ("src/chain_perturb/gp_mcmc.py",
-     "vals, vecs = _spectrum(span.T @ (block @ span))",
+     "vals, vecs = _spectrum(tri @ tri.T)",
      "vals, vecs = (factor[:r] ** 2).sum(axis=1), np.eye(r)",
      "the GP modes are the pivoted Cholesky columns' span and norms, with no Rayleigh-Ritz step"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "vals, vecs = _spectrum(tri @ tri.T)",
+     "vals, vecs = _spectrum(tri.T @ tri)",
+     "the GP Ritz pairs come from R'R: the right eigenvalues, but vectors not in the basis Q"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "        return near - far",
+     "        return near + far",
+     "a row of the GP antisymmetric block A - CJ is read from A + CJ"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "return np.concatenate([near + far, root2 * middle])",
+     "return np.concatenate([near + far, 0.0 * middle])",
+     "the rows of the GP symmetric block drop the odd-n border, while its middle row keeps it"),
     ("src/chain_perturb/gp_mcmc.py",
      "logdet = np.cumsum(np.log1p(lv * x2), axis=0)",
      "logdet = np.cumsum(np.log(lv * x2), axis=0)",

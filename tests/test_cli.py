@@ -654,6 +654,20 @@ def test_constants_of_disjoint_rows_stay_in_unit_interval(tmp_path, capsys):
     assert rc == 0, capsys.readouterr().err
 
 
+def test_disagreement_at_an_attained_bound_is_satisfied(tmp_path, capsys):
+    # every replicate disagrees at exactly 5 of its 6 steps, and the bound is 5/6:
+    # the mean of 50 rounded fractions read 0.83333333333333348 against the
+    # bound's 0.83333333333333337 with a standard error of 1.6e-17, and exited 1
+    (tmp_path / "pair.json").write_text(json.dumps({"P": {"rows": [[1, 0], [1, 0]]},
+                                                    "P_eps": {"rows": [[0, 1], [0, 1]]}}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"pair": "pair.json", "n": 6, "replicates": 50, "x0": 1,
+                               "x0_eps": 1, "experiments": ["disagreement"]}))
+    assert main(["--out-dir", str(tmp_path / "v"), "verify", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ("disagreement: estimate=0.83333333333333337 "
+                                       "bound=0.83333333333333337 satisfied=true\n")
+
+
 class TestGpSweep:
     def test_small_sweep_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -18,7 +18,7 @@ from chain_perturb import (
     squared_distances,
 )
 from chain_perturb import gp_mcmc
-from chain_perturb.gp_mcmc import _ritz_spectrum, _spectra, _spectrum, logsumexp
+from chain_perturb.gp_mcmc import _half_blocks, _ritz_spectrum, _spectra, _spectrum, logsumexp
 from helpers import dense_log_likelihood, truncated_gram
 from oracles import (
     epsilon_alpha_for_gp,
@@ -82,17 +82,14 @@ class TestGramMatrix:
         assert np.abs(S - S.T).max() <= 1e-14
 
     def test_block_between_two_point_sets_is_a_slice(self):
-        # the half-size split builds A, CJ and the middle column this way
+        # the half-size split reads single rows of Sigma this way
         cfg = GPConfig(n=41, m=2)
         full, p = gram_matrix(cfg.grid_x1[1], cfg.points), cfg.points
         np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[:20], p[:20:-1]),
                                       full[:20, :20:-1])
         np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[:20], p[20:21]),
                                       full[:20, 20:21])
-        # and into a buffer the next length scale reuses, with the same bits
-        out = np.full((20, 20), np.nan)
-        assert gram_matrix(cfg.grid_x1[1], p[:20], p[:20:-1], out=out) is out
-        np.testing.assert_array_equal(out, full[:20, :20:-1])
+        np.testing.assert_array_equal(gram_matrix(cfg.grid_x1[1], p[7:8], p), full[7:8])
 
     def test_numerically_psd(self):
         cfg = GPConfig(n=60, m=2)
@@ -174,8 +171,8 @@ class TestGenerateData:
         assert calls == [50]
 
     def test_draw_holds_no_n_by_n_array(self):
-        # the Gram matrix and its Cholesky factor peaked at 2.00 n^2 floats; the
-        # spectral factor needs the half-size blocks of one eigensolve
+        # the Gram matrix and its Cholesky factor peaked at 2.00 n^2 floats, the
+        # dense half-size blocks at 1.02 n^2; the pivot rows need 0.054 n^2
         cfg = GPConfig(n=1000)
         generate_data(GPConfig(n=10), 0)  # numpy.random is imported on first use
         tracemalloc.start()
@@ -184,7 +181,7 @@ class TestGenerateData:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.8 * cfg.n ** 2 * 8, peak / (8 * cfg.n ** 2)
+        assert peak <= 0.1 * cfg.n ** 2 * 8, peak / (8 * cfg.n ** 2)
 
     def test_sequence_rows_match_single_draws(self):
         # n=10: replicates 8..11 cross the sweep's block edge at 10
@@ -209,6 +206,11 @@ class TestGenerateData:
         assert calls["logsumexp"] >= 1
 
 
+def _dense_ritz(block):
+    """:func:`_ritz_spectrum` of a block given whole: its diagonal, and its rows by index."""
+    return _ritz_spectrum(block.diagonal(), block.__getitem__)
+
+
 class TestEigenCache:
     @pytest.mark.parametrize("n", [2, 3, 30, 31, 200, 201])
     def test_matches_full_eigh(self, n):
@@ -231,11 +233,41 @@ class TestEigenCache:
             assert not vals[r:].any() and not vecs[:, r:].any()
             assert np.count_nonzero(ref > 1e-13 * ref[0]) <= r
 
+    def test_eigen_pass_holds_no_half_size_block(self):
+        # the three n/2 x n/2 blocks and a k x k factor peaked at 1.10 n^2 floats;
+        # the pivot rows, an r x k factor and the kept modes take 0.14 n^2
+        cfg = GPConfig(n=1000, m=10)
+        data = generate_data(cfg, range(4))
+        tracemalloc.start()
+        try:
+            _spectra(cfg, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * cfg.n ** 2 * 8, peak / (8 * cfg.n ** 2)
+
+    @pytest.mark.parametrize("n", [30, 31, 300, 301])
+    def test_rows_from_the_points_are_the_dense_blocks_rows(self, n):
+        # every entry the pivoted Cholesky loop reads has the bits of the dense
+        # block A +- CJ, bordered for odd n by sqrt(2) times the middle column
+        cfg, k = GPConfig(n=n, m=4), n // 2
+        near, far, middle = cfg.points[:k], cfg.points[:n - k - 1:-1], cfg.points[k:k + 1]
+        for x1 in [*cfg.grid_x1, cfg.true_x1]:
+            a, cj = gram_matrix(x1, near), gram_matrix(x1, near, far)
+            plus = np.ones((n - k, n - k))
+            plus[:k, :k] = a + cj
+            if n % 2:
+                plus[k, :k] = plus[:k, k] = math.sqrt(2.0) * gram_matrix(x1, near, middle)[:, 0]
+            for (diagonal, row), block in zip(_half_blocks(x1, cfg.points), (plus, a - cj),
+                                              strict=True):
+                np.testing.assert_array_equal(diagonal, block.diagonal())
+                np.testing.assert_array_equal([row(p) for p in range(len(block))], block)
+
     def test_full_rank_block_keeps_every_mode(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(7, 7))
         block = a @ a.T + np.eye(7)
-        vals, vecs = _ritz_spectrum(block)
+        vals, vecs = _dense_ritz(block)
         ref = np.linalg.eigvalsh(block)[::-1]
         assert vals.shape == (7,) and vecs.shape == (7, 7)
         assert np.abs(vals - ref).max() <= 1e-12 * ref[0]
@@ -245,20 +277,20 @@ class TestEigenCache:
     def test_cut_is_rounding_level_of_the_largest_diagonal_entry(self):
         # wherever it sits, a mode at or below eps times the largest diagonal entry is dropped
         for d in ([1e-30, 1.0, 0.25], [0.25, 1e-30, 1.0], [1.0, 0.25, 1e-16]):
-            vals, vecs = _ritz_spectrum(np.diag(d))
+            vals, vecs = _dense_ritz(np.diag(d))
             assert vals.tolist() == [1.0, 0.25]
             np.testing.assert_array_equal(np.abs(vecs), np.eye(3)[:, np.argsort(d)[:0:-1]])
 
     def test_rank_one_block_keeps_one_mode(self):
         # the long length-scale limit: both halves' blocks tend to a multiple of
         # ones (the sum) and to 0 (the difference)
-        vals, vecs = _ritz_spectrum(np.full((50, 50), 2.0))
+        vals, vecs = _dense_ritz(np.full((50, 50), 2.0))
         assert vals.shape == (1,) and vals[0] == pytest.approx(100.0, rel=1e-14)
         np.testing.assert_allclose(np.abs(vecs[:, 0]), np.full(50, 50 ** -0.5), rtol=1e-14)
-        assert _ritz_spectrum(np.zeros((4, 4)))[0].size == 0
+        assert _dense_ritz(np.zeros((4, 4)))[0].size == 0
         # a general rank-one block: its mode, and rounding-level ones at most
         v = np.random.default_rng(5).normal(size=30)
-        vals, vecs = _ritz_spectrum(np.outer(v, v))
+        vals, vecs = _dense_ritz(np.outer(v, v))
         assert vals[0] == pytest.approx(v @ v, rel=1e-13)
         assert abs(vecs[:, 0] @ v) == pytest.approx(np.linalg.norm(v), rel=1e-13)
         assert np.all(vals[1:] <= np.finfo(float).eps * vals[0])
@@ -470,12 +502,12 @@ class TestFigureSweep:
             assert rows == [r for r in first if r.replicate < replicates], replicates
 
     def test_peak_memory_does_not_grow_with_m(self):
-        # the draw and the eigen pass hold the latent draw's half-size blocks,
-        # then one atom's blocks and kept modes at a time, so m = 8 adds only
-        # four more atoms' vals and coef floats, 4 n (R + 1), to the peak of
-        # m = 4; keeping every atom's eigenvectors took 13.4 n^2 floats at m=8,
-        # and one atom's n x n eigenvectors with the factor cached 3.8 n^2.  The
-        # whole sweep, its rank stage's 64 m^3 temporaries included, stays under 3 n^2
+        # the eigen pass holds one atom's pivot rows and kept modes at a time and
+        # solves the atom of largest rank first, so m = 8 adds only four more
+        # atoms' vals and coef floats, 4 n (R + 1), to the peak of m = 4; keeping
+        # every atom's eigenvectors took 13.4 n^2 floats at m=8, and one atom's
+        # n x n eigenvectors with the factor cached 3.8 n^2.  The whole sweep
+        # peaks in its rank stage, on 64 m^3 temporaries: 0.45 n^2 at m = 4, 1.78 at m = 8
         n, replicates, peaks = 301, 2, {}
         for m in (4, 8):
             cfg = GPConfig(n=n, m=m, seed=1)
@@ -490,7 +522,7 @@ class TestFigureSweep:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 3 * n ** 2 * 8, (m, peak / (8 * n ** 2))
+            assert peak <= 2 * n ** 2 * 8, (m, peak / (8 * n ** 2))
         assert peaks[8] - peaks[4] <= 4 * n * (replicates + 1) * 8, peaks
 
     @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
