@@ -19,13 +19,12 @@ at its numerical rank and never built: a pivoted Cholesky factor to rounding
 level reads a block's diagonal and its pivots' rows, made from the points, and
 the ``eigh`` of an ``r x r`` matrix gives the modes (25-63 of 1000 per atom at
 n=1000).  :func:`figure_sweep` runs three stages per block of up to ``n``
-replicates: one :func:`generate_data` call draws the block from a spectral
-factor of the same split; one eigen pass folds each dataset once and projects
-it with one atom's two half-size sets of kept modes at a time; and one table of
-prefix sums per replicate gives every rank.  No stage makes an ``n x n`` or
-``n/2 x n/2`` array: ``R`` replicates take ``O(m n min(R, n))`` floats, one
-atom's ``n/2 x r`` modes and one chunk of transition rows; 100 at n=1000, m=10
-peak at 52 MB RSS (2-core x86-64 host).
+replicates: one :func:`generate_data` call draws the block from the kept modes
+of ``Sigma(true_x1)``; one eigen pass projects each dataset on one atom's
+``n x r`` kept modes at a time; and one table of prefix sums per replicate gives
+every rank.  No stage makes an ``n x n`` or ``n/2 x n/2`` array: ``R``
+replicates take ``O(m n min(R, n))`` floats, one atom's kept modes and one chunk
+of transition rows; 100 at n=1000, m=10 peak at 52 MB RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -148,21 +147,13 @@ def _latent_factor(config):
     """The ``n x q`` spectral factor ``U_q sqrt(x2 L_q)`` of the latent covariance ``x2 Sigma``.
 
     Only the ``q`` modes of :func:`_half_spectra` with ``lambda > _LATENT_FLOOR * lambda_max``
-    are unfolded, largest first: 12 at n=1000, dropping a total variance of 5.1e-6 (of 900).
+    are kept, largest first: 12 at n=1000, dropping a total variance of 5.1e-6 (of 900).
     Each column's first entry of largest magnitude is positive, whatever signs ``eigh`` picks.
     """
-    n, k = int(config.n), int(config.n) // 2
-    modes = _half_spectra([config.true_x1], config.points)
-    (sym_vals, sym_vecs), (anti_vals, anti_vecs) = next(modes)
-    vals, s = np.concatenate([sym_vals, anti_vals]), sym_vals.size
-    keep = np.argsort(-vals, kind="stable")[:np.count_nonzero(vals > _LATENT_FLOOR * vals.max())]
-    sym = keep < s
-    half = np.zeros((n - k, keep.size))  # a symmetric mode's middle entry in the last row, odd n
-    half[:, sym], half[:k, ~sym] = sym_vecs[:, keep[sym]], anti_vecs[:, keep[~sym] - s]
-    half[:k] /= math.sqrt(2.0)
-    half *= np.copysign(1.0, half[np.abs(half).argmax(axis=0), np.arange(keep.size)])
-    unfolded = np.concatenate([half, np.where(sym, 1.0, -1.0) * half[k - 1::-1]])
-    return unfolded * np.sqrt(config.true_x2 * vals[keep])
+    vals, modes = next(_half_spectra([config.true_x1], config.points))
+    q = np.count_nonzero(vals > _LATENT_FLOOR * vals.max())
+    sign = np.copysign(1.0, modes[np.abs(modes[:, :q]).argmax(axis=0), np.arange(q)])
+    return modes[:, :q] * (sign * np.sqrt(config.true_x2 * vals[:q]))
 
 
 def _spectrum(gram):
@@ -180,11 +171,32 @@ def _spectrum(gram):
 
 
 def _half_spectra(grid, points):
-    """For each ``x1`` of ``grid``, the kept modes of ``Sigma(x1)``'s half-size blocks ``A +- CJ``
-    (see :func:`_spectra`), each read from :func:`_half_blocks` and never built whole."""
+    """For each ``x1`` of ``grid``, ``(vals, U)``: the kept eigenpairs of ``Sigma(x1)``, largest
+    first (ties in stable order), with ``U`` a C-contiguous ``n x r`` array of orthonormal columns.
+
+    ``Sigma`` is symmetric Toeplitz, hence centrosymmetric, and splits into two half-size
+    problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With ``k = n // 2``,
+    ``A = Sigma[:k, :k]`` and ``CJ = Sigma[:k, n-1:n-k-1:-1]``, a mode ``v`` of ``A + CJ``
+    (for odd ``n`` bordered by ``sqrt(2)`` times the middle column, and ``Sigma[k, k] = 1``)
+    gives the even mode ``[v; Jv]/sqrt(2)`` with middle entry ``v_k``, and a mode ``w`` of
+    ``A - CJ`` the odd mode ``[w; -Jw]/sqrt(2)`` with middle entry 0.  Each block is solved at
+    its numerical rank by :func:`_ritz_spectrum` from :func:`_half_blocks`, never built whole.
+    """
+    n, k = points.size, points.size // 2
     for x1 in grid:
         plus, minus = _half_blocks(x1, points)
-        yield _ritz_spectrum(*plus), _ritz_spectrum(*minus)
+        (even_vals, even), (odd_vals, odd) = _ritz_spectrum(*plus), _ritz_spectrum(*minus)
+        vals, s = np.concatenate([even_vals, odd_vals]), even_vals.size
+        order = np.argsort(-vals, kind="stable")
+        is_even = order < s
+        modes = np.zeros((n, order.size))  # an odd mode's middle entry stays 0 for odd n
+        modes[:n - k, is_even] = even[:, order[is_even]]
+        modes[:k, ~is_even] = odd[:, order[~is_even] - s]
+        modes[:k] /= math.sqrt(2.0)
+        np.multiply(modes[k - 1::-1], np.where(is_even, 1.0, -1.0), out=modes[n - k:])
+        del even, odd  # only the yielded modes outlive the atom's solve ...
+        yield vals[order], modes
+        del modes  # ... and not the next one's
 
 
 def _half_blocks(x1, points):
@@ -246,45 +258,28 @@ def _ritz_spectrum(diagonal, row):
 
 def _spectra(config, data):
     """One eigen pass over the rows ``z`` of ``data``: ``(vals, coef)``, shapes ``(m, n)``
-    and ``(len(data), m, n)``.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix
-    ``G``'s eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order,
-    for the modes :func:`_half_spectra` keeps and 0 after them, so ranks above them give the
-    full-rank table.  The dropped part of each block has trace at most ``k eps`` times its
-    largest diagonal entry: rounding level.  Against the dense blocks and Rayleigh-Ritz step
-    of ``5d3f5d0``, ``figure_sweep``'s epsilon and alpha moved by at most 4.2e-13 at n=1000
-    (m=10, 4 replicates, seeds 1-3), with the same rows.
+    and ``(len(data), m, n)``.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix's
+    eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order, for
+    the modes :func:`_half_spectra` keeps and 0 after them, so ranks above them give the
+    full-rank table.  The dropped part of each half-size block has trace at most ``k eps``
+    times its largest diagonal entry: rounding level.
 
-    ``G`` is symmetric Toeplitz, hence centrosymmetric, and splits into two
-    half-size problems (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  With
-    ``k = n // 2``, ``A = G[:k, :k]`` and ``CJ = G[:k, n-1:n-k-1:-1]``, the
-    modes of ``A + CJ`` (for odd ``n`` bordered by ``sqrt(2)`` times
-    the middle column, and ``G[k, k] = 1``) gives ``[v; Jv]/sqrt(2)`` with
-    middle entry ``v_k``, and that of ``A - CJ`` gives ``[w; -Jw]/sqrt(2)``.
-    No block is built, nor ``G`` or ``U``: :func:`_half_blocks` reads each entry from the
-    points.  The atom of largest ``x1``, whose blocks have the largest rank, is solved first,
-    so the pass peaks on its first atom whatever ``m`` is.  Each ``z`` is
-    folded once into ``(z[:k] +- (Jz)[:k])/sqrt(2)``, the ``+`` fold ending in
-    ``z_k`` when ``n`` is odd, and each fold is multiplied by one atom's kept half
-    vectors at a time.  Each row takes its own matrix-vector products, as one
-    product over all rows would round a row's result differently with the
+    The atom of largest ``x1``, whose blocks have the largest rank, is solved first, so the
+    pass peaks on its first atom whatever ``m`` is.  Each row takes its own matrix-vector
+    product, as one product over all rows would round a row's result differently with the
     number of rows.
     """
-    n, k = int(config.n), int(config.n) // 2
-    plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]
-    plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)  # z_k for odd n
-    minus /= math.sqrt(2.0)
-    vals, coef = np.zeros((int(config.m), n)), np.zeros((len(data), int(config.m), n))
+    n, m = int(config.n), int(config.m)
+    vals, coef = np.zeros((m, n)), np.zeros((len(data), m, n))
     # largest x1 first; enumerate() would hold the last atom while the next one is solved
     atoms = _half_spectra(config.grid_x1[::-1], config.points)
-    for i1 in reversed(range(int(config.m))):
-        (sym_vals, sym_vecs), (anti_vals, anti_vecs) = next(atoms)
-        s, r = sym_vals.size, sym_vals.size + anti_vals.size
-        vals[i1, :s], vals[i1, s:r] = sym_vals, anti_vals
-        for c, p, w in zip(coef[:, i1], plus, minus):
-            c[:s], c[s:r] = sym_vecs.T @ p, anti_vecs.T @ w
-        order = np.argsort(-vals[i1, :r], kind="stable")
-        vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, order]
-        del sym_vals, sym_vecs, anti_vals, anti_vecs, order  # no atom's modes outlive it
+    for i1 in reversed(range(m)):
+        atom_vals, modes = next(atoms)
+        r = atom_vals.size
+        vals[i1, :r] = atom_vals
+        for c, z in zip(coef[:, i1], data):
+            c[:r] = modes.T @ z
+        del modes  # no atom's modes outlive it
     return vals, coef
 
 

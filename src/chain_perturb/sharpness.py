@@ -27,7 +27,6 @@ from .bounds import BoundParams, _require, avg_disagreement_bound
 from .kernels import FiniteKernel, _count, _law_running_sums, _row_tv
 
 __all__ = [
-    "base_matrix",
     "perturbed_matrix",
     "kernel_pair",
     "tightness_table",
@@ -35,10 +34,6 @@ __all__ = [
 
 #: Largest ``|exact - bound|`` that the ``sharpness`` command accepts as equality.
 TIGHTNESS_TOL = 1e-12
-
-
-def base_matrix(beta) -> np.ndarray:
-    return np.array([[1.0 - beta, beta], [beta, 1.0 - beta]])
 
 
 def perturbed_matrix(beta, epsilon) -> np.ndarray:
@@ -54,7 +49,7 @@ def kernel_pair(beta, epsilon):
     _require("beta", beta, "in (0, 1/2]", lambda v: 0.0 < v <= 0.5)
     _require("epsilon", epsilon, "in [0, beta]; above beta the perturbed matrix has a "
              "negative entry", lambda v: 0.0 <= v <= beta)
-    return FiniteKernel(perturbed_matrix(beta, epsilon)), FiniteKernel(base_matrix(beta))
+    return FiniteKernel(perturbed_matrix(beta, epsilon)), FiniteKernel(perturbed_matrix(beta, 0.0))
 
 
 def _propagated_averaged_tv(beta, epsilon, gamma, n_max) -> np.ndarray:

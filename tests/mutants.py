@@ -66,21 +66,21 @@ MUTANTS = [
      "rng.random(out=rows[:width]))",
      "every chunk after the first starts one row late in its block's stream"),
     ("src/chain_perturb/gp_mcmc.py",
-     "plus, minus = data[:, :k] + data[:, :n - k - 1:-1], data[:, :k] - data[:, :n - k - 1:-1]",
-     "plus, minus = data[:, :k] - data[:, :n - k - 1:-1], data[:, :k] + data[:, :n - k - 1:-1]",
-     "the GP projection multiplies the symmetric half's vectors by the antisymmetric fold"),
+     "np.multiply(modes[k - 1::-1], np.where(is_even, 1.0, -1.0), out=modes[n - k:])",
+     "np.multiply(modes[k - 1::-1], np.where(is_even, -1.0, 1.0), out=modes[n - k:])",
+     "the GP modes mirror the symmetric block's vectors as odd and the antisymmetric one's as even"),
     ("src/chain_perturb/gp_mcmc.py",
-     "minus /= math.sqrt(2.0)",
-     "minus /= 1.0",
-     "the GP projection's antisymmetric fold is not scaled by 1/sqrt(2), so U is not orthonormal"),
+     "modes[:k] /= math.sqrt(2.0)",
+     "modes[:k] /= 1.0",
+     "the GP modes' halves are not scaled by 1/sqrt(2), so U is not orthonormal"),
     ("src/chain_perturb/gp_mcmc.py",
-     "plus = np.concatenate([plus / math.sqrt(2.0), data[:, k:n - k]], axis=1)",
-     "plus = np.concatenate([plus / math.sqrt(2.0), 0.0 * data[:, k:n - k]], axis=1)",
-     "the GP projection drops the middle observation z_k when n is odd"),
+     "modes[:n - k, is_even] = even[:, order[is_even]]",
+     "modes[:k, is_even] = even[:k, order[is_even]]",
+     "the GP even modes drop their middle entry v_k when n is odd"),
     ("src/chain_perturb/gp_mcmc.py",
-     "vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, order]",
-     "vals[i1, :r], coef[:, i1, :r] = vals[i1, order], coef[:, i1, :r]",
-     "the GP projections stay in half-block order while their eigenvalues are sorted"),
+     "yield vals[order], modes",
+     "yield vals[order], modes[:, np.argsort(order)]",
+     "the GP modes stay in half-block order while their eigenvalues are sorted"),
     ("src/chain_perturb/gp_mcmc.py",
      "np.finfo(float).eps * rest.max()",
      "np.finfo(float).eps * rest[0]",
@@ -114,12 +114,12 @@ MUTANTS = [
      "z[:] = x3 * (factor @ draw[0, :factor.shape[1]]) + x3 * draw[0]",
      "the GP noise term reuses the latent field's normals, so noise and field are correlated"),
     ("src/chain_perturb/gp_mcmc.py",
-     "unfolded = np.concatenate([half, np.where(sym, 1.0, -1.0) * half[k - 1::-1]])",
-     "unfolded = np.concatenate([half, half[k - 1::-1]])",
-     "the latent factor unfolds an antisymmetric mode as if it were symmetric"),
+     "np.multiply(modes[k - 1::-1], np.where(is_even, 1.0, -1.0), out=modes[n - k:])",
+     "np.multiply(modes[k - 1::-1], 1.0, out=modes[n - k:])",
+     "the GP modes unfold an antisymmetric mode as if it were symmetric"),
     ("src/chain_perturb/gp_mcmc.py",
-     "[:np.count_nonzero(vals > _LATENT_FLOOR * vals.max())]",
-     "[:np.count_nonzero(vals > 0.0)]",
+     "q = np.count_nonzero(vals > _LATENT_FLOOR * vals.max())",
+     "q = np.count_nonzero(vals > 0.0)",
      "the latent factor keeps the modes below its floor, whose vectors rounding decides"),
     ("src/chain_perturb/kernels.py",
      "return np.minimum(0.5 * np.abs(p - q).sum(axis=-1), 1.0)",

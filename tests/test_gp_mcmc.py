@@ -172,7 +172,7 @@ class TestGenerateData:
 
     def test_draw_holds_no_n_by_n_array(self):
         # the Gram matrix and its Cholesky factor peaked at 2.00 n^2 floats, the
-        # dense half-size blocks at 1.02 n^2; the pivot rows need 0.054 n^2
+        # dense half-size blocks at 1.02 n^2; the pivot rows and kept modes need 0.062 n^2
         cfg = GPConfig(n=1000)
         generate_data(GPConfig(n=10), 0)  # numpy.random is imported on first use
         tracemalloc.start()
@@ -220,8 +220,7 @@ class TestEigenCache:
         # vector; the modes past the numerical rank r are exact zeros
         cfg = GPConfig(n=n, m=3)
         spectra, coef = _spectra(cfg, np.eye(n))
-        ranks = [sym[0].size + anti[0].size
-                 for sym, anti in gp_mcmc._half_spectra(cfg.grid_x1, cfg.points)]
+        ranks = [vals.size for vals, _ in gp_mcmc._half_spectra(cfg.grid_x1, cfg.points)]
         for i1, (x1, vals, r) in enumerate(zip(cfg.grid_x1, spectra, ranks, strict=True)):
             vecs = coef[:, i1]
             G = gram_matrix(x1, cfg.points)
@@ -233,9 +232,26 @@ class TestEigenCache:
             assert not vals[r:].any() and not vecs[:, r:].any()
             assert np.count_nonzero(ref > 1e-13 * ref[0]) <= r
 
+    @pytest.mark.parametrize("n", [2, 3, 30, 31, 300, 301])
+    def test_modes_are_exactly_even_or_odd(self, n):
+        # each yielded mode is, bit for bit, the reversal of itself or of its negative; an odd
+        # mode's middle entry is exactly 0 for odd n, though no half-size solve writes it.  The
+        # modes come largest first in one C-contiguous array, as a strided one would take
+        # another BLAS kernel and round the latent draw differently
+        cfg = GPConfig(n=n, m=4)
+        grid = [*cfg.grid_x1, cfg.true_x1]
+        for vals, modes in gp_mcmc._half_spectra(grid, cfg.points):
+            assert modes.shape == (n, vals.size) and modes.flags.c_contiguous
+            assert np.all(np.diff(vals) <= 0.0)
+            even = np.all(modes[::-1] == modes, axis=0)
+            odd = np.all(modes[::-1] == -modes, axis=0)
+            assert np.all(even | odd) and not np.any(even & odd)
+            if n % 2:
+                assert np.all(modes[n // 2, odd] == 0.0)
+
     def test_eigen_pass_holds_no_half_size_block(self):
         # the three n/2 x n/2 blocks and a k x k factor peaked at 1.10 n^2 floats;
-        # the pivot rows, an r x k factor and the kept modes take 0.14 n^2
+        # the pivot rows, an r x k factor and the n x r kept modes take 0.16 n^2
         cfg = GPConfig(n=1000, m=10)
         data = generate_data(cfg, range(4))
         tracemalloc.start()

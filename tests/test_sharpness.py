@@ -6,7 +6,6 @@ import pytest
 from chain_perturb import (
     BoundParams,
     avg_disagreement_bound,
-    base_matrix,
     cross_doeblin_constant,
     doeblin_constant,
     kernel_pair,
@@ -176,4 +175,4 @@ class TestInstanceValidation:
             tightness_table(beta, eps, gamma, 5)
 
     def test_base_matrix_is_symmetric_flip(self):
-        np.testing.assert_allclose(base_matrix(0.25), [[0.75, 0.25], [0.25, 0.75]])
+        np.testing.assert_allclose(perturbed_matrix(0.25, 0.0), [[0.75, 0.25], [0.25, 0.75]])
