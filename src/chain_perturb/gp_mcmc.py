@@ -21,10 +21,12 @@ the ``eigh`` of an ``r x r`` matrix gives the modes (25-63 of 1000 per atom at
 n=1000).  :func:`figure_sweep` runs three stages per block of up to ``n``
 replicates: one :func:`generate_data` call draws the block from the kept modes
 of ``Sigma(true_x1)``; one eigen pass projects each dataset on one atom's
-``n x r`` kept modes at a time; and one table of prefix sums per replicate gives
-every rank.  No stage makes an ``n x n`` or ``n/2 x n/2`` array: ``R``
-replicates take ``O(m n min(R, n))`` floats, one atom's kept modes and one chunk
-of transition rows; 100 at n=1000, m=10 peak at 52 MB RSS (2-core x86-64 host).
+``n x r`` kept modes at a time; and one table of prefix sums per replicate, one
+row per kept mode up to ``r``, the largest kept-mode count over the atoms, gives
+every rank, its last row the full-rank table.  No stage makes an ``n x n`` or
+``n/2 x n/2`` array: ``R`` replicates take ``n min(R, n)`` floats of data and
+``m r min(R, n)`` of projections, plus one atom's kept modes and one chunk of
+transition rows; 100 at n=1000, m=10 peak at 41 MB RSS (2-core x86-64 host).
 The tests hold the independent reference for the exact kernel, a dense
 route through numpy's Cholesky factorization; it is not package code.
 
@@ -257,25 +259,30 @@ def _ritz_spectrum(diagonal, row):
 # likelihood tables over the m x m atom grid
 
 def _spectra(config, data):
-    """One eigen pass over the rows ``z`` of ``data``: ``(vals, coef)``, shapes ``(m, n)``
-    and ``(len(data), m, n)``.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix's
-    eigenvalues, largest first, clipped at 0, and ``coef[r, i1] = U'z`` in their order, for
-    the modes :func:`_half_spectra` keeps and 0 after them, so ranks above them give the
-    full-rank table.  The dropped part of each half-size block has trace at most ``k eps``
-    times its largest diagonal entry: rounding level.
+    """One eigen pass over the rows ``z`` of ``data``: ``(vals, coef)``, shapes ``(m, r)``
+    and ``(len(data), m, r)``, with ``r`` the largest number of modes :func:`_half_spectra`
+    keeps for an atom.  ``vals[i1]`` are length-scale atom ``i1``'s Gram matrix's kept
+    eigenvalues, largest first, clipped at 0, and ``coef[i, i1] = U'z`` in their order for
+    the row ``z = data[i]``; both are 0 past the atom's own kept modes, so every rank above
+    them gives the full-rank table.  The dropped part of each half-size block has trace at
+    most ``k eps`` times its largest diagonal entry: rounding level.
 
-    The atom of largest ``x1``, whose blocks have the largest rank, is solved first, so the
-    pass peaks on its first atom whatever ``m`` is.  Each row takes its own matrix-vector
-    product, as one product over all rows would round a row's result differently with the
-    number of rows.
+    The atom of largest ``x1``, whose blocks have the largest rank, is solved first and sets
+    the width ``r``; an atom of larger rank after it would widen both arrays.  So the pass
+    peaks on its first atom whatever ``m`` is.  Each row takes its own matrix-vector product,
+    as one product over all rows would round a row's result differently with the number of
+    rows.
     """
-    n, m = int(config.n), int(config.m)
-    vals, coef = np.zeros((m, n)), np.zeros((len(data), m, n))
+    m = int(config.m)
+    vals, coef = np.zeros((m, 0)), np.zeros((len(data), m, 0))
     # largest x1 first; enumerate() would hold the last atom while the next one is solved
     atoms = _half_spectra(config.grid_x1[::-1], config.points)
     for i1 in reversed(range(m)):
         atom_vals, modes = next(atoms)
         r = atom_vals.size
+        if r > vals.shape[1]:  # the first atom, and any later one of larger rank
+            grow = [(0, 0), (0, r - vals.shape[1])]
+            vals, coef = np.pad(vals, grow), np.pad(coef, [(0, 0)] + grow)
         vals[i1, :r] = atom_vals
         for c, z in zip(coef[:, i1], data):
             c[:r] = modes.T @ z
@@ -300,10 +307,12 @@ def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
     ``logdet = sum_{i<q} log(1 + x2 l_i)``,
 
     and every rank is a prefix sum over one spectrum.  ``q`` may also be an
-    array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``; ranks of ``n``
-    and above give the full-rank table.  ``spectrum`` is ``(vals, coef[r])``
-    of :func:`_spectra` for the row ``z`` of its data; without it one eigen
-    pass is made for ``z`` alone.  ``z`` must hold ``config.n`` finite reals.
+    array of ranks, giving ``ll[k, i1, i2]`` at rank ``q[k]``.  The prefix sums
+    hold one row per spectrum column, and a rank at or above their count reads
+    the last row, the full-rank table (so do ranks of ``n`` and above).
+    ``spectrum`` is ``(vals, coef[i])`` of :func:`_spectra` for the row
+    ``z = data[i]`` of its data; without it one eigen pass is made for ``z``
+    alone.  ``z`` must hold ``config.n`` finite reals.
     """
     ranks = np.asarray(q)
     if ranks.dtype.kind not in "iu" or np.any(ranks < 1):
@@ -316,12 +325,12 @@ def lowrank_log_table(config, z, q, spectrum=None) -> np.ndarray:
         raise ValueError("z entries must be finite")
     vals, coef = spectrum if spectrum is not None else _spectra(config, z[None])
     n, x2 = z.size, np.asarray(config.grid_x2, dtype=float)
-    # ll[rank - 1, i1, i2] in one broadcast; a pass over z alone gives coef as (1, m, n)
+    # ll[rank - 1, i1, i2] in one broadcast; a pass over z alone gives coef as (1, m, r)
     lv, coef_sq = vals.T[:, :, None], (coef.reshape(vals.shape) ** 2).T[:, :, None]
     logdet = np.cumsum(np.log1p(lv * x2), axis=0)
     quad = z @ z - np.cumsum(lv * coef_sq / (1.0 / x2 + lv), axis=0)
     ll = -0.5 * logdet - 0.5 * (config.prior_a + n) * np.log(config.prior_b + quad)
-    return ll[np.minimum(ranks, n) - 1]
+    return ll[np.minimum(ranks, len(ll)) - 1]
 
 
 def logsumexp(a, axis):
@@ -352,14 +361,16 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
     ``epsilon`` drops below ``eps_threshold`` (finite, nonnegative), records
     ``(replicate, q, epsilon, alpha, epsilon/(alpha+epsilon))``.
     Every rank of a replicate, and the full-rank table that is its exact
-    side, are slices of one table of prefix sums (:func:`lowrank_log_table`);
-    ranks above an atom's numerical rank, and so ranks above ``n``, give the
-    full-rank rows.  A block of up to ``n``
-    replicates is drawn in one :func:`generate_data` call and projected in
-    one eigen pass, and transition rows are built ``_RANK_CHUNK`` ranks at a
-    time up to the stop, so memory is ``O(m n min(R, n))`` floats for ``R`` replicates, one
-    atom's kept modes and one chunk of rows.  Rows come in (replicate, q) order,
-    so whether ``epsilon`` is monotone in ``q`` can be read from them.
+    side, are slices of one table of prefix sums (:func:`lowrank_log_table`)
+    at ranks ``1 .. r``, ``r`` the width of the eigen pass (:func:`_spectra`);
+    ranks above ``r`` read its last row, the full-rank table, and so do ranks
+    above an atom's own numerical rank.  A block of up to ``n`` replicates is
+    drawn in one :func:`generate_data` call and projected in one eigen pass,
+    and transition rows are built ``_RANK_CHUNK`` ranks at a time up to the
+    stop, so for ``R`` replicates memory is ``n min(R, n)`` floats of data,
+    ``m r min(R, n)`` of projections, one atom's kept modes and one chunk of
+    rows.  Rows come in (replicate, q) order, so whether ``epsilon`` is
+    monotone in ``q`` can be read from them.
     """
     n = int(config.n)
     _require_finite_nonnegative("eps_threshold", eps_threshold)
@@ -370,10 +381,11 @@ def figure_sweep(config, replicates, eps_threshold=1e-10, qmax=None) -> list[Swe
         data = generate_data(config, range(start, min(start + n, replicates)))
         vals, coef = _spectra(config, data)
         for rep, (z, c) in enumerate(zip(data, coef), start=start):
-            ll = lowrank_log_table(config, z, np.arange(1, n + 1), spectrum=(vals, c))
+            ll = lowrank_log_table(config, z, np.arange(1, vals.shape[1] + 1), spectrum=(vals, c))
             full = _rows_by_x1(ll[-1:])
             for k in range(0, qmax, _RANK_CHUNK):
-                T = _rows_by_x1(ll[np.minimum(np.arange(k, min(k + _RANK_CHUNK, qmax)), n - 1)])
+                ks = np.arange(k, min(k + _RANK_CHUNK, qmax))
+                T = _rows_by_x1(ll[np.minimum(ks, len(ll) - 1)])
                 eps = _row_tv(T, full).max(axis=-1)
                 below = np.flatnonzero(eps < eps_threshold)
                 eps = eps[:int(below[0]) + 1] if below.size else eps

@@ -126,6 +126,14 @@ MUTANTS = [
      "return 0.5 * np.abs(p - q).sum(axis=-1)",
      "a TV distance of disjoint rows can round above 1, and constants leave [0, 1]"),
     ("src/chain_perturb/gp_mcmc.py",
+     "return ll[np.minimum(ranks, len(ll)) - 1]",
+     "return ll[np.minimum(ranks, len(ll) - 1) - 1]",
+     "the GP likelihood table is cut one column short, so rank r reads rank r-1's row"),
+    ("src/chain_perturb/gp_mcmc.py",
+     "T = _rows_by_x1(ll[np.minimum(ks, len(ll) - 1)])",
+     "T = _rows_by_x1(ll[np.minimum(ks, len(ll) - 2)])",
+     "the GP sweep clips its ranks one short, so rank r and above read rank r-1's rows"),
+    ("src/chain_perturb/gp_mcmc.py",
      "r = np.exp(ll - logsumexp(ll, axis=-1))",
      "r = np.exp(ll - logsumexp(ll, axis=-2))",
      "the amplitude resample is normalised over the length-scale atoms"),

@@ -217,10 +217,13 @@ class TestEigenCache:
         # the two half-size solves give the full spectrum, orthonormal kept
         # modes and the Gram matrix back, odd n (middle row) included, for
         # every atom.  Row i of U is U'e_i, the projection of the i-th unit
-        # vector; the modes past the numerical rank r are exact zeros
+        # vector; the modes past the numerical rank r are exact zeros.  The pass keeps
+        # max(ranks) columns; padded with exact zeros to n, they hold every mode
         cfg = GPConfig(n=n, m=3)
         spectra, coef = _spectra(cfg, np.eye(n))
         ranks = [vals.size for vals, _ in gp_mcmc._half_spectra(cfg.grid_x1, cfg.points)]
+        pad = [(0, 0), (0, n - spectra.shape[1])]
+        spectra, coef = np.pad(spectra, pad), np.pad(coef, [(0, 0)] + pad)
         for i1, (x1, vals, r) in enumerate(zip(cfg.grid_x1, spectra, ranks, strict=True)):
             vecs = coef[:, i1]
             G = gram_matrix(x1, cfg.points)
@@ -249,9 +252,58 @@ class TestEigenCache:
             if n % 2:
                 assert np.all(modes[n // 2, odd] == 0.0)
 
+    @pytest.mark.parametrize("n", [300, 301])
+    def test_rank_stage_is_sized_by_the_numerical_rank(self, n):
+        # r, the largest kept-mode count over the atoms, is 55 and 57 of n here: the pass
+        # keeps r columns, ranks at or above r read the full-rank row, and every row is,
+        # bit for bit, the row read from the spectrum padded with exact zeros to n columns
+        cfg = GPConfig(n=n, m=4, seed=2)
+        r = max(vals.size for vals, _ in gp_mcmc._half_spectra(cfg.grid_x1, cfg.points))
+        z = generate_data(cfg, 0)
+        vals, coef = _spectra(cfg, z[None])
+        assert r < n and vals.shape == (4, r) and coef.shape == (1, 4, r)
+        top = lowrank_log_table(cfg, z, r)
+        for q in (r + 1, n, 3 * n):
+            np.testing.assert_array_equal(lowrank_log_table(cfg, z, q), top)
+        pad = [(0, 0), (0, n - r)]
+        padded = (np.pad(vals, pad), np.pad(coef[0], pad))
+        ranks = np.arange(1, n + 1)
+        np.testing.assert_array_equal(lowrank_log_table(cfg, z, ranks),
+                                      lowrank_log_table(cfg, z, ranks, spectrum=padded))
+        rows = figure_sweep(cfg, 1, eps_threshold=0.0, qmax=r + 3)
+        assert [row.q for row in rows] == list(range(1, r + 4))
+        eps, alpha = epsilon_alpha_for_gp(cfg, z, n)
+        assert eps <= 1e-10 and rows[r - 1].epsilon == 0.0
+        assert abs(rows[r - 1].alpha - alpha) <= 1e-10
+        assert all(row[2:] == rows[r - 1][2:] for row in rows[r:])
+
+    def test_a_later_atom_of_larger_rank_widens_the_pass(self, monkeypatch):
+        # the atom of largest x1 comes first and has had the largest rank on every grid
+        # tried; should another atom outrank it, the columns grow to that atom's rank
+        cfg = GPConfig(n=40, m=3, seed=1)
+        data = generate_data(cfg, range(2))
+        vals, coef = _spectra(cfg, data)
+        solve = gp_mcmc._half_spectra
+
+        def first_cut_to_one_mode(grid, points):
+            atoms = solve(grid, points)
+            first_vals, first_modes = next(atoms)
+            yield first_vals[:1], np.ascontiguousarray(first_modes[:, :1])
+            yield from atoms
+
+        monkeypatch.setattr(gp_mcmc, "_half_spectra", first_cut_to_one_mode)
+        cut_vals, cut_coef = _spectra(cfg, data)
+        assert cut_vals.shape == (3, np.count_nonzero(vals[:2].any(axis=0)))
+        np.testing.assert_array_equal(cut_vals[:2], vals[:2, :cut_vals.shape[1]])
+        np.testing.assert_array_equal(cut_coef[:, :2], coef[:, :2, :cut_vals.shape[1]])
+        assert cut_vals[2, 0] == vals[2, 0] and not cut_vals[2, 1:].any()
+        # one column's product is a different BLAS call from r columns'
+        np.testing.assert_allclose(cut_coef[:, 2, 0], coef[:, 2, 0], rtol=1e-14)
+        assert not cut_coef[:, 2, 1:].any()
+
     def test_eigen_pass_holds_no_half_size_block(self):
         # the three n/2 x n/2 blocks and a k x k factor peaked at 1.10 n^2 floats;
-        # the pivot rows, an r x k factor and the n x r kept modes take 0.16 n^2
+        # the pivot rows, an r x k factor and the n x r kept modes take 0.11 n^2
         cfg = GPConfig(n=1000, m=10)
         data = generate_data(cfg, range(4))
         tracemalloc.start()
@@ -540,6 +592,24 @@ class TestFigureSweep:
                 tracemalloc.stop()
             assert peak <= 2 * n ** 2 * 8, (m, peak / (8 * n ** 2))
         assert peaks[8] - peaks[4] <= 4 * n * (replicates + 1) * 8, peaks
+
+    def test_full_scale_sweep_peaks_below_its_rank_tables_at_n(self):
+        # the eigen pass and every replicate's likelihood table are r = 63 columns
+        # and rows wide, not n = 1000: tables of n ranks peaked at 1.12 n^2 floats in
+        # the pass and 1.86 n^2 in the sweep, against 0.15 and 0.44 at r
+        cfg = GPConfig(n=1000, m=10)
+        data = generate_data(cfg, range(100))
+        tracemalloc.start()
+        try:
+            _spectra(cfg, data)
+            spectra_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            figure_sweep(cfg, 100)
+            sweep_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spectra_peak <= 0.25 * cfg.n ** 2 * 8, spectra_peak / (8 * cfg.n ** 2)
+        assert sweep_peak <= 0.75 * cfg.n ** 2 * 8, sweep_peak / (8 * cfg.n ** 2)
 
     @pytest.mark.parametrize("replicates,qmax,name", [(1.7, 5, "replicates"),
                                                       (True, 5, "replicates"),
